@@ -157,10 +157,7 @@ impl MdDesign {
 
     /// The resource test against the EP2S180.
     pub fn resource_report(&self) -> ResourceReport {
-        rat_core::solve::stages::resource_report(
-            &device::stratix2_ep2s180(),
-            self.resource_estimate(),
-        )
+        ResourceReport::analyze(device::stratix2_ep2s180(), self.resource_estimate())
     }
 
     /// Execute on the simulated XD1000 at `fclock_hz` ("actual" column of

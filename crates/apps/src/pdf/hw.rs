@@ -85,7 +85,7 @@ impl Pdf1dDesign {
 
     /// The resource test against the LX100.
     pub fn resource_report(&self) -> ResourceReport {
-        rat_core::solve::stages::resource_report(&device::virtex4_lx100(), self.resource_estimate())
+        ResourceReport::analyze(device::virtex4_lx100(), self.resource_estimate())
     }
 
     /// Execute on the simulated Nallatech H101 at `fclock_hz`, producing the
@@ -203,7 +203,7 @@ impl Pdf2dDesign {
 
     /// The resource test against the LX100.
     pub fn resource_report(&self) -> ResourceReport {
-        rat_core::solve::stages::resource_report(&device::virtex4_lx100(), self.resource_estimate())
+        ResourceReport::analyze(device::virtex4_lx100(), self.resource_estimate())
     }
 
     /// Execute on the simulated Nallatech H101 at `fclock_hz` ("actual"

@@ -145,7 +145,7 @@ impl PdfNdDesign {
 
     /// The resource test against the LX100.
     pub fn resource_report(&self) -> ResourceReport {
-        rat_core::solve::stages::resource_report(&device::virtex4_lx100(), self.resource_estimate())
+        ResourceReport::analyze(device::virtex4_lx100(), self.resource_estimate())
     }
 }
 

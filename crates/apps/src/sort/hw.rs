@@ -69,7 +69,7 @@ impl BitonicDesign {
 
     /// The resource test against the LX100.
     pub fn resource_report(&self) -> ResourceReport {
-        rat_core::solve::stages::resource_report(&device::virtex4_lx100(), self.resource_estimate())
+        ResourceReport::analyze(device::virtex4_lx100(), self.resource_estimate())
     }
 
     /// Execute on the simulated Nallatech H101 at `fclock_hz`.

@@ -902,9 +902,9 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
 }
 
 /// `rat watch`: poll the worksheet file and re-run the analysis whenever its
-/// contents change. Renders go through the staged solve path, so only the
-/// stages whose inputs actually changed recompute; the per-render stderr line
-/// reports each stage's hit/miss so the skipping is visible.
+/// contents change. The per-render stderr line marks each stage `hit` when
+/// every field it reads is bit-equal to the previous render's input, so the
+/// user sees which parts of the model an edit touched.
 ///
 /// The first render happens immediately and its errors are fatal (a watch on
 /// an unreadable or invalid worksheet is a mistake worth stopping for).
@@ -915,7 +915,8 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
 fn watch(path: Option<&String>, poll_ms: u64, max_renders: u64) -> Result<String, CliError> {
     let path = path.ok_or_else(|| CliError::usage("missing worksheet path"))?;
     let mut digest = watch_digest(path)?;
-    let first = watch_render(path, 1)?;
+    let mut prev = None;
+    let first = watch_render(path, 1, &mut prev)?;
     let mut renders: u64 = 1;
     if max_renders == 1 {
         return Ok(first);
@@ -934,7 +935,7 @@ fn watch(path: Option<&String>, poll_ms: u64, max_renders: u64) -> Result<String
             continue;
         }
         digest = next;
-        match watch_render(path, renders + 1) {
+        match watch_render(path, renders + 1, &mut prev) {
             Ok(out) => {
                 renders += 1;
                 if max_renders != 0 && renders >= max_renders {
@@ -963,30 +964,30 @@ fn watch_digest(path: &String) -> Result<u64, CliError> {
     Ok(hash)
 }
 
-/// One watch render: re-parse the worksheet, run the staged analysis, and
-/// report per-stage cache hit/miss on stderr from the session-counter delta.
-/// A stage counts as "hit" only if it recorded no misses this render.
-fn watch_render(path: &String, k: u64) -> Result<String, CliError> {
-    use rat_core::solve::stages::{self, Stage};
-    let before = stages::session_counters();
+/// One watch render: re-parse the worksheet, run the analysis, and report
+/// per-stage hit/miss on stderr against `prev`, the last input that rendered
+/// successfully. With no previous input every stage is a miss.
+fn watch_render(path: &String, k: u64, prev: &mut Option<RatInput>) -> Result<String, CliError> {
+    use rat_core::solve::stages::{BatchStagePlan, Stage};
     let input = load_worksheet(Some(path))?;
     let report = Worksheet::new(input).analyze()?;
-    let delta = stages::session_counters().since(&before);
+    let plan = prev
+        .as_ref()
+        .map(|p| BatchStagePlan::between(p, &report.input));
     let mut status = format!("watch[{k}]: stages");
-    for stage in [Stage::Comm, Stage::Comp, Stage::Overlap, Stage::Speedup] {
-        let verdict = if delta.misses_for(stage) == 0 && delta.hits_for(stage) > 0 {
-            "hit"
-        } else {
-            "miss"
-        };
+    let mut hits = 0;
+    for stage in Stage::ALL {
+        let hit = plan.is_some_and(|p| !p.varies(stage));
+        hits += usize::from(hit);
+        let verdict = if hit { "hit" } else { "miss" };
         status.push_str(&format!(" {}={verdict}", stage.name()));
     }
     status.push_str(&format!(
-        " (hits {}, misses {})",
-        delta.total_hits(),
-        delta.total_misses()
+        " (hits {hits}, misses {})",
+        Stage::ALL.len() - hits
     ));
     eprintln!("{status}");
+    *prev = Some(report.input.clone());
     Ok(report.render())
 }
 
@@ -996,9 +997,9 @@ fn usage() -> String {
 USAGE:
   rat analyze <worksheet.toml> [--markdown] run the RAT worksheet, print the report
   rat watch <worksheet.toml> [--poll-ms N] [--max-renders N]
-                                            re-render on worksheet change; the
-                                            stage cache recomputes only dirtied
-                                            stages (hit/miss shown on stderr)
+                                            re-render on worksheet change; stderr
+                                            marks each stage hit/miss by whether
+                                            its inputs changed since last render
   rat clocks <worksheet.toml> <MHz>...      analyze the design at several clocks
   rat solve <worksheet.toml> <speedup> [--strict]
                                             required throughput_proc / fclock / alpha

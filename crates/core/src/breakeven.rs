@@ -11,12 +11,12 @@
 
 use crate::engine::{Engine, PointCost};
 use crate::error::RatError;
-use crate::params::{Buffering, RatInput};
+use crate::params::RatInput;
 use crate::quantity::Seconds;
 use crate::solve::batch::{solve_batch, BatchPoints};
-use crate::solve::stages;
 use crate::sweep::SweepParam;
 use crate::table::{sci, TextTable};
+use crate::throughput;
 use serde::{Deserialize, Serialize};
 
 /// The development investment and usage profile of a migration project.
@@ -54,19 +54,12 @@ impl MigrationCost {
 }
 
 impl BreakEven {
-    /// Compute the break-even point for a design under a cost model. The RC
-    /// execution time comes through the memoized stage graph
-    /// ([`crate::solve::stages`]), bit-identical to `throughput::t_rc`.
+    /// Compute the break-even point for a design under a cost model, with
+    /// the RC execution time from [`throughput::t_rc`].
     pub fn analyze(input: &RatInput, cost: &MigrationCost) -> Result<Self, RatError> {
         input.validate()?;
         cost.validate()?;
-        let comm = stages::comm_stage(input);
-        let comp = stages::comp_stage(input);
-        let overlap = stages::overlap_stage(input, comm.t_comm, comp);
-        let t_rc = match input.buffering {
-            Buffering::Single => overlap.t_rc_single,
-            Buffering::Double => overlap.t_rc_double,
-        };
+        let t_rc = throughput::t_rc(input);
         Ok(Self::from_times(input.software.t_soft, t_rc, cost))
     }
 

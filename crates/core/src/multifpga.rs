@@ -34,7 +34,6 @@ use crate::engine::Engine;
 use crate::error::RatError;
 use crate::params::RatInput;
 use crate::quantity::Seconds;
-use crate::solve::stages;
 use crate::table::{sci, TextTable};
 use crate::throughput;
 use serde::{Deserialize, Serialize};
@@ -106,17 +105,11 @@ pub fn analyze(input: &RatInput, devices: u32) -> Result<MultiFpgaPrediction, Ra
     if devices == 0 {
         return Err(RatError::param("device count must be at least 1"));
     }
-    // The per-iteration comm/comp terms and the single-device overlap come
-    // through the memoized stage graph: a scaling curve re-analyzes the same
-    // base input per device count, so every stage but the division hits.
-    let comm = stages::comm_stage(input);
-    let t_comm = comm.t_comm;
-    let comp = stages::comp_stage(input);
-    let t_comp_each = comp / f64::from(devices);
+    let t_comm = throughput::t_comm(input);
+    let t_comp_each = throughput::t_comp(input) / f64::from(devices);
     let t_rc = input.software.iterations as f64 * t_comm.max(t_comp_each);
     let speedup = input.software.t_soft / t_rc;
-    let overlap = stages::overlap_stage(input, t_comm, comp);
-    let single = input.software.t_soft / overlap.t_rc_double;
+    let single = input.software.t_soft / throughput::t_rc_double(input);
     Ok(MultiFpgaPrediction {
         devices,
         t_comp_each,

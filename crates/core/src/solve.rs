@@ -190,8 +190,12 @@ fn required_alpha_scale_with(
 pub fn max_speedup(input: &RatInput) -> Result<f64, RatError> {
     let _span = crate::telemetry::span("solve.ceiling");
     input.validate()?;
-    let comm = throughput::t_comm(input);
-    Ok(input.software.t_soft / (input.software.iterations as f64 * comm))
+    Ok(max_speedup_with(input, throughput::t_comm(input)))
+}
+
+/// [`max_speedup`]'s expression given an already-validated input's `t_comm`.
+fn max_speedup_with(input: &RatInput, comm: Seconds) -> f64 {
+    input.software.t_soft / (input.software.iterations as f64 * comm)
 }
 
 /// Validate `input` and return its predicted speedup — nothing else.
@@ -217,8 +221,9 @@ pub struct InverseQuad {
     pub fclock: Result<Freq, RatError>,
     /// `required_alpha_scale` for the target.
     pub alpha_scale: Result<f64, RatError>,
-    /// `stages::ceiling` — target-independent, but carried per quad so one
-    /// struct is the complete answer.
+    /// The communication-bound ceiling, [`max_speedup`]'s value —
+    /// target-independent, but carried per quad so one struct is the
+    /// complete answer.
     pub ceiling: Result<f64, RatError>,
 }
 
@@ -230,13 +235,15 @@ pub fn inverse_quad(input: &RatInput, target_speedup: f64) -> InverseQuad {
         throughput_proc: required_throughput_proc(input, target_speedup),
         fclock: required_fclock(input, target_speedup),
         alpha_scale: required_alpha_scale(input, target_speedup),
-        ceiling: stages::ceiling(input),
+        ceiling: input
+            .validate()
+            .map(|()| max_speedup_with(input, throughput::t_comm(input))),
     }
 }
 
 /// Evaluate the inverse quad for many targets against one worksheet,
 /// hoisting the work every target shares: one `validate()`, one `t_comm`,
-/// one `t_comp`, one memoized ceiling. The per-target arithmetic is the
+/// one `t_comp`, one ceiling. The per-target arithmetic is the
 /// same pure expressions the scalar solvers run, with identical operand
 /// order, so each element is bit-identical to `inverse_quad` on the same
 /// pair — the contract the serving layer's request coalescer relies on.
@@ -250,14 +257,14 @@ pub fn inverse_quad_batch(input: &RatInput, targets: &[f64]) -> Vec<InverseQuad>
     }
     let comm = throughput::t_comm(input);
     let comp = throughput::t_comp(input);
-    let ceiling = stages::ceiling(input);
+    let ceiling = max_speedup_with(input, comm);
     targets
         .iter()
         .map(|&t| InverseQuad {
             throughput_proc: required_throughput_proc_with(input, t, comm),
             fclock: required_fclock_with(input, t, comm),
             alpha_scale: required_alpha_scale_with(input, t, comm, comp),
-            ceiling: ceiling.clone(),
+            ceiling: Ok(ceiling),
         })
         .collect()
 }

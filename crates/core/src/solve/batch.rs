@@ -167,14 +167,52 @@ impl<'a> BatchPoints<'a> {
                 SweepParam::Iterations => iters = true,
             }
         }
-        let overlap = comm || comp || iters;
+        // t_soft is a base constant: no column writes it.
+        BatchStagePlan::from_inputs(comm, comp, iters, false)
+    }
+}
+
+impl BatchStagePlan {
+    /// Which stages' inputs differ between two whole inputs, compared bit
+    /// for bit over exactly the fields each stage reads (`f64`s by
+    /// `to_bits`). Fields no stage reads — the name, the buffering
+    /// discipline — never dirty anything.
+    pub fn between(prev: &RatInput, cur: &RatInput) -> Self {
+        let differs = |a: f64, b: f64| a.to_bits() != b.to_bits();
+        let (pd, cd) = (&prev.dataset, &cur.dataset);
+        let comm = pd.elements_in != cd.elements_in
+            || pd.elements_out != cd.elements_out
+            || pd.bytes_per_element != cd.bytes_per_element
+            || differs(prev.comm.alpha_write, cur.comm.alpha_write)
+            || differs(prev.comm.alpha_read, cur.comm.alpha_read)
+            || differs(
+                prev.comm.ideal_bandwidth.bytes_per_sec(),
+                cur.comm.ideal_bandwidth.bytes_per_sec(),
+            );
+        let comp = pd.elements_in != cd.elements_in
+            || differs(prev.comp.ops_per_element, cur.comp.ops_per_element)
+            || differs(prev.comp.throughput_proc, cur.comp.throughput_proc)
+            || differs(prev.comp.fclock.hz(), cur.comp.fclock.hz());
+        BatchStagePlan::from_inputs(
+            comm,
+            comp,
+            prev.software.iterations != cur.software.iterations,
+            differs(
+                prev.software.t_soft.seconds(),
+                cur.software.t_soft.seconds(),
+            ),
+        )
+    }
+
+    /// The stage dependencies: overlap reads both per-iteration stages and
+    /// `iterations`; speedup reads the overlap stage's terms and `t_soft`.
+    fn from_inputs(comm: bool, comp: bool, iterations: bool, t_soft: bool) -> Self {
+        let overlap = comm || comp || iterations;
         BatchStagePlan {
             comm_varies: comm,
             comp_varies: comp,
             overlap_varies: overlap,
-            // t_soft is a base constant, so speedup varies exactly when the
-            // execution-time terms do.
-            speedup_varies: overlap,
+            speedup_varies: overlap || t_soft,
         }
     }
 }
@@ -593,10 +631,11 @@ pub fn speedup_batch_indexed(points: &BatchPoints) -> Result<Vec<f64>, (usize, R
 }
 
 /// Evaluate the **full worksheet** for every point: `out[i]` is bit-identical
-/// to `Worksheet::new(points.materialize(i)).analyze()` — the prediction at
-/// the point's buffering, the alternate-buffering prediction, and the
-/// communication-bound ceiling. The numeric pipeline runs as column loops;
-/// only the final `Report` assembly materializes per-point inputs.
+/// to `Worksheet::new(points.materialize(i)).analyze_monolithic()` — the
+/// prediction at the point's buffering, the alternate-buffering prediction,
+/// and the communication-bound ceiling. The numeric pipeline runs as column
+/// loops; only the final `Report` assembly materializes per-point inputs.
+/// `Worksheet::analyze` is this function on a batch of one.
 pub fn solve_batch(points: &BatchPoints) -> Result<Vec<Report>, RatError> {
     let d = decode(points);
     if let Some((_, e)) = first_error(points, &d) {
@@ -765,7 +804,7 @@ mod tests {
             let reports = solve_batch(&points).expect("valid");
             for (i, got) in reports.iter().enumerate() {
                 let want = Worksheet::new(points.materialize(i))
-                    .analyze()
+                    .analyze_monolithic()
                     .expect("worksheet agrees");
                 assert_eq!(got, &want, "{buffering:?} point {i}");
             }

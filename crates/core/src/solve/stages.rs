@@ -1,14 +1,10 @@
-//! The memoized stage graph over the analytic chain.
+//! The stages of the analytic chain and their structural hit/miss accounting.
 //!
-//! The RAT model is a chain of independent sub-models — communication time
-//! (Eqs. 1–3), computation time (Eq. 4), overlap/buffering (Eqs. 5–6 and
-//! 8–11), speedup and its ceiling (Eq. 7), and the resource test (§3.3) —
-//! yet the monolithic pipeline recomputes the whole chain whenever *any*
-//! input changes. A sweep over `fclock` re-derives the communication terms at
-//! every point even though no parameter they read moved. This module splits
-//! the chain into five **stages**, each memoized under a key built from
-//! exactly the typed-quantity inputs that stage reads, so varying one axis
-//! skips every invariant stage:
+//! The RAT model is a chain of sub-models — communication time (Eqs. 1–3),
+//! computation time (Eq. 4), overlap/buffering (Eqs. 5–6 and 8–11), and
+//! speedup with its ceiling (Eq. 7). Each **stage** reads a fixed set of
+//! fields, so varying one axis leaves every stage that does not read it
+//! unchanged:
 //!
 //! | stage     | reads                                                       |
 //! |-----------|-------------------------------------------------------------|
@@ -16,52 +12,22 @@
 //! | `comp`    | `elements_in`, `ops_per_element`, `throughput_proc`, `fclock` |
 //! | `overlap` | `t_comm`, `t_comp` (stage outputs), `iterations`            |
 //! | `speedup` | `t_rc` terms, `t_comm`, `t_soft`, `iterations`              |
-//! | `resource`| the device capacities and the design estimate               |
 //!
-//! ## Keying and invalidation
-//!
-//! Keys are **exact**: every `f64` a stage reads is stored by its raw bit
-//! pattern (`f64::to_bits`), integers and enums verbatim. There is no lossy
-//! digest, so a cache hit *is* an equality witness — the cached output was
-//! produced from bit-identical inputs, and returning it cannot change any
-//! result. Invalidation is therefore trivial: a changed input is a different
-//! key, and stale entries are only ever *unused*, never wrong. Each map is
-//! bounded ([`MAX_ENTRIES`]) and cleared wholesale when full — correctness
-//! never depends on retention.
-//!
-//! ## Bit-identity
-//!
-//! On a miss, each stage computes through the **same expressions on the same
-//! bit values** as the monolithic chain in [`crate::throughput`] /
-//! [`crate::utilization`] / [`crate::solve`] — mostly by calling those very
-//! functions — so the staged path is bit-identical to the monolithic path by
-//! construction (and pinned by `tests/stage_differential.rs`).
-//!
-//! ## Counters
-//!
-//! Every lookup records a hit or a miss twice: into this thread's session
-//! counters ([`session_counters`], always on — `rat watch` reads deltas to
-//! report which stages re-ran), and into [`crate::telemetry`] (when enabled —
-//! surfaced by `--metrics` and the serve `GET /metrics` endpoint). Batched
-//! kernels do not probe the per-point maps at all; they derive their counts
-//! structurally from which columns vary (see [`BatchStagePlan`]) and record
-//! them with [`record_batch`].
+//! The stages themselves are plain functions ([`crate::throughput`],
+//! [`crate::utilization`], and the batch kernels in [`crate::solve::batch`]);
+//! nothing is cached between calls. What this module owns is the accounting.
+//! A [`BatchStagePlan`] says which stages vary, derived **structurally**:
+//! across a batch from which columns it carries
+//! ([`crate::solve::batch::BatchPoints::stage_plan`]), or between two inputs
+//! from which fields differ ([`BatchStagePlan::between`], what `rat watch`
+//! reports). The batch kernels compute a uniform stage once and reuse it for
+//! every remaining point, so those points are hits by construction;
+//! [`record_batch`] reports the counts to [`crate::telemetry`] (surfaced by
+//! `--metrics` and the serve `GET /metrics` endpoint).
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use crate::params::RatInput;
-use crate::quantity::Seconds;
-use crate::resources::{FpgaDevice, ResourceEstimate, ResourceReport};
 use crate::telemetry::{self, Metric};
-use crate::throughput;
-use crate::utilization;
 
-/// Entries per stage map before the map is cleared wholesale. Bounds memory
-/// without an eviction policy: exact keys mean a refill is always correct.
-pub const MAX_ENTRIES: usize = 4096;
-
-/// The five analytic stages, in dependency order.
+/// The four analytic stages, in dependency order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Communication time, Eqs. (1)–(3).
@@ -74,19 +40,11 @@ pub enum Stage {
     /// Speedup (Eq. 7) under both disciplines plus the communication-bound
     /// ceiling.
     Speedup,
-    /// The resource test, §3.3.
-    Resource,
 }
 
 impl Stage {
     /// Every stage, in dependency order.
-    pub const ALL: [Stage; 5] = [
-        Stage::Comm,
-        Stage::Comp,
-        Stage::Overlap,
-        Stage::Speedup,
-        Stage::Resource,
-    ];
+    pub const ALL: [Stage; 4] = [Stage::Comm, Stage::Comp, Stage::Overlap, Stage::Speedup];
 
     /// Short stable name (used by `rat watch` status lines).
     pub fn name(self) -> &'static str {
@@ -95,7 +53,6 @@ impl Stage {
             Stage::Comp => "comp",
             Stage::Overlap => "overlap",
             Stage::Speedup => "speedup",
-            Stage::Resource => "resource",
         }
     }
 
@@ -105,7 +62,6 @@ impl Stage {
             Stage::Comp => 1,
             Stage::Overlap => 2,
             Stage::Speedup => 3,
-            Stage::Resource => 4,
         }
     }
 
@@ -115,7 +71,6 @@ impl Stage {
             Stage::Comp => Metric::StageCompHits,
             Stage::Overlap => Metric::StageOverlapHits,
             Stage::Speedup => Metric::StageSpeedupHits,
-            Stage::Resource => Metric::StageResourceHits,
         }
     }
 
@@ -125,7 +80,6 @@ impl Stage {
             Stage::Comp => Metric::StageCompMisses,
             Stage::Overlap => Metric::StageOverlapMisses,
             Stage::Speedup => Metric::StageSpeedupMisses,
-            Stage::Resource => Metric::StageResourceMisses,
         }
     }
 }
@@ -133,10 +87,10 @@ impl Stage {
 /// Per-stage hit/miss totals, indexed by [`Stage::ALL`] order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
-    /// Cache hits per stage.
-    pub hits: [u64; 5],
-    /// Cache misses per stage.
-    pub misses: [u64; 5],
+    /// Hits (stage outputs reused) per stage.
+    pub hits: [u64; 4],
+    /// Misses (stage outputs computed) per stage.
+    pub misses: [u64; 4],
 }
 
 impl StageCounters {
@@ -159,416 +113,39 @@ impl StageCounters {
     pub fn total_misses(&self) -> u64 {
         self.misses.iter().sum()
     }
-
-    /// The counters accumulated since `earlier` (elementwise saturating
-    /// difference — `earlier` should be a previous snapshot of the same
-    /// counters).
-    pub fn since(&self, earlier: &StageCounters) -> StageCounters {
-        let mut d = StageCounters::default();
-        for i in 0..5 {
-            d.hits[i] = self.hits[i].saturating_sub(earlier.hits[i]);
-            d.misses[i] = self.misses[i].saturating_sub(earlier.misses[i]);
-        }
-        d
-    }
-
-    fn add(&mut self, other: &StageCounters) {
-        for i in 0..5 {
-            self.hits[i] = self.hits[i].saturating_add(other.hits[i]);
-            self.misses[i] = self.misses[i].saturating_add(other.misses[i]);
-        }
-    }
 }
 
-// ---------------------------------------------------------------------------
-// Stage keys and outputs
-// ---------------------------------------------------------------------------
+/// Does nothing: no stage state is cached between calls, so there is
+/// nothing to clear. Kept so callers that reset between runs still build.
+pub fn clear_session_cache() {}
 
-/// Exact key over everything the communication stage reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CommKey {
-    elements_in: u64,
-    elements_out: u64,
-    bytes_per_element: u64,
-    alpha_write_bits: u64,
-    alpha_read_bits: u64,
-    bandwidth_bits: u64,
-}
-
-impl CommKey {
-    fn of(input: &RatInput) -> Self {
-        CommKey {
-            elements_in: input.dataset.elements_in,
-            elements_out: input.dataset.elements_out,
-            bytes_per_element: input.dataset.bytes_per_element,
-            alpha_write_bits: input.comm.alpha_write.to_bits(),
-            alpha_read_bits: input.comm.alpha_read.to_bits(),
-            bandwidth_bits: input.comm.ideal_bandwidth.bytes_per_sec().to_bits(),
-        }
-    }
-}
-
-/// The communication stage's outputs: Eqs. (2), (3), (1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommOut {
-    /// Host→FPGA transfer time per iteration, Eq. (2).
-    pub t_write: Seconds,
-    /// FPGA→host transfer time per iteration, Eq. (3).
-    pub t_read: Seconds,
-    /// Total communication time per iteration, Eq. (1).
-    pub t_comm: Seconds,
-}
-
-/// Exact key over everything the computation stage reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct CompKey {
-    elements_in: u64,
-    ops_per_element_bits: u64,
-    throughput_proc_bits: u64,
-    fclock_hz_bits: u64,
-}
-
-impl CompKey {
-    fn of(input: &RatInput) -> Self {
-        CompKey {
-            elements_in: input.dataset.elements_in,
-            ops_per_element_bits: input.comp.ops_per_element.to_bits(),
-            throughput_proc_bits: input.comp.throughput_proc.to_bits(),
-            fclock_hz_bits: input.comp.fclock.hz().to_bits(),
-        }
-    }
-}
-
-/// Exact key over everything the overlap/buffering stage reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct OverlapKey {
-    t_comm_bits: u64,
-    t_comp_bits: u64,
-    iterations: u64,
-}
-
-/// The overlap stage's outputs: both buffering disciplines at once, since
-/// they read the same inputs and the worksheet reports both.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverlapOut {
-    /// Single-buffered execution time, Eq. (5).
-    pub t_rc_single: Seconds,
-    /// Double-buffered execution time, Eq. (6).
-    pub t_rc_double: Seconds,
-    /// Single-buffered computation utilization, Eq. (8).
-    pub util_comp_single: f64,
-    /// Single-buffered communication utilization, Eq. (9).
-    pub util_comm_single: f64,
-    /// Double-buffered computation utilization, Eq. (10).
-    pub util_comp_double: f64,
-    /// Double-buffered communication utilization, Eq. (11).
-    pub util_comm_double: f64,
-}
-
-/// Exact key over everything the speedup stage reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct SpeedupKey {
-    t_rc_single_bits: u64,
-    t_rc_double_bits: u64,
-    t_comm_bits: u64,
-    t_soft_bits: u64,
-    iterations: u64,
-}
-
-/// The speedup stage's outputs: Eq. (7) under both disciplines plus the
-/// communication-bound ceiling.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedupOut {
-    /// Speedup under single buffering.
-    pub speedup_single: f64,
-    /// Speedup under double buffering.
-    pub speedup_double: f64,
-    /// The communication-bound ceiling, `t_soft / (N_iter * t_comm)`.
-    pub max_speedup: f64,
-}
-
-/// Exact key over everything the resource stage reads: the full device
-/// record and the design estimate.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct ResourceKey {
-    name: String,
-    dsp_name: String,
-    dsp_blocks: u32,
-    bram_blocks: u32,
-    logic_cells: u64,
-    logic_kind: crate::resources::LogicKind,
-    native_mult_width: u32,
-    dsp: u32,
-    bram: u32,
-    logic: u64,
-}
-
-impl ResourceKey {
-    fn of(device: &FpgaDevice, estimate: ResourceEstimate) -> Self {
-        ResourceKey {
-            name: device.name.clone(),
-            dsp_name: device.dsp_name.clone(),
-            dsp_blocks: device.dsp_blocks,
-            bram_blocks: device.bram_blocks,
-            logic_cells: device.logic_cells,
-            logic_kind: device.logic_kind,
-            native_mult_width: device.native_mult_width,
-            dsp: estimate.dsp,
-            bram: estimate.bram,
-            logic: estimate.logic,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The per-thread session
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-struct StageSession {
-    comm: HashMap<CommKey, CommOut>,
-    comp: HashMap<CompKey, Seconds>,
-    overlap: HashMap<OverlapKey, OverlapOut>,
-    speedup: HashMap<SpeedupKey, SpeedupOut>,
-    resource: HashMap<ResourceKey, ResourceReport>,
-    counters: StageCounters,
-}
-
-thread_local! {
-    /// Each thread memoizes independently: no locks on the hot path, and the
-    /// engine's deterministic chunk→job mapping keeps outputs bit-identical
-    /// at every thread count regardless of what each thread has cached.
-    static SESSION: RefCell<StageSession> = RefCell::new(StageSession::default());
-}
-
-/// This thread's cumulative stage hit/miss counters. Always recorded (one
-/// thread-local increment per lookup), independent of telemetry; `rat watch`
-/// snapshots before/after a render to report which stages re-ran.
-pub fn session_counters() -> StageCounters {
-    SESSION.with(|s| s.borrow().counters)
-}
-
-/// Drop every cached entry on this thread (counters are kept). Mostly for
-/// tests that need a cold cache.
-pub fn clear_session_cache() {
-    SESSION.with(|s| {
-        let mut s = s.borrow_mut();
-        s.comm.clear();
-        s.comp.clear();
-        s.overlap.clear();
-        s.speedup.clear();
-        s.resource.clear();
-    });
-}
-
-// ---------------------------------------------------------------------------
-// The stages
-// ---------------------------------------------------------------------------
-
-/// The communication stage: Eqs. (1)–(3), memoized on exactly the fields
-/// they read. A miss computes through [`throughput::t_write`] /
-/// [`throughput::t_read`] — the monolithic chain's own functions — so the
-/// output is bit-identical to it by construction.
-pub fn comm_stage(input: &RatInput) -> CommOut {
-    let key = CommKey::of(input);
-    SESSION.with(|s| {
-        let cached = s.borrow().comm.get(&key).copied();
-        if let Some(out) = cached {
-            record_in(s, Stage::Comm, true);
-            return out;
-        }
-        let t_write = throughput::t_write(input);
-        let t_read = throughput::t_read(input);
-        let out = CommOut {
-            t_write,
-            t_read,
-            // Same expression as throughput::t_comm on the same bit values.
-            t_comm: t_write + t_read,
-        };
-        let mut st = s.borrow_mut();
-        if st.comm.len() >= MAX_ENTRIES {
-            st.comm.clear();
-        }
-        st.comm.insert(key, out);
-        drop(st);
-        record_in(s, Stage::Comm, false);
-        out
-    })
-}
-
-/// The computation stage: Eq. (4), memoized. A miss is
-/// [`throughput::t_comp`] verbatim.
-pub fn comp_stage(input: &RatInput) -> Seconds {
-    let key = CompKey::of(input);
-    SESSION.with(|s| {
-        let cached = s.borrow().comp.get(&key).copied();
-        if let Some(out) = cached {
-            record_in(s, Stage::Comp, true);
-            return out;
-        }
-        let out = throughput::t_comp(input);
-        let mut st = s.borrow_mut();
-        if st.comp.len() >= MAX_ENTRIES {
-            st.comp.clear();
-        }
-        st.comp.insert(key, out);
-        drop(st);
-        record_in(s, Stage::Comp, false);
-        out
-    })
-}
-
-/// The overlap/buffering stage: Eqs. (5)–(6) and (8)–(11) under both
-/// disciplines, keyed on the upstream stage outputs plus `iterations`.
-/// `t_comm`/`t_comp` must come from [`comm_stage`]/[`comp_stage`] on the
-/// same input (the key *is* their bit patterns).
-pub fn overlap_stage(input: &RatInput, t_comm: Seconds, t_comp: Seconds) -> OverlapOut {
-    let key = OverlapKey {
-        t_comm_bits: t_comm.seconds().to_bits(),
-        t_comp_bits: t_comp.seconds().to_bits(),
-        iterations: input.software.iterations,
-    };
-    SESSION.with(|s| {
-        let cached = s.borrow().overlap.get(&key).copied();
-        if let Some(out) = cached {
-            record_in(s, Stage::Overlap, true);
-            return out;
-        }
-        // Same expressions as throughput::t_rc_single / t_rc_double and the
-        // utilization:: functions, on the same bit values.
-        let iters = input.software.iterations as f64;
-        let out = OverlapOut {
-            t_rc_single: iters * (t_comm + t_comp),
-            t_rc_double: iters * t_comm.max(t_comp),
-            util_comp_single: utilization::util_comp_single(t_comm, t_comp),
-            util_comm_single: utilization::util_comm_single(t_comm, t_comp),
-            util_comp_double: utilization::util_comp_double(t_comm, t_comp),
-            util_comm_double: utilization::util_comm_double(t_comm, t_comp),
-        };
-        let mut st = s.borrow_mut();
-        if st.overlap.len() >= MAX_ENTRIES {
-            st.overlap.clear();
-        }
-        st.overlap.insert(key, out);
-        drop(st);
-        record_in(s, Stage::Overlap, false);
-        out
-    })
-}
-
-/// The speedup stage: Eq. (7) under both disciplines plus the
-/// communication-bound ceiling, keyed on the upstream time terms plus
-/// `t_soft` and `iterations`.
-pub fn speedup_stage(input: &RatInput, overlap: &OverlapOut, t_comm: Seconds) -> SpeedupOut {
-    let key = SpeedupKey {
-        t_rc_single_bits: overlap.t_rc_single.seconds().to_bits(),
-        t_rc_double_bits: overlap.t_rc_double.seconds().to_bits(),
-        t_comm_bits: t_comm.seconds().to_bits(),
-        t_soft_bits: input.software.t_soft.seconds().to_bits(),
-        iterations: input.software.iterations,
-    };
-    SESSION.with(|s| {
-        let cached = s.borrow().speedup.get(&key).copied();
-        if let Some(out) = cached {
-            record_in(s, Stage::Speedup, true);
-            return out;
-        }
-        // Same expressions as throughput::speedup and solve::max_speedup.
-        let out = SpeedupOut {
-            speedup_single: input.software.t_soft / overlap.t_rc_single,
-            speedup_double: input.software.t_soft / overlap.t_rc_double,
-            max_speedup: input.software.t_soft / (input.software.iterations as f64 * t_comm),
-        };
-        let mut st = s.borrow_mut();
-        if st.speedup.len() >= MAX_ENTRIES {
-            st.speedup.clear();
-        }
-        st.speedup.insert(key, out);
-        drop(st);
-        record_in(s, Stage::Speedup, false);
-        out
-    })
-}
-
-/// The communication-bound speedup ceiling through the stage graph —
-/// bit-identical to [`crate::solve::max_speedup`]. Resolves the full chain
-/// so repeated renders of the same input hit every stage.
-pub fn ceiling(input: &RatInput) -> Result<f64, crate::error::RatError> {
-    input.validate()?;
-    let comm = comm_stage(input);
-    let comp = comp_stage(input);
-    let overlap = overlap_stage(input, comm.t_comm, comp);
-    Ok(speedup_stage(input, &overlap, comm.t_comm).max_speedup)
-}
-
-/// The resource stage: §3.3's fit test, memoized on the full device record
-/// plus the estimate. A miss is [`ResourceReport::analyze`] verbatim.
-pub fn resource_report(device: &FpgaDevice, estimate: ResourceEstimate) -> ResourceReport {
-    let key = ResourceKey::of(device, estimate);
-    SESSION.with(|s| {
-        let cached = s.borrow().resource.get(&key).cloned();
-        if let Some(out) = cached {
-            record_in(s, Stage::Resource, true);
-            return out;
-        }
-        let out = ResourceReport::analyze(device.clone(), estimate);
-        let mut st = s.borrow_mut();
-        if st.resource.len() >= MAX_ENTRIES {
-            st.resource.clear();
-        }
-        st.resource.insert(key, out.clone());
-        drop(st);
-        record_in(s, Stage::Resource, false);
-        out
-    })
-}
-
-/// `record`, but reusing an already-resolved thread-local handle (the stage
-/// functions are inside `SESSION.with` when they record).
-fn record_in(s: &RefCell<StageSession>, stage: Stage, hit: bool) {
-    {
-        let c = &mut s.borrow_mut().counters;
-        let i = stage.index();
-        if hit {
-            c.hits[i] += 1;
-        } else {
-            c.misses[i] += 1;
-        }
-    }
-    if telemetry::enabled() {
-        if hit {
-            telemetry::add(Metric::StageHits, 1);
-            telemetry::add(stage.hit_metric(), 1);
-        } else {
-            telemetry::add(Metric::StageMisses, 1);
-            telemetry::add(stage.miss_metric(), 1);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batched stage accounting
-// ---------------------------------------------------------------------------
-
-/// Which stages vary across a batch, derived **structurally** from which
-/// columns the batch carries (a stage varies iff a column writes a field it
-/// reads). The batch kernels never probe the per-point maps — a uniform
-/// stage is computed once per chunk and every remaining point is a hit by
-/// construction, which is what the counters report.
+/// Which stages vary, across a batch or between two inputs. A stage varies
+/// iff some field it reads may differ; the values are never inspected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchStagePlan {
-    /// Whether a column writes a communication-stage input.
+    /// Whether a communication-stage input varies.
     pub comm_varies: bool,
-    /// Whether a column writes a computation-stage input.
+    /// Whether a computation-stage input varies.
     pub comp_varies: bool,
     /// Whether the overlap stage's inputs vary (either upstream stage, or
     /// `iterations`).
     pub overlap_varies: bool,
-    /// Whether the speedup stage's inputs vary (follows `overlap`).
+    /// Whether the speedup stage's inputs vary (the overlap stage's, or
+    /// `t_soft`).
     pub speedup_varies: bool,
 }
 
 impl BatchStagePlan {
+    /// Whether `stage`'s inputs vary under this plan.
+    pub fn varies(&self, stage: Stage) -> bool {
+        match stage {
+            Stage::Comm => self.comm_varies,
+            Stage::Comp => self.comp_varies,
+            Stage::Overlap => self.overlap_varies,
+            Stage::Speedup => self.speedup_varies,
+        }
+    }
+
     /// The hit/miss counters a batch of `n` points contributes: a varying
     /// stage recomputes at every point (`n` misses); a uniform stage
     /// computes once and is reused for the rest (1 miss, `n-1` hits). An
@@ -578,15 +155,9 @@ impl BatchStagePlan {
         if n == 0 {
             return c;
         }
-        let per_stage = [
-            (Stage::Comm, self.comm_varies),
-            (Stage::Comp, self.comp_varies),
-            (Stage::Overlap, self.overlap_varies),
-            (Stage::Speedup, self.speedup_varies),
-        ];
-        for (stage, varies) in per_stage {
+        for stage in Stage::ALL {
             let i = stage.index();
-            if varies {
+            if self.varies(stage) {
                 c.misses[i] = n;
             } else {
                 c.misses[i] = 1;
@@ -597,22 +168,22 @@ impl BatchStagePlan {
     }
 }
 
-/// Record one batch's structural stage counters into this thread's session
-/// counters and (when enabled) telemetry.
+/// Record one batch's structural stage counters into telemetry (when
+/// enabled).
 pub fn record_batch(plan: &BatchStagePlan, n: u64) {
+    if !telemetry::enabled() {
+        return;
+    }
     let c = plan.counters(n);
-    SESSION.with(|s| s.borrow_mut().counters.add(&c));
-    if telemetry::enabled() {
-        telemetry::add(Metric::StageHits, c.total_hits());
-        telemetry::add(Metric::StageMisses, c.total_misses());
-        for stage in [Stage::Comm, Stage::Comp, Stage::Overlap, Stage::Speedup] {
-            let i = stage.index();
-            if c.hits[i] > 0 {
-                telemetry::add(stage.hit_metric(), c.hits[i]);
-            }
-            if c.misses[i] > 0 {
-                telemetry::add(stage.miss_metric(), c.misses[i]);
-            }
+    telemetry::add(Metric::StageHits, c.total_hits());
+    telemetry::add(Metric::StageMisses, c.total_misses());
+    for stage in Stage::ALL {
+        let i = stage.index();
+        if c.hits[i] > 0 {
+            telemetry::add(stage.hit_metric(), c.hits[i]);
+        }
+        if c.misses[i] > 0 {
+            telemetry::add(stage.miss_metric(), c.misses[i]);
         }
     }
 }
@@ -620,79 +191,6 @@ pub fn record_batch(plan: &BatchStagePlan, n: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::pdf1d_example;
-    use crate::quantity::Freq;
-    use crate::resources::device;
-
-    #[test]
-    fn stage_outputs_match_the_monolithic_chain_bit_for_bit() {
-        let input = pdf1d_example();
-        let comm = comm_stage(&input);
-        assert_eq!(comm.t_write, throughput::t_write(&input));
-        assert_eq!(comm.t_read, throughput::t_read(&input));
-        assert_eq!(comm.t_comm, throughput::t_comm(&input));
-        let t_comp = comp_stage(&input);
-        assert_eq!(t_comp, throughput::t_comp(&input));
-        let overlap = overlap_stage(&input, comm.t_comm, t_comp);
-        assert_eq!(overlap.t_rc_single, throughput::t_rc_single(&input));
-        assert_eq!(overlap.t_rc_double, throughput::t_rc_double(&input));
-        let sp = speedup_stage(&input, &overlap, comm.t_comm);
-        assert_eq!(
-            sp.speedup_single.to_bits(),
-            (input.software.t_soft / throughput::t_rc_single(&input)).to_bits()
-        );
-        assert_eq!(
-            sp.max_speedup.to_bits(),
-            crate::solve::max_speedup(&input)
-                .expect("valid input")
-                .to_bits()
-        );
-    }
-
-    #[test]
-    fn repeated_lookups_hit_and_changed_inputs_miss() {
-        let input = pdf1d_example();
-        clear_session_cache();
-        let before = session_counters();
-        let first = comm_stage(&input);
-        let second = comm_stage(&input);
-        assert_eq!(first, second);
-        let d = session_counters().since(&before);
-        assert_eq!(d.misses_for(Stage::Comm), 1);
-        assert_eq!(d.hits_for(Stage::Comm), 1);
-
-        // Varying fclock does not touch the comm stage's key...
-        let faster = input.with_fclock(Freq::from_mhz(200.0));
-        let before = session_counters();
-        let third = comm_stage(&faster);
-        assert_eq!(first, third);
-        assert_eq!(session_counters().since(&before).hits_for(Stage::Comm), 1);
-        // ...but it does invalidate the comp stage.
-        let before = session_counters();
-        let _ = comp_stage(&input);
-        let _ = comp_stage(&faster);
-        let d = session_counters().since(&before);
-        assert!(d.misses_for(Stage::Comp) >= 1, "{d:?}");
-    }
-
-    #[test]
-    fn resource_stage_matches_and_memoizes() {
-        let dev = device::virtex4_lx100();
-        let est = ResourceEstimate {
-            dsp: 8,
-            bram: 36,
-            logic: 6000,
-        };
-        clear_session_cache();
-        let before = session_counters();
-        let staged = resource_report(&dev, est);
-        assert_eq!(staged, ResourceReport::analyze(dev.clone(), est));
-        let again = resource_report(&dev, est);
-        assert_eq!(staged, again);
-        let d = session_counters().since(&before);
-        assert_eq!(d.misses_for(Stage::Resource), 1);
-        assert_eq!(d.hits_for(Stage::Resource), 1);
-    }
 
     #[test]
     fn batch_plan_counter_arithmetic() {
@@ -727,36 +225,8 @@ mod tests {
     }
 
     #[test]
-    fn record_batch_accumulates_session_counters() {
-        let plan = BatchStagePlan {
-            comm_varies: false,
-            comp_varies: true,
-            overlap_varies: true,
-            speedup_varies: true,
-        };
-        let before = session_counters();
-        record_batch(&plan, 3);
-        let d = session_counters().since(&before);
-        assert_eq!(d.total_hits(), 2);
-        assert_eq!(d.total_misses(), 10);
-    }
-
-    #[test]
-    fn bounded_maps_clear_and_refill() {
-        clear_session_cache();
-        let base = pdf1d_example();
-        for k in 0..(MAX_ENTRIES + 10) {
-            let input = base.with_fclock(Freq::from_hz(1.0e8 + k as f64));
-            let _ = comp_stage(&input);
-        }
-        // The map stayed bounded and lookups still work.
-        let probe = base.with_fclock(Freq::from_hz(1.0e8));
-        assert_eq!(comp_stage(&probe), throughput::t_comp(&probe));
-    }
-
-    #[test]
     fn stage_names_are_stable() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["comm", "comp", "overlap", "speedup", "resource"]);
+        assert_eq!(names, ["comm", "comp", "overlap", "speedup"]);
     }
 }

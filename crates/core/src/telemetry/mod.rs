@@ -108,7 +108,8 @@ pub enum Metric {
     /// Monte-Carlo samples evaluated.
     McSamples,
     /// Design points evaluated through the batched SoA kernels
-    /// (`solve::batch`).
+    /// (`solve::batch`), including each single `Worksheet::analyze` (a batch
+    /// of one) and each target of an inverse-solve batch.
     BatchPoints,
     /// Simulator-cache hits (bridged from [`CacheStats`] at drain).
     ///
@@ -118,31 +119,29 @@ pub enum Metric {
     CacheMisses,
     /// Times a simulator-cache shard lock was contended (bridged at drain).
     ShardContention,
-    /// Analytic-stage cache hits, summed over every stage
+    /// Analytic-stage hits — a batch point that reused a stage output
+    /// computed once for the whole batch — summed over every stage
     /// (`solve::stages`).
     StageHits,
-    /// Analytic-stage cache misses, summed over every stage.
+    /// Analytic-stage misses (stage outputs computed), summed over every
+    /// stage.
     StageMisses,
-    /// Communication-stage (Eqs. 1–3) cache hits.
+    /// Communication-stage (Eqs. 1–3) hits.
     StageCommHits,
-    /// Communication-stage cache misses.
+    /// Communication-stage misses.
     StageCommMisses,
-    /// Computation-stage (Eq. 4) cache hits.
+    /// Computation-stage (Eq. 4) hits.
     StageCompHits,
-    /// Computation-stage cache misses.
+    /// Computation-stage misses.
     StageCompMisses,
-    /// Overlap/buffering-stage (Eqs. 5–6, 8–11) cache hits.
+    /// Overlap/buffering-stage (Eqs. 5–6, 8–11) hits.
     StageOverlapHits,
-    /// Overlap/buffering-stage cache misses.
+    /// Overlap/buffering-stage misses.
     StageOverlapMisses,
-    /// Speedup/ceiling-stage (Eq. 7) cache hits.
+    /// Speedup/ceiling-stage (Eq. 7) hits.
     StageSpeedupHits,
-    /// Speedup/ceiling-stage cache misses.
+    /// Speedup/ceiling-stage misses.
     StageSpeedupMisses,
-    /// Resource-test-stage (§3.3) cache hits.
-    StageResourceHits,
-    /// Resource-test-stage cache misses.
-    StageResourceMisses,
     /// Guided-search generations run (`optimize`).
     OptimizeGenerations,
     /// Candidate design points evaluated by guided search.
@@ -167,7 +166,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in rendering order.
-    pub const ALL: [Metric; 32] = [
+    pub const ALL: [Metric; 30] = [
         Metric::EngineJobs,
         Metric::EngineBatches,
         Metric::SimRuns,
@@ -190,8 +189,6 @@ impl Metric {
         Metric::StageOverlapMisses,
         Metric::StageSpeedupHits,
         Metric::StageSpeedupMisses,
-        Metric::StageResourceHits,
-        Metric::StageResourceMisses,
         Metric::OptimizeGenerations,
         Metric::OptimizeEvals,
         Metric::OptimizeFrontSize,
@@ -227,8 +224,6 @@ impl Metric {
             Metric::StageOverlapMisses => "stage.overlap.misses",
             Metric::StageSpeedupHits => "stage.speedup.hits",
             Metric::StageSpeedupMisses => "stage.speedup.misses",
-            Metric::StageResourceHits => "stage.resource.hits",
-            Metric::StageResourceMisses => "stage.resource.misses",
             Metric::OptimizeGenerations => "optimize.generations",
             Metric::OptimizeEvals => "optimize.evals",
             Metric::OptimizeFrontSize => "optimize.front_size",
@@ -840,6 +835,26 @@ mod tests {
     #[test]
     fn metric_names_are_unique_and_stable() {
         let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
+        let stage: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| n.starts_with("stage."))
+            .collect();
+        assert_eq!(
+            stage,
+            [
+                "stage.hits",
+                "stage.misses",
+                "stage.comm.hits",
+                "stage.comm.misses",
+                "stage.comp.hits",
+                "stage.comp.misses",
+                "stage.overlap.hits",
+                "stage.overlap.misses",
+                "stage.speedup.hits",
+                "stage.speedup.misses",
+            ]
+        );
         let before = names.len();
         names.sort_unstable();
         names.dedup();

@@ -9,7 +9,8 @@ use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::quantity::Freq;
 use crate::report::Report;
-use crate::solve::{self, stages};
+use crate::solve;
+use crate::solve::batch::{solve_batch, BatchPoints};
 use crate::throughput::ThroughputPrediction;
 
 /// A RAT worksheet: wraps an input and produces the full analysis.
@@ -31,54 +32,17 @@ impl Worksheet {
 
     /// Run the throughput test and assemble the report.
     ///
-    /// This is the staged path: each sub-model is resolved through the
-    /// memoized stage graph ([`crate::solve::stages`]), so repeated analyses
-    /// that share sub-inputs (a clock sweep, a `rat watch` re-render) only
-    /// recompute the stages whose inputs actually changed. Bit-identical to
-    /// [`Worksheet::analyze_monolithic`] — the differential suite pins it.
+    /// This is [`solve_batch`] on a batch of one, so a single analysis and
+    /// every sweep run the same column kernel. Errors are `validate()`'s own,
+    /// and the report is bit-identical to [`Worksheet::analyze_monolithic`]
+    /// — the differential suite pins both.
     pub fn analyze(&self) -> Result<Report, RatError> {
-        self.input.validate()?;
-        let comm = stages::comm_stage(&self.input);
-        let comp = stages::comp_stage(&self.input);
-        let overlap = stages::overlap_stage(&self.input, comm.t_comm, comp);
-        let sp = stages::speedup_stage(&self.input, &overlap, comm.t_comm);
-        let single = ThroughputPrediction {
-            t_write: comm.t_write,
-            t_read: comm.t_read,
-            t_comm: comm.t_comm,
-            t_comp: comp,
-            t_rc: overlap.t_rc_single,
-            speedup: sp.speedup_single,
-            util_comm: overlap.util_comm_single,
-            util_comp: overlap.util_comp_single,
-            buffering: Buffering::Single,
-        };
-        let double = ThroughputPrediction {
-            t_write: comm.t_write,
-            t_read: comm.t_read,
-            t_comm: comm.t_comm,
-            t_comp: comp,
-            t_rc: overlap.t_rc_double,
-            speedup: sp.speedup_double,
-            util_comm: overlap.util_comm_double,
-            util_comp: overlap.util_comp_double,
-            buffering: Buffering::Double,
-        };
-        let (throughput, alternate) = match self.input.buffering {
-            Buffering::Single => (single, double),
-            Buffering::Double => (double, single),
-        };
-        Ok(Report {
-            speedup: throughput.speedup,
-            throughput,
-            alternate,
-            max_speedup: sp.max_speedup,
-            input: self.input.clone(),
-        })
+        let mut reports = solve_batch(&BatchPoints::new(&self.input, 1))?;
+        Ok(reports.pop().expect("a batch of one yields one report"))
     }
 
-    /// The original unmemoized chain, kept as the differential reference:
-    /// recomputes every equation from scratch through
+    /// The original per-equation chain, kept as the differential reference:
+    /// computes every equation through
     /// [`ThroughputPrediction::analyze`] and [`solve::max_speedup`].
     pub fn analyze_monolithic(&self) -> Result<Report, RatError> {
         let throughput = ThroughputPrediction::analyze(&self.input)?;
@@ -146,8 +110,6 @@ mod tests {
             let staged = ws.analyze().unwrap();
             let mono = ws.analyze_monolithic().unwrap();
             assert_eq!(staged, mono);
-            // A second run is served from the stage cache — still identical.
-            assert_eq!(ws.analyze().unwrap(), mono);
         }
     }
 

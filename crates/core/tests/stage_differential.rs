@@ -1,14 +1,14 @@
-//! Differential tests pinning the staged solve path to the monolithic chain.
+//! Differential tests pinning the single-point and batched solve paths to
+//! the monolithic chain.
 //!
-//! The stage graph ([`rat_core::solve::stages`]) exists to *skip* work when
-//! only some inputs change; its contract is **bit-identity** with the
-//! original monolithic chain at every job count and chunk size. These tests
-//! enforce the contract: property tests drive random worksheets through both
-//! `Worksheet::analyze` (staged) and `Worksheet::analyze_monolithic`
-//! (reference) and compare `f64::to_bits`; deterministic tests walk chunk
-//! seams across 1/2/8-thread engines; and counter tests pin the acceptance
-//! claim that a single-axis `fclock` sweep recomputes the comm stage exactly
-//! once.
+//! `Worksheet::analyze` is `solve_batch` on a batch of one; its contract is
+//! **bit-identity** with `Worksheet::analyze_monolithic` (the per-equation
+//! reference) and verbatim error parity with it. These tests enforce the
+//! contract: property tests drive random worksheets through both paths and
+//! compare `f64::to_bits`, and break one `RatInput::validate` rule at a time
+//! to compare error text; deterministic tests walk chunk seams across
+//! 1/2/8-thread engines; and stage-plan tests pin which stages a single-axis
+//! sweep or a one-field edit leaves clean.
 
 use proptest::prelude::*;
 use rat_core::engine::{Engine, EngineConfig};
@@ -17,7 +17,7 @@ use rat_core::params::{
 };
 use rat_core::quantity::{Freq, Seconds, Throughput};
 use rat_core::solve::batch::{solve_batch, BatchPoints, CHUNK};
-use rat_core::solve::stages::{self, Stage};
+use rat_core::solve::stages::{BatchStagePlan, Stage};
 use rat_core::sweep::{sweep_with, SweepParam};
 use rat_core::Worksheet;
 
@@ -64,33 +64,91 @@ fn worksheet() -> impl Strategy<Value = RatInput> {
         )
 }
 
+/// The rules `RatInput::validate` checks, named by field in its check
+/// order; each alpha appears twice, once per side of its `(0, 1]` range.
+const VALIDATE_RULES: [&str; 12] = [
+    "elements_in",
+    "bytes_per_element",
+    "ideal_bandwidth",
+    "alpha_write",
+    "alpha_write > 1",
+    "alpha_read",
+    "alpha_read > 1",
+    "ops_per_element",
+    "throughput_proc",
+    "fclock",
+    "t_soft",
+    "iterations",
+];
+
+/// `input` with one rule broken: `bad` (non-positive or non-finite) for a
+/// float field, `above_one` for an alpha's upper bound.
+fn break_rule(input: &RatInput, rule: &str, bad: f64, above_one: f64) -> RatInput {
+    let mut i = input.clone();
+    match rule {
+        "elements_in" => i.dataset.elements_in = 0,
+        "bytes_per_element" => i.dataset.bytes_per_element = 0,
+        "ideal_bandwidth" => i.comm.ideal_bandwidth = Throughput::from_bytes_per_sec(bad),
+        "alpha_write" => i.comm.alpha_write = bad,
+        "alpha_write > 1" => i.comm.alpha_write = above_one,
+        "alpha_read" => i.comm.alpha_read = bad,
+        "alpha_read > 1" => i.comm.alpha_read = above_one,
+        "ops_per_element" => i.comp.ops_per_element = bad,
+        "throughput_proc" => i.comp.throughput_proc = bad,
+        "fclock" => i.comp.fclock = Freq::from_hz(bad),
+        "t_soft" => i.software.t_soft = Seconds::new(bad),
+        "iterations" => i.software.iterations = 0,
+        other => unreachable!("no validate rule named {other}"),
+    }
+    i
+}
+
 proptest! {
-    /// The staged `analyze` returns exactly the bits the monolithic chain
-    /// produces, on both the cold (miss) and warm (hit) paths.
+    /// The single-point `analyze` returns exactly the bits the monolithic
+    /// chain produces.
     #[test]
     fn staged_analyze_is_bit_identical_to_monolithic(input in worksheet()) {
         let ws = Worksheet::new(input);
         let reference = ws.analyze_monolithic().unwrap();
-        stages::clear_session_cache();
-        let cold = ws.analyze().unwrap();
-        let warm = ws.analyze().unwrap();
-        for (label, staged) in [("cold", &cold), ("warm", &warm)] {
-            prop_assert_eq!(
-                staged.throughput.t_rc.seconds().to_bits(),
-                reference.throughput.t_rc.seconds().to_bits(),
-                "t_rc ({})", label
-            );
-            prop_assert_eq!(
-                staged.speedup.to_bits(),
-                reference.speedup.to_bits(),
-                "speedup ({})", label
-            );
-            prop_assert_eq!(
-                staged.max_speedup.to_bits(),
-                reference.max_speedup.to_bits(),
-                "max_speedup ({})", label
-            );
-            prop_assert_eq!(staged, &reference, "full report ({})", label);
+        let staged = ws.analyze().unwrap();
+        prop_assert_eq!(
+            staged.throughput.t_rc.seconds().to_bits(),
+            reference.throughput.t_rc.seconds().to_bits(),
+            "t_rc"
+        );
+        prop_assert_eq!(staged.speedup.to_bits(), reference.speedup.to_bits(), "speedup");
+        prop_assert_eq!(
+            staged.max_speedup.to_bits(),
+            reference.max_speedup.to_bits(),
+            "max_speedup"
+        );
+        prop_assert_eq!(staged, reference, "full report");
+    }
+
+    /// With any one validate rule broken, `analyze` fails with the very
+    /// error the monolithic chain returns — `validate()`'s own, which the
+    /// CLI's exit-3 and serve's HTTP-400 chains render verbatim.
+    #[test]
+    fn analyze_errors_match_monolithic_for_every_validate_rule(
+        input in worksheet(),
+        bad in prop_oneof![
+            Just(0.0),
+            -1.0e9..0.0f64,
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ],
+        above_one in 1.5f64..1.0e3,
+    ) {
+        for rule in VALIDATE_RULES {
+            let broken = break_rule(&input, rule, bad, above_one);
+            let want = broken.validate().expect_err("the mutation breaks a rule");
+            let ws = Worksheet::new(broken);
+            let staged = ws.analyze().expect_err("analyze rejects the input");
+            let mono = ws.analyze_monolithic().expect_err("monolithic rejects it");
+            prop_assert_eq!(staged.to_string(), mono.to_string(), "{}", rule);
+            prop_assert_eq!(&staged, &mono, "{}", rule);
+            prop_assert_eq!(&staged, &want, "{}", rule);
         }
     }
 
@@ -194,10 +252,10 @@ fn staged_sweep_matches_monolithic_across_seams_and_threads() {
 }
 
 /// The acceptance pin: a single-axis `fclock` sweep computes the comm stage
-/// once and *hits* for every further point — the comp/overlap/speedup stages
-/// recompute per point, the comm stage does not.
+/// once and reuses it for every further point — the comp/overlap/speedup
+/// stages recompute per point, the comm stage does not.
 #[test]
-fn fclock_sweep_skips_comm_stage_recomputation() {
+fn fclock_sweep_computes_comm_once() {
     let input = pdf1d();
     let values = [75.0e6, 100.0e6, 150.0e6];
     let mut batch = BatchPoints::new(&input, values.len());
@@ -208,56 +266,55 @@ fn fclock_sweep_skips_comm_stage_recomputation() {
     assert!(!plan.comm_varies, "fclock must not dirty the comm stage");
     assert!(plan.comp_varies && plan.overlap_varies && plan.speedup_varies);
 
-    // Observed counters: comm = 1 miss + 2 hits, the rest = 3 misses each.
-    let before = stages::session_counters();
-    solve_batch(&batch).unwrap();
-    let d = stages::session_counters().since(&before);
-    assert_eq!(d.hits_for(Stage::Comm), 2, "comm hits");
-    assert_eq!(d.misses_for(Stage::Comm), 1, "comm misses");
-    assert_eq!(d.misses_for(Stage::Comp), 3, "comp misses");
-    assert_eq!(d.misses_for(Stage::Overlap), 3, "overlap misses");
-    assert_eq!(d.misses_for(Stage::Speedup), 3, "speedup misses");
-    assert_eq!(d.total_hits(), 2);
-    assert_eq!(d.total_misses(), 10);
+    // Counters: comm = 1 miss + 2 hits, the rest = 3 misses each.
+    let c = plan.counters(3);
+    assert_eq!(c.hits_for(Stage::Comm), 2, "comm hits");
+    assert_eq!(c.misses_for(Stage::Comm), 1, "comm misses");
+    assert_eq!(c.misses_for(Stage::Comp), 3, "comp misses");
+    assert_eq!(c.misses_for(Stage::Overlap), 3, "overlap misses");
+    assert_eq!(c.misses_for(Stage::Speedup), 3, "speedup misses");
+    assert_eq!(c.total_hits(), 2);
+    assert_eq!(c.total_misses(), 10);
 }
 
-/// The scalar path shows the same fine-grained invalidation: changing only
-/// the clock leaves the comm stage cached and dirties the compute-dependent
-/// stages.
+/// Between two whole inputs, changing only the clock leaves the comm stage
+/// clean and dirties the compute-dependent stages; fields no stage reads
+/// dirty nothing.
 #[test]
-fn scalar_fclock_change_reuses_the_comm_stage() {
-    stages::clear_session_cache();
+fn fclock_only_edit_leaves_comm_clean() {
     let base = pdf1d();
-    Worksheet::new(base.clone()).analyze().unwrap();
+    let mut renamed = base.clone();
+    renamed.name = "renamed".into();
+    renamed.buffering = Buffering::Double;
+    let clean = BatchStagePlan::between(&base, &renamed);
+    assert!(Stage::ALL.iter().all(|&s| !clean.varies(s)), "{clean:?}");
 
-    let mut faster = base;
+    let mut faster = base.clone();
     faster.comp.fclock = Freq::from_mhz(200.0);
-    let before = stages::session_counters();
-    Worksheet::new(faster).analyze().unwrap();
-    let d = stages::session_counters().since(&before);
-    assert_eq!(d.hits_for(Stage::Comm), 1, "comm must hit");
-    assert_eq!(d.misses_for(Stage::Comm), 0);
-    assert_eq!(d.misses_for(Stage::Comp), 1, "comp must recompute");
-    assert_eq!(d.misses_for(Stage::Overlap), 1);
-    assert_eq!(d.misses_for(Stage::Speedup), 1);
+    let plan = BatchStagePlan::between(&base, &faster);
+    assert!(!plan.varies(Stage::Comm), "comm must stay clean");
+    assert!(plan.varies(Stage::Comp), "comp must recompute");
+    assert!(plan.varies(Stage::Overlap));
+    assert!(plan.varies(Stage::Speedup));
 }
 
 /// And the complement: changing only a comm parameter dirties comm (and the
-/// downstream overlap/speedup stages) while the comp stage stays cached.
+/// downstream overlap/speedup stages) while the comp stage stays clean; a
+/// `t_soft` edit dirties the speedup stage alone.
 #[test]
-fn scalar_alpha_change_reuses_the_comp_stage() {
-    stages::clear_session_cache();
+fn alpha_only_edit_leaves_comp_clean() {
     let base = pdf1d();
-    Worksheet::new(base.clone()).analyze().unwrap();
-
-    let mut tuned = base;
+    let mut tuned = base.clone();
     tuned.comm.alpha_write = 0.8;
-    let before = stages::session_counters();
-    Worksheet::new(tuned).analyze().unwrap();
-    let d = stages::session_counters().since(&before);
-    assert_eq!(d.misses_for(Stage::Comm), 1, "comm must recompute");
-    assert_eq!(d.hits_for(Stage::Comp), 1, "comp must hit");
-    assert_eq!(d.misses_for(Stage::Comp), 0);
-    assert_eq!(d.misses_for(Stage::Overlap), 1, "overlap depends on t_comm");
-    assert_eq!(d.misses_for(Stage::Speedup), 1);
+    let plan = BatchStagePlan::between(&base, &tuned);
+    assert!(plan.varies(Stage::Comm), "comm must recompute");
+    assert!(!plan.varies(Stage::Comp), "comp must stay clean");
+    assert!(plan.varies(Stage::Overlap), "overlap depends on t_comm");
+    assert!(plan.varies(Stage::Speedup));
+
+    let mut slower = base.clone();
+    slower.software.t_soft = Seconds::new(1.0);
+    let plan = BatchStagePlan::between(&base, &slower);
+    let dirty: Vec<Stage> = Stage::ALL.into_iter().filter(|&s| plan.varies(s)).collect();
+    assert_eq!(dirty, [Stage::Speedup]);
 }

@@ -2,7 +2,7 @@
 //!
 //! When several `/v1/solve` requests are in flight at once, evaluating them
 //! one-by-one repeats the per-worksheet work (validation, `t_comm`,
-//! `t_comp`, the memoized ceiling) once per request. The coalescer instead
+//! `t_comp`, the ceiling) once per request. The coalescer instead
 //! drains everything pending into one batch, groups it by worksheet, and
 //! evaluates each group through [`rat_core::solve::inverse_quad_batch`] —
 //! whose elements are bit-identical to the scalar [`inverse_quad`] path, so

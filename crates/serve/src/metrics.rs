@@ -322,6 +322,7 @@ mod tests {
         assert!(text.contains("pipeline_stage_misses 0"), "{text}");
         assert!(text.contains("pipeline_stage_comm_hits 0"), "{text}");
         assert!(text.contains("pipeline_stage_comm_misses 0"), "{text}");
+        assert!(!text.contains("pipeline_stage_resource"), "{text}");
         // The serving-layer counters added with the response cache and the
         // solve coalescer are likewise always present.
         assert!(text.contains("pipeline_cache_response_hits 0"), "{text}");

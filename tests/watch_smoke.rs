@@ -1,11 +1,12 @@
 //! End-to-end smoke test of `rat watch`: touch the worksheet while the
 //! watcher polls, and check that exactly one re-render happens, that its
 //! stderr status line shows the comm stage *hitting* (the re-parse produced
-//! identical typed inputs, so every stage is served from the session cache),
-//! and that stdout is byte-identical to two copies of `rat analyze` output.
+//! identical typed inputs, so no stage's inputs changed since the previous
+//! render), and that stdout is byte-identical to two copies of `rat analyze`
+//! output.
 //!
-//! Spawns the real binary: watch is an interactive loop around the staged
-//! solve path, and its stdout/stderr contract is exactly what a user sees.
+//! Spawns the real binary: watch is an interactive loop around the solve
+//! path, and its stdout/stderr contract is exactly what a user sees.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -31,7 +32,7 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 #[test]
-fn watch_rerenders_once_on_touch_with_comm_stage_hit() {
+fn watch_rerenders_once_on_touch_with_every_stage_hit() {
     // Copy the worksheet to a scratch path the test may mutate.
     let ws = scratch("pdf1d.toml");
     std::fs::copy(worksheet("pdf1d"), &ws).expect("copy worksheet");
@@ -77,7 +78,7 @@ fn watch_rerenders_once_on_touch_with_comm_stage_hit() {
         2,
         "expected exactly two renders:\n{stderr}"
     );
-    // Render 1 is all-miss (cold session cache)...
+    // Render 1 is all-miss (no previous render to compare against)...
     assert!(
         stderr.contains("watch[1]: stages comm=miss comp=miss overlap=miss speedup=miss"),
         "first render must miss every stage:\n{stderr}"
