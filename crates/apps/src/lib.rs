@@ -2,8 +2,9 @@
 //!
 //! Each case study provides four artifacts:
 //!
-//! 1. a **software baseline** — the real algorithm in Rust (sequential and
-//!    rayon-parallel), standing in for the paper's C-on-Xeon/Opteron codes;
+//! 1. a **software baseline** — the real algorithm in Rust (sequential, and
+//!    parallel as jobs on the [`rat_core::engine::Engine`] worker pool),
+//!    standing in for the paper's C-on-Xeon/Opteron codes;
 //! 2. a **hardware design model** — the microarchitecture the paper describes
 //!    (e.g. Figure 3's eight parallel pipelines), expressed as an
 //!    [`fpga_sim`] kernel with calibrated fill/stall behaviour plus a
@@ -21,6 +22,7 @@
 //! | [`sort`] bitonic sorting (negative result) | §3.1's element example | Nallatech H101 (V4 LX100) |
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod datagen;
 pub mod md;

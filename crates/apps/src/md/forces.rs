@@ -9,7 +9,7 @@
 
 use crate::md::cell_list::CellList;
 use crate::md::system::{min_image_vec, System, Vec3};
-use rayon::prelude::*;
+use rat_core::engine::Engine;
 
 /// Lennard-Jones parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,14 +52,11 @@ pub fn compute_forces(system: &System, params: &LjParams) -> (Vec<Vec3>, f64) {
     collect_forces(results)
 }
 
-/// Force on each particle plus total potential energy, parallel over
-/// particles.
+/// Force on each particle plus total potential energy, one [`Engine`] job
+/// per particle.
 pub fn compute_forces_parallel(system: &System, params: &LjParams) -> (Vec<Vec3>, f64) {
     let list = CellList::build(&system.positions, system.box_len, params.cutoff);
-    let results: Vec<(Vec3, f64)> = (0..system.len())
-        .into_par_iter()
-        .map(|i| particle_force(system, params, &list, i))
-        .collect();
+    let results = Engine::default().run(system.len(), |i| particle_force(system, params, &list, i));
     collect_forces(results)
 }
 

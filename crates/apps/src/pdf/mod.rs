@@ -7,7 +7,7 @@
 //! picks it as a hardware-friendly case study.
 //!
 //! - [`parzen`]: the reference algorithm in `f64`, any dimension, sequential
-//!   and rayon-parallel — the software baseline.
+//!   and engine-parallel — the software baseline.
 //! - [`fixed`]: the 18-bit fixed-point datapath the paper's hardware uses,
 //!   bit-accurately modelled with [`fixedpoint`], for the precision test.
 //! - [`hw`]: the Figure-3 hardware design (8 parallel MAC pipelines) and its

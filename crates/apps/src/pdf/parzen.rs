@@ -1,12 +1,13 @@
 //! Reference Parzen-window estimators in `f64`.
 //!
 //! These are the software baselines: the algorithm the paper's C code runs on
-//! a 3.2 GHz Xeon. Sequential and rayon-parallel variants are provided; the
-//! parallel ones exist because a credible modern baseline is multicore, and
-//! they let the benchmark harness report how the FPGA-era speedup claims fare
-//! against 2026 CPUs.
+//! a 3.2 GHz Xeon. Sequential and parallel variants are provided; the
+//! parallel ones run as jobs on the analysis [`Engine`]'s worker pool. They
+//! exist because a credible modern baseline is multicore, and they let the
+//! benchmark harness report how the FPGA-era speedup claims fare against
+//! 2026 CPUs.
 
-use rayon::prelude::*;
+use rat_core::engine::Engine;
 
 /// 1-D Gaussian kernel value for squared distance `d2` and bandwidth `h`.
 #[inline]
@@ -38,19 +39,18 @@ pub fn estimate_1d(samples: &[f64], bins: &[f64], h: f64) -> Vec<f64> {
         .collect()
 }
 
-/// 1-D Parzen-window estimate, parallel over bins.
+/// 1-D Parzen-window estimate, one [`Engine`] job per bin.
 pub fn estimate_1d_parallel(samples: &[f64], bins: &[f64], h: f64) -> Vec<f64> {
     assert!(h > 0.0, "bandwidth must be positive");
     let norm = 1.0 / samples.len().max(1) as f64;
-    bins.par_iter()
-        .map(|&b| {
-            samples
-                .iter()
-                .map(|&x| gaussian_kernel((b - x) * (b - x), h))
-                .sum::<f64>()
-                * norm
-        })
-        .collect()
+    Engine::default().run(bins.len(), |j| {
+        let b = bins[j];
+        samples
+            .iter()
+            .map(|&x| gaussian_kernel((b - x) * (b - x), h))
+            .sum::<f64>()
+            * norm
+    })
 }
 
 /// 2-D Parzen-window estimate on the `bins_x` x `bins_y` grid (row-major,
@@ -72,7 +72,8 @@ pub fn estimate_2d(samples: &[(f64, f64)], bins_x: &[f64], bins_y: &[f64], h: f6
     out
 }
 
-/// 2-D Parzen-window estimate, parallel over grid rows.
+/// 2-D Parzen-window estimate, one [`Engine`] job per grid row (`bins_x`
+/// value), laid out x-major like [`estimate_2d`].
 pub fn estimate_2d_parallel(
     samples: &[(f64, f64)],
     bins_x: &[f64],
@@ -81,18 +82,21 @@ pub fn estimate_2d_parallel(
 ) -> Vec<f64> {
     assert!(h > 0.0, "bandwidth must be positive");
     let norm = 1.0 / samples.len().max(1) as f64;
-    bins_x
-        .par_iter()
-        .flat_map_iter(|&bx| bins_y.iter().map(move |&by| (bx, by)))
-        .map(|(bx, by)| {
-            let mut acc = 0.0;
-            for &(x, y) in samples {
-                let d2 = (bx - x) * (bx - x) + (by - y) * (by - y);
-                acc += gaussian_kernel_2d(d2, h);
-            }
-            acc * norm
-        })
-        .collect()
+    let rows = Engine::default().run(bins_x.len(), |r| {
+        let bx = bins_x[r];
+        bins_y
+            .iter()
+            .map(|&by| {
+                let mut acc = 0.0;
+                for &(x, y) in samples {
+                    let d2 = (bx - x) * (bx - x) + (by - y) * (by - y);
+                    acc += gaussian_kernel_2d(d2, h);
+                }
+                acc * norm
+            })
+            .collect::<Vec<f64>>()
+    });
+    rows.concat()
 }
 
 /// Streaming accumulator matching the hardware's iteration structure: bins'

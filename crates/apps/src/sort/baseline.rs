@@ -1,10 +1,11 @@
 //! Software sorting baselines.
 //!
 //! A hand-rolled bottom-up merge sort (the classic software counterpart of a
-//! merging network) plus a rayon-parallel variant, with `slice::sort_unstable`
-//! available as the "tuned library" reference the benchmarks compare against.
+//! merging network) plus a two-job parallel variant on the analysis
+//! [`Engine`], with `slice::sort_unstable` available as the "tuned library"
+//! reference the benchmarks compare against.
 
-use rayon::prelude::*;
+use rat_core::engine::Engine;
 
 /// Bottom-up (iterative) merge sort; stable, O(n log n), no recursion.
 pub fn merge_sort(data: &mut [u32]) {
@@ -51,10 +52,17 @@ fn merge_runs(a: &[u32], b: &[u32], out: &mut [u32]) {
     }
 }
 
-/// Parallel merge sort: rayon-sorted halves merged on one thread. Good enough
-/// as a multicore baseline without reimplementing parallel merge.
+/// Parallel merge sort: the two halves are [`merge_sort`]ed as two
+/// [`Engine`] jobs, then merged on one thread. Good enough as a multicore
+/// baseline without reimplementing parallel merge.
 pub fn merge_sort_parallel(data: &mut [u32]) {
-    data.par_sort_unstable();
+    let (lo, hi) = data.split_at(data.len() / 2);
+    let halves = Engine::default().run(2, |h| {
+        let mut half = if h == 0 { lo.to_vec() } else { hi.to_vec() };
+        merge_sort(&mut half);
+        half
+    });
+    merge_runs(&halves[0], &halves[1], data);
 }
 
 /// Sort each `block`-sized chunk independently — the exact work the bitonic
@@ -111,11 +119,13 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
-        let mut a = random_keys(10_000, 7);
-        let mut b = a.clone();
-        merge_sort(&mut a);
-        merge_sort_parallel(&mut b);
-        assert_eq!(a, b);
+        for n in [0usize, 1, 10_000, 10_001] {
+            let mut a = random_keys(n, 7);
+            let mut b = a.clone();
+            merge_sort(&mut a);
+            merge_sort_parallel(&mut b);
+            assert_eq!(a, b, "n = {n}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The paper's `t_soft` figures came from C on a 3.2 GHz Xeon (PDF) and a
 //! 2.2 GHz Opteron (MD). These benches time this workspace's Rust baselines —
-//! sequential and rayon-parallel — so a user can recompute RAT speedups
-//! against their own machine instead of 2007 hardware.
+//! sequential, and parallel as jobs on the analysis engine's worker pool —
+//! so a user can recompute RAT speedups against their own machine instead of
+//! 2007 hardware.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;

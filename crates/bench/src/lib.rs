@@ -15,6 +15,7 @@
 //! re-simulates nothing.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod figures;
 pub mod hotbench;

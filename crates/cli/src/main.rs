@@ -18,6 +18,8 @@
 //! `rat serve` daemon, so a server response body is byte-identical to this
 //! CLI's stdout for the same request (see DESIGN.md §14).
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 use std::process::ExitCode;
 
 use rat_core::engine::{Engine, EngineConfig};
@@ -331,7 +333,6 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
             );
         } else if a == "--no-cache" {
             flags.no_cache = true;
-            flags.config = flags.config.with_cache(false);
         } else if a == "--metrics" {
             flags.metrics = true;
         } else if a == "--profile" {

@@ -9,11 +9,11 @@
 //! and how much calendar time at a given duty cycle — until the migration
 //! pays for itself?
 
-use crate::engine::{Engine, PointCost};
+use crate::engine::Engine;
 use crate::error::RatError;
 use crate::params::RatInput;
 use crate::quantity::Seconds;
-use crate::solve::batch::{solve_batch, BatchPoints};
+use crate::solve::batch::{solve_batch_with, BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::{sci, TextTable};
 use crate::throughput;
@@ -162,11 +162,10 @@ pub fn analyze_sweep(
     analyze_sweep_with(&Engine::sequential(), input, param, values, cost)
 }
 
-/// [`analyze_sweep`], with the swept values evaluated in adaptively-sized
-/// batches as independent jobs on `engine` (see [`Engine::chunk_len`]).
-/// Each chunk is one
-/// [`solve_batch`] call, so the per-point arithmetic is the batched kernel's
-/// — bit-identical to [`BreakEven::analyze`] on the materialized input.
+/// [`analyze_sweep`], with the swept values evaluated as one column batch on
+/// `engine` ([`solve_batch_with`]), so the per-point arithmetic is the
+/// batched kernel's — bit-identical to [`BreakEven::analyze`] on the
+/// materialized input.
 pub fn analyze_sweep_with(
     engine: &Engine,
     input: &RatInput,
@@ -176,19 +175,10 @@ pub fn analyze_sweep_with(
 ) -> Result<BreakEvenSweep, RatError> {
     let _span = crate::telemetry::span("breakeven-sweep");
     cost.validate()?;
-    let chunk = engine.chunk_len(values.len(), PointCost::FullReport);
-    let chunks = values.len().div_ceil(chunk);
-    let per_chunk = engine.try_run(chunks, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(values.len());
-        let slice = &values[lo..hi];
-        let mut batch = BatchPoints::new(input, slice.len());
-        batch.push_column(param, slice);
-        solve_batch(&batch)
-    })?;
-    let points = per_chunk
+    let mut batch = BatchPoints::new(input, values.len());
+    batch.push_column(param, values);
+    let points = solve_batch_with(engine, &batch)?
         .into_iter()
-        .flatten()
         .zip(values)
         .map(|(report, &value)| BreakEvenSweepPoint {
             value,

@@ -9,9 +9,6 @@ pub struct EngineConfig {
     /// 2007, the paper's publication year and the seed the seed-repo analyses
     /// were calibrated against.
     pub root_seed: u64,
-    /// Whether analyses run through this engine should consult the simulator
-    /// memoization cache. Advisory: analyses that never simulate ignore it.
-    pub use_cache: bool,
 }
 
 impl Default for EngineConfig {
@@ -19,7 +16,6 @@ impl Default for EngineConfig {
         EngineConfig {
             jobs: 0,
             root_seed: 2007,
-            use_cache: true,
         }
     }
 }
@@ -36,12 +32,6 @@ impl EngineConfig {
         self.root_seed = seed;
         self
     }
-
-    /// Enable or disable simulator memoization for this engine's jobs.
-    pub fn with_cache(mut self, on: bool) -> Self {
-        self.use_cache = on;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -53,21 +43,16 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.jobs, 0);
         assert_eq!(c.root_seed, 2007);
-        assert!(c.use_cache);
     }
 
     #[test]
     fn builders_compose() {
-        let c = EngineConfig::default()
-            .with_jobs(4)
-            .with_root_seed(99)
-            .with_cache(false);
+        let c = EngineConfig::default().with_jobs(4).with_root_seed(99);
         assert_eq!(
             c,
             EngineConfig {
                 jobs: 4,
                 root_seed: 99,
-                use_cache: false
             }
         );
     }

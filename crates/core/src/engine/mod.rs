@@ -13,12 +13,10 @@
 //!    per-job RNG streams ([`job_rng`]) derived from `(root_seed, index)` —
 //!    never from a stream consumed in scheduling order.
 //! 2. **Memoized simulation.** Jobs that execute the platform simulator do so
-//!    through [`fpga_sim`-level memoization]: a content hash of the full run
-//!    spec keys a cache, so repeated sweep points and re-rendered artifacts
-//!    cost a hash lookup instead of a discrete-event simulation. The engine's
-//!    [`EngineConfig::use_cache`] flag gates this per analysis.
-//!
-//! [`fpga_sim`-level memoization]: EngineConfig::use_cache
+//!    through `fpga_sim`'s process-wide `SimCache`: a content hash of the
+//!    full run spec keys a cache, so repeated sweep points and re-rendered
+//!    artifacts cost a hash lookup instead of a discrete-event simulation.
+//!    `rat --no-cache` switches that cache off for the whole process.
 
 mod config;
 mod counters;

@@ -30,7 +30,7 @@
 //! assert_eq!(multifpga::saturating_devices(&input).unwrap(), 24);
 //! ```
 
-use crate::engine::Engine;
+use crate::engine::{Engine, PointCost};
 use crate::error::RatError;
 use crate::params::RatInput;
 use crate::quantity::Seconds;
@@ -125,15 +125,10 @@ pub fn scaling_curve(input: &RatInput, max_devices: u32) -> Result<ScalingCurve,
     scaling_curve_with(&Engine::sequential(), input, max_devices)
 }
 
-/// Device counts evaluated per engine job in [`scaling_curve_with`]. Each
-/// analysis is a handful of flops, so per-count jobs would be dominated by
-/// dispatch overhead; chunking keeps jobs coarse enough to amortize it while
-/// still splitting large curves across workers.
-pub const DEVICES_PER_JOB: usize = 64;
-
-/// [`scaling_curve`], with device counts analyzed in [`DEVICES_PER_JOB`]-sized
-/// chunks as independent jobs on `engine`. Chunks fail with the
-/// lowest-device-count error, matching the sequential order.
+/// [`scaling_curve`], with device counts analyzed in
+/// [`Engine::chunk_len`]-sized chunks as independent jobs on `engine`.
+/// Chunks fail with the lowest-device-count error, matching the sequential
+/// order.
 pub fn scaling_curve_with(
     engine: &Engine,
     input: &RatInput,
@@ -141,10 +136,10 @@ pub fn scaling_curve_with(
 ) -> Result<ScalingCurve, RatError> {
     let _span = crate::telemetry::span("multi-fpga");
     let n = max_devices.max(1) as usize;
-    let chunks = n.div_ceil(DEVICES_PER_JOB);
-    let per_chunk = engine.try_run(chunks, |c| {
-        let lo = c * DEVICES_PER_JOB;
-        let hi = (lo + DEVICES_PER_JOB).min(n);
+    let chunk = engine.chunk_len(n, PointCost::FullReport);
+    let per_chunk = engine.try_run(n.div_ceil(chunk), |c| {
+        let lo = c * chunk;
+        let hi = (lo + chunk).min(n);
         (lo..hi)
             .map(|i| analyze(input, i as u32 + 1))
             .collect::<Result<Vec<_>, _>>()

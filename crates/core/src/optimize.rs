@@ -36,8 +36,9 @@
 //!    breaks ties by candidate index, in generation order.
 //!
 //! [`Worksheet::analyze`]: crate::worksheet::Worksheet::analyze
+//! [`solve_batch`]: crate::solve::batch::solve_batch
 
-use crate::engine::{job_rng, Engine, PointCost};
+use crate::engine::{job_rng, Engine};
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::report::Report;
@@ -46,7 +47,7 @@ use crate::resources::estimate::{
     brams_for_buffer, dsps_for_multiplier, ResourceEstimate, ALTERA_M4K_BYTES, XILINX_BRAM18_BYTES,
 };
 use crate::resources::ResourceReport;
-use crate::solve::batch::{solve_batch, BatchPoints};
+use crate::solve::batch::{solve_batch_with, BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::{pct, TextTable};
 use crate::telemetry::{self, Metric};
@@ -517,10 +518,10 @@ fn pick(rng: &mut ChaCha8Rng, weights: &[f64]) -> usize {
 ///
 /// Each generation draws `config.population` candidates from the adapted
 /// distribution (per-generation stream [`job_rng`]`(seed, generation)`),
-/// evaluates them all through [`solve_batch`] chunks sized by
-/// [`Engine::chunk_len`] on `engine`'s warm pool, gates them through the
-/// Eq. (9)–(11) resource test, folds the feasible ones into the running
-/// Pareto front, and adapts toward the highest-speedup feasible elite.
+/// evaluates them all through [`solve_batch_with`] on `engine`'s warm pool,
+/// gates them through the Eq. (9)–(11) resource test, folds the feasible
+/// ones into the running Pareto front, and adapts toward the highest-speedup
+/// feasible elite.
 ///
 /// Errors: invalid axes/knobs report the offending field; a space where *no*
 /// evaluated candidate passes the resource test is [`RatError::Infeasible`]
@@ -664,10 +665,9 @@ fn fold_into_front(
 
 /// Evaluate every candidate's throughput report, batched: candidates
 /// partition by buffering discipline (a base-level property of a batch —
-/// same shape as [`crate::explore::explore`]), and each partition is split
-/// into [`Engine::chunk_len`]-sized [`solve_batch`] jobs on the engine.
-/// Reports come back indexed by candidate; the lowest-indexed failing chunk
-/// wins error reporting.
+/// same shape as [`crate::explore::explore`]), and each partition is one
+/// [`solve_batch_with`] call on the engine. Reports come back indexed by
+/// candidate; the lowest-indexed failing point wins error reporting.
 fn evaluate(
     engine: &Engine,
     base: &RatInput,
@@ -685,18 +685,11 @@ fn evaluate(
         let b = base.with_buffering(buffering);
         let fcol: Vec<f64> = idx.iter().map(|&i| candidates[i].fclock_hz).collect();
         let tcol: Vec<f64> = idx.iter().map(|&i| candidates[i].throughput_proc).collect();
-        let chunk = engine.chunk_len(idx.len(), PointCost::FullReport);
-        let chunks = idx.len().div_ceil(chunk);
-        let per_chunk = engine.try_run(chunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(idx.len());
-            let mut batch = BatchPoints::new(&b, hi - lo);
-            batch.push_column(SweepParam::Fclock, &fcol[lo..hi]);
-            batch.push_column(SweepParam::ThroughputProc, &tcol[lo..hi]);
-            solve_batch(&batch)
-        })?;
-        for (k, report) in per_chunk.into_iter().flatten().enumerate() {
-            out[idx[k]] = Some(report);
+        let mut batch = BatchPoints::new(&b, idx.len());
+        batch.push_column(SweepParam::Fclock, fcol);
+        batch.push_column(SweepParam::ThroughputProc, tcol);
+        for (&i, report) in idx.iter().zip(solve_batch_with(engine, &batch)?) {
+            out[i] = Some(report);
         }
     }
     // Every candidate belongs to exactly one partition, so every slot is

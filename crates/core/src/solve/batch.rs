@@ -39,6 +39,7 @@ use std::borrow::Cow;
 #[cfg(target_arch = "x86_64")]
 mod simd;
 
+use crate::engine::{Engine, PointCost};
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::quantity::Seconds;
@@ -140,6 +141,20 @@ impl<'a> BatchPoints<'a> {
         scratch.copy_params_from(self.base);
         for (param, values) in &self.columns {
             param.apply_into(scratch, values[i]);
+        }
+    }
+
+    /// Points `lo..hi` as a batch over the same base, borrowing every
+    /// column's sub-slice.
+    fn slice(&self, lo: usize, hi: usize) -> BatchPoints<'_> {
+        BatchPoints {
+            base: self.base,
+            len: hi - lo,
+            columns: self
+                .columns
+                .iter()
+                .map(|(param, values)| (*param, Cow::Borrowed(&values[lo..hi])))
+                .collect(),
         }
     }
 
@@ -686,6 +701,22 @@ pub fn solve_batch(points: &BatchPoints) -> Result<Vec<Report>, RatError> {
     Ok(reports)
 }
 
+/// [`solve_batch`] with the points split into [`Engine::chunk_len`]-sized
+/// chunks, each one [`solve_batch`] job on `engine`. Reports come back in
+/// point order and the lowest-indexed invalid point wins error reporting
+/// (the engine picks the lowest failing chunk, the kernel the lowest failing
+/// point within it), so the output is identical at every thread count and
+/// to one unchunked [`solve_batch`] call.
+pub fn solve_batch_with(engine: &Engine, points: &BatchPoints) -> Result<Vec<Report>, RatError> {
+    let n = points.len;
+    let chunk = engine.chunk_len(n, PointCost::FullReport);
+    let per_chunk = engine.try_run(n.div_ceil(chunk), |c| {
+        let lo = c * chunk;
+        solve_batch(&points.slice(lo, (lo + chunk).min(n)))
+    })?;
+    Ok(per_chunk.into_iter().flatten().collect())
+}
+
 /// Assemble one [`ThroughputPrediction`] from the shared per-iteration terms,
 /// in the exact expression order of `ThroughputPrediction::analyze`.
 fn prediction(
@@ -725,6 +756,7 @@ fn prediction(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
     use crate::params::pdf1d_example;
     use crate::solve::speedup_only;
     use crate::worksheet::Worksheet;
@@ -808,6 +840,37 @@ mod tests {
                     .expect("worksheet agrees");
                 assert_eq!(got, &want, "{buffering:?} point {i}");
             }
+        }
+    }
+
+    #[test]
+    fn chunked_solve_matches_one_batch_at_every_thread_count() {
+        let base = pdf1d_example();
+        let n = 1000;
+        let fclock: Vec<f64> = (0..n).map(|k| 50.0e6 + 1.0e5 * k as f64).collect();
+        let alpha: Vec<f64> = (0..n).map(|k| 0.1 + 0.0009 * k as f64).collect();
+        let mut points = BatchPoints::new(&base, n);
+        points.push_column(SweepParam::Fclock, &fclock[..]);
+        points.push_column(SweepParam::AlphaRead, &alpha[..]);
+        let whole = solve_batch(&points).expect("valid");
+
+        // Invalid points in two different chunks at every job count.
+        let mut bad_alpha = alpha.clone();
+        bad_alpha[700] = -1.0;
+        bad_alpha[900] = 2.0;
+        let mut bad = BatchPoints::new(&base, n);
+        bad.push_column(SweepParam::Fclock, &fclock[..]);
+        bad.push_column(SweepParam::AlphaRead, bad_alpha);
+        let first = speedup_only(&bad.materialize(700)).expect_err("invalid");
+        let later = speedup_only(&bad.materialize(900)).expect_err("invalid");
+        assert_ne!(first.to_string(), later.to_string());
+
+        for jobs in [1, 2, 8] {
+            let engine = Engine::new(EngineConfig::default().with_jobs(jobs));
+            let chunked = solve_batch_with(&engine, &points).expect("valid");
+            assert_eq!(chunked, whole, "jobs={jobs}");
+            let err = solve_batch_with(&engine, &bad).expect_err("point 700 invalid");
+            assert_eq!(err.to_string(), first.to_string(), "jobs={jobs}");
         }
     }
 

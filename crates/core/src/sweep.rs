@@ -5,12 +5,12 @@
 //! "a priori estimation of the required clock frequency is very difficult".
 //! [`sweep`] generalizes that to any single scalar parameter.
 
-use crate::engine::{Engine, PointCost};
+use crate::engine::Engine;
 use crate::error::RatError;
 use crate::params::RatInput;
 use crate::quantity::Freq;
 use crate::report::Report;
-use crate::solve::batch::{solve_batch, BatchPoints};
+use crate::solve::batch::{solve_batch_with, BatchPoints};
 use crate::table::{sci, TextTable};
 use serde::{Deserialize, Serialize};
 
@@ -166,15 +166,12 @@ pub fn sweep(input: &RatInput, param: SweepParam, values: &[f64]) -> Result<Swee
     sweep_with(&Engine::sequential(), input, param, values)
 }
 
-/// [`sweep`], with the points analyzed in adaptively-sized chunks on
-/// `engine` (see [`Engine::chunk_len`]):
-/// each job is one [`solve_batch`] call over a contiguous slice of `values`,
-/// so the Eq. (1)–(11) arithmetic runs as columnar loops instead of
-/// per-point worksheet calls. Points come back in request order and the
-/// lowest-indexed failing point wins error reporting (the engine picks the
-/// lowest failing chunk, the batch kernel the lowest failing point within
-/// it), so output is identical at every thread count — and bit-identical to
-/// the per-point pipeline it replaced.
+/// [`sweep`], with the points analyzed as one column batch on `engine`
+/// ([`solve_batch_with`]), so the Eq. (1)–(11) arithmetic runs as columnar
+/// loops instead of per-point worksheet calls. Points come back in request
+/// order and the lowest-indexed failing point wins error reporting, so
+/// output is identical at every thread count — and bit-identical to the
+/// per-point pipeline it replaced.
 pub fn sweep_with(
     engine: &Engine,
     input: &RatInput,
@@ -182,19 +179,10 @@ pub fn sweep_with(
     values: &[f64],
 ) -> Result<SweepResult, RatError> {
     let _span = crate::telemetry::span("sweep");
-    let chunk = engine.chunk_len(values.len(), PointCost::FullReport);
-    let chunks = values.len().div_ceil(chunk);
-    let per_chunk = engine.try_run(chunks, |c| {
-        let lo = c * chunk;
-        let hi = (lo + chunk).min(values.len());
-        let slice = &values[lo..hi];
-        let mut batch = BatchPoints::new(input, slice.len());
-        batch.push_column(param, slice);
-        solve_batch(&batch)
-    })?;
-    let points = per_chunk
+    let mut batch = BatchPoints::new(input, values.len());
+    batch.push_column(param, values);
+    let points = solve_batch_with(engine, &batch)?
         .into_iter()
-        .flatten()
         .zip(values)
         .map(|(report, &value)| SweepPoint { value, report })
         .collect();

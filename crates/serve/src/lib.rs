@@ -46,6 +46,7 @@
 //! [`RatError`]: rat_core::RatError
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod api;
 pub mod coalesce;

@@ -26,6 +26,8 @@
 //! assert!(report.speedup > 10.0 && report.speedup < 11.0);
 //! ```
 
+#![cfg_attr(not(test), warn(unused_crate_dependencies))]
+
 pub use fixedpoint as fixed;
 pub use fpga_sim as sim;
 pub use rat_core as core;
