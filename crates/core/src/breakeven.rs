@@ -17,10 +17,9 @@ use crate::solve::batch::{solve_batch_with, BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::{sci, TextTable};
 use crate::throughput;
-use serde::{Deserialize, Serialize};
 
 /// The development investment and usage profile of a migration project.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Engineering investment, in hours.
     pub development_hours: f64,
@@ -29,7 +28,7 @@ pub struct MigrationCost {
 }
 
 /// The break-even verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakEven {
     /// Wall-clock time saved by one accelerated run.
     pub saved_per_run: Seconds,
@@ -108,7 +107,7 @@ impl BreakEven {
 }
 
 /// One point of a break-even sweep: the parameter value and its verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakEvenSweepPoint {
     /// The swept parameter's value at this point.
     pub value: f64,
@@ -117,7 +116,7 @@ pub struct BreakEvenSweepPoint {
 }
 
 /// A break-even sweep across one design parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreakEvenSweep {
     /// The parameter varied.
     pub param: SweepParam,

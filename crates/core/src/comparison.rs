@@ -13,10 +13,9 @@ use crate::params::RatInput;
 use crate::report::Report;
 use crate::table::{pct, sci, TextTable};
 use crate::worksheet::Worksheet;
-use serde::{Deserialize, Serialize};
 
 /// A ranked comparison of candidate designs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignComparison {
     /// Reports ranked by predicted speedup, best first.
     pub ranked: Vec<Report>,

@@ -17,7 +17,6 @@ use crate::solve::{self, batch::BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::TextTable;
 use crate::worksheet::Worksheet;
-use serde::{Deserialize, Serialize};
 
 /// One corner's coordinates on the exploration axes — just the raw values,
 /// with no cloned input and no formatted display name attached. The name is
@@ -55,7 +54,7 @@ impl Corner {
 }
 
 /// The axes of a design space around a base worksheet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// The base design; axis values overwrite its corresponding fields.
     pub base: RatInput,
@@ -138,7 +137,7 @@ impl DesignSpace {
 }
 
 /// Outcome of exploring a design space against a speedup requirement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exploration {
     /// The speedup requirement applied.
     pub min_speedup: f64,

@@ -13,10 +13,9 @@ use crate::params::RatInput;
 use crate::precision::PrecisionReport;
 use crate::resources::ResourceReport;
 use crate::throughput::ThroughputPrediction;
-use serde::{Deserialize, Serialize};
 
 /// The designer's requirements, against which the three tests are judged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Requirements {
     /// Minimum acceptable speedup. The paper's §1 surveys the range: 50–100x
     /// to impress "middle management", ~10x for a break-even migration, ~1x
@@ -37,7 +36,7 @@ impl Default for Requirements {
 
 /// Why a pass through the methodology bounced back to redesign
 /// (the red arrows in Figure 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Bounce {
     /// "Insufficient comm. or comp. throughput": the predicted speedup misses
     /// the requirement.
@@ -59,7 +58,7 @@ pub enum Bounce {
 }
 
 /// The verdict of one methodology pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Verdict {
     /// All gates passed: "PROCEED" to hardware implementation.
     Proceed,
@@ -68,7 +67,7 @@ pub enum Verdict {
 }
 
 /// Result of driving a design through the Figure-1 flow.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AmenabilityReport {
     /// Throughput-test outputs (always runs first).
     pub throughput: ThroughputPrediction,

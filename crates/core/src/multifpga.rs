@@ -36,10 +36,9 @@ use crate::params::RatInput;
 use crate::quantity::Seconds;
 use crate::table::{sci, TextTable};
 use crate::throughput;
-use serde::{Deserialize, Serialize};
 
 /// The scaling prediction for a device count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFpgaPrediction {
     /// Number of devices (or replicated kernels).
     pub devices: u32,
@@ -58,7 +57,7 @@ pub struct MultiFpgaPrediction {
 }
 
 /// A scaling curve across device counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingCurve {
     /// One prediction per device count, ascending.
     pub points: Vec<MultiFpgaPrediction>,

@@ -12,10 +12,9 @@ use crate::params::RatInput;
 use crate::quantity::Seconds;
 use crate::table::{sci, TextTable};
 use crate::throughput::{self, ThroughputPrediction};
-use serde::{Deserialize, Serialize};
 
 /// One stage of a multi-kernel application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stage {
     /// A kernel migrated to the FPGA, with its own RAT worksheet. The stage's
     /// software-baseline time is the worksheet's `t_soft`.
@@ -46,7 +45,7 @@ impl Stage {
 }
 
 /// Per-stage outcome within a composite analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageResult {
     /// Stage name.
     pub name: String,
@@ -61,7 +60,7 @@ pub struct StageResult {
 }
 
 /// The composite analysis of a staged application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiStageReport {
     /// Per-stage results, in pipeline order.
     pub stages: Vec<StageResult>,

@@ -54,7 +54,6 @@ use crate::telemetry::{self, Metric};
 use fixedpoint::QFormat;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Slices/ALUTs of datapath logic per lane-bit of the candidate's number
@@ -87,7 +86,7 @@ const SIGMA_RANGE_FLOOR: f64 = 1e-4;
 /// An empty categorical list means "use the default" — the base worksheet's
 /// buffering, the full device catalog, or the paper's two fixed-point
 /// precision candidates (18-bit and 32-bit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeSpace {
     /// The base design; axis values overwrite its corresponding fields.
     pub base: RatInput,
@@ -192,7 +191,7 @@ fn range_ok(field: &str, (lo, hi): (f64, f64)) -> Result<(), RatError> {
 }
 
 /// Knobs of the search itself (not of the space it searches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptimizeConfig {
     /// Root seed: the whole run is a pure function of `(space, config)`.
     pub seed: u64,
@@ -232,7 +231,7 @@ impl OptimizeConfig {
 }
 
 /// The three Pareto objectives of one evaluated, feasible design point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objectives {
     /// Predicted speedup over software, Eq. (7). Maximize.
     pub speedup: f64,
@@ -267,7 +266,7 @@ impl Objectives {
 }
 
 /// One non-dominated design point of the final front.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontPoint {
     /// The full throughput report at this point. Bit-identical to running
     /// [`crate::worksheet::Worksheet::analyze`] on `report.input` directly —
@@ -303,7 +302,7 @@ impl FrontPoint {
 
 /// Outcome of a guided search: the Pareto front plus the audit trail the
 /// property suites replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeOutcome {
     /// Seed the run was rooted at.
     pub seed: u64,

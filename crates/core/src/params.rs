@@ -5,10 +5,18 @@
 //! typed quantities of [`crate::quantity`] — bandwidth as [`Throughput`],
 //! clock as [`Freq`], time as [`Seconds`] — with unit conversions confined
 //! to constructors and rendering.
+//!
+//! A worksheet file is TOML. [`RatInput`] and its five parts read themselves
+//! from a parsed [`toml::Value`] tree through `TryFrom<&toml::Value>`, and
+//! `From<&RatInput> for toml::Value` writes one back, so
+//! `toml::from_str::<RatInput>` and `toml::to_string(&input)` are the whole
+//! worksheet codec. Decoding ignores unknown keys and names the path to a
+//! bad field (`comp: fclock: ...`); quantities also accept suffixed strings
+//! such as `"150 MHz"`.
 
 use crate::error::RatError;
 use crate::quantity::{Bytes, Elements, Freq, Seconds, Throughput};
-use serde::{Deserialize, Serialize};
+use toml::{Error, Value};
 
 /// Dataset parameters: how big one buffered block of the problem is.
 ///
@@ -17,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// or a single character in a string-matching algorithm" (§3.1). Elements in
 /// and out may differ — the 1-D PDF consumes 512 elements per iteration but
 /// emits one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetParams {
     /// Elements transferred host→FPGA per iteration (`N_elements,input`).
     pub elements_in: u64,
@@ -28,7 +36,7 @@ pub struct DatasetParams {
 }
 
 /// Communication parameters: properties of the CPU–FPGA interconnect.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommParams {
     /// Documented peak interconnect bandwidth (`throughput_ideal`; the paper
     /// quotes MB/s). Worksheets may write a bare bytes/second number or a
@@ -43,7 +51,7 @@ pub struct CommParams {
 
 /// Computation parameters: how much work per element and how fast the design
 /// retires it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompParams {
     /// Operations per element (`N_ops/element`), measured from the algorithm
     /// structure. What counts as one "operation" is the designer's choice, as
@@ -59,7 +67,7 @@ pub struct CompParams {
 }
 
 /// Software baseline parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SoftwareParams {
     /// Execution time of the sequential software baseline (`t_soft`), for the
     /// *whole* problem. Worksheets may write bare seconds or `"578 ms"`.
@@ -70,7 +78,7 @@ pub struct SoftwareParams {
 }
 
 /// Buffering discipline assumed by the prediction (paper Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Buffering {
     /// Single-buffered: communication and computation serialize (Eq. 5).
     #[default]
@@ -82,7 +90,7 @@ pub enum Buffering {
 }
 
 /// A complete RAT worksheet input (the paper's Table 1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatInput {
     /// Name of the application design under analysis.
     pub name: String,
@@ -200,6 +208,145 @@ impl RatInput {
         let mut next = self.clone();
         next.buffering = buffering;
         next
+    }
+}
+
+impl TryFrom<&Value> for DatasetParams {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
+        let t = value.table("DatasetParams")?;
+        Ok(DatasetParams {
+            elements_in: t.field("elements_in")?,
+            elements_out: t.field("elements_out")?,
+            bytes_per_element: t.field("bytes_per_element")?,
+        })
+    }
+}
+
+impl TryFrom<&Value> for CommParams {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
+        let t = value.table("CommParams")?;
+        Ok(CommParams {
+            ideal_bandwidth: t.field("ideal_bandwidth")?,
+            alpha_write: t.field("alpha_write")?,
+            alpha_read: t.field("alpha_read")?,
+        })
+    }
+}
+
+impl TryFrom<&Value> for CompParams {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
+        let t = value.table("CompParams")?;
+        Ok(CompParams {
+            ops_per_element: t.field("ops_per_element")?,
+            throughput_proc: t.field("throughput_proc")?,
+            fclock: t.field("fclock")?,
+        })
+    }
+}
+
+impl TryFrom<&Value> for SoftwareParams {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
+        let t = value.table("SoftwareParams")?;
+        Ok(SoftwareParams {
+            t_soft: t.field("t_soft")?,
+            iterations: t.field("iterations")?,
+        })
+    }
+}
+
+impl TryFrom<&Value> for Buffering {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
+        let unknown = |tag: &str| Error::new(format!("unknown variant `{tag}` for enum Buffering"));
+        match value {
+            Value::Str(s) => match s.as_str() {
+                "Single" => Ok(Buffering::Single),
+                "Double" => Ok(Buffering::Double),
+                tag => Err(unknown(tag)),
+            },
+            // `{ Variant = data }` tags a data-carrying variant; `Buffering`
+            // has none, so any tag is unknown.
+            Value::Map(entries) if entries.len() == 1 => Err(unknown(&entries[0].0)),
+            other => Err(Error::expected(
+                "string or single-entry map for enum Buffering",
+                other,
+            )),
+        }
+    }
+}
+
+impl TryFrom<&Value> for RatInput {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
+        let t = value.table("RatInput")?;
+        Ok(RatInput {
+            name: t.field("name")?,
+            dataset: t.field("dataset")?,
+            comm: t.field("comm")?,
+            comp: t.field("comp")?,
+            software: t.field("software")?,
+            buffering: t.field("buffering")?,
+        })
+    }
+}
+
+/// A table from `(key, value)` pairs, in order.
+fn table_of<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    Value::Map(entries.map(|(k, v)| (k.to_owned(), v)).into())
+}
+
+/// The worksheet as TOML: quantities in their base units (Hz, seconds,
+/// bytes/second), field order as declared. The writer puts the scalars
+/// `name` and `buffering` before the four tables.
+impl From<&RatInput> for Value {
+    fn from(input: &RatInput) -> Self {
+        let (d, c, p, s) = (&input.dataset, &input.comm, &input.comp, &input.software);
+        table_of([
+            ("name", input.name.as_str().into()),
+            (
+                "dataset",
+                table_of([
+                    ("elements_in", d.elements_in.into()),
+                    ("elements_out", d.elements_out.into()),
+                    ("bytes_per_element", d.bytes_per_element.into()),
+                ]),
+            ),
+            (
+                "comm",
+                table_of([
+                    ("ideal_bandwidth", c.ideal_bandwidth.bytes_per_sec().into()),
+                    ("alpha_write", c.alpha_write.into()),
+                    ("alpha_read", c.alpha_read.into()),
+                ]),
+            ),
+            (
+                "comp",
+                table_of([
+                    ("ops_per_element", p.ops_per_element.into()),
+                    ("throughput_proc", p.throughput_proc.into()),
+                    ("fclock", p.fclock.hz().into()),
+                ]),
+            ),
+            (
+                "software",
+                table_of([
+                    ("t_soft", s.t_soft.seconds().into()),
+                    ("iterations", s.iterations.into()),
+                ]),
+            ),
+            (
+                "buffering",
+                match input.buffering {
+                    Buffering::Single => "Single",
+                    Buffering::Double => "Double",
+                }
+                .into(),
+            ),
+        ])
     }
 }
 
@@ -338,11 +485,147 @@ mod tests {
         assert!((back.software.t_soft.seconds() - 0.578).abs() < 1e-12);
     }
 
+    /// Apply one edit to the example worksheet's TOML and decode the
+    /// result, keeping the error's display text.
+    fn decode_edited(from: &str, to: &str) -> Result<RatInput, String> {
+        let text = toml::to_string(&pdf1d_example()).unwrap();
+        assert!(text.contains(from), "edit `{from}` must hit:\n{text}");
+        toml::from_str(&text.replace(from, to)).map_err(|e| e.to_string())
+    }
+
     #[test]
     fn worksheet_rejects_bad_quantity_with_field_name() {
-        let text = toml::to_string(&pdf1d_example()).unwrap();
-        let bad = text.replace("fclock = 150000000.0", "fclock = \"150 parsecs\"");
-        let err = toml::from_str::<RatInput>(&bad).unwrap_err().to_string();
-        assert!(err.contains("fclock"), "error must name the field: {err}");
+        // (edit from, edit to, the exact decode error after the prefix)
+        let rows = [
+            (
+                "fclock = 150000000.0",
+                "fclock = \"150 parsecs\"",
+                "comp: fclock: unknown frequency unit `parsecs` in `150 parsecs`",
+            ),
+            (
+                "buffering = \"Single\"",
+                "buffering = \"Triple\"",
+                "buffering: unknown variant `Triple` for enum Buffering",
+            ),
+            (
+                "buffering = \"Single\"",
+                "buffering = 3",
+                "buffering: expected string or single-entry map for enum Buffering, found integer",
+            ),
+            (
+                "buffering = \"Single\"",
+                "buffering = { Single = 1 }",
+                "buffering: unknown variant `Single` for enum Buffering",
+            ),
+            (
+                "alpha_read = 0.16\n",
+                "",
+                "comm: missing field `alpha_read`",
+            ),
+            ("name = \"1-D PDF\"\n", "", "missing field `name`"),
+            (
+                "elements_in = 512",
+                "elements_in = -5",
+                "dataset: elements_in: negative integer -5 for u64",
+            ),
+            (
+                "elements_in = 512",
+                "elements_in = \"many\"",
+                "dataset: elements_in: invalid u64 `many`",
+            ),
+            (
+                "iterations = 400",
+                "iterations = 1.5",
+                "software: iterations: expected integer, found float",
+            ),
+            (
+                "alpha_write = 0.37",
+                "alpha_write = \"high\"",
+                "comm: alpha_write: expected float, found string",
+            ),
+            (
+                "t_soft = 0.578",
+                "t_soft = true",
+                "software: t_soft: expected duration, found bool",
+            ),
+            (
+                "name = \"1-D PDF\"",
+                "name = 3",
+                "name: expected string, found integer",
+            ),
+            (
+                "[dataset]",
+                "dataset = 3\n[unused]",
+                "dataset: expected map for struct DatasetParams, found integer",
+            ),
+            (
+                "[comp]",
+                "[comp.inner]",
+                "comp: missing field `ops_per_element`",
+            ),
+            (
+                "fclock = 150000000.0",
+                "fclock = \"1e400 MHz\"",
+                "comp: fclock: `1e400 MHz` is not a finite number",
+            ),
+            (
+                "fclock = 150000000.0",
+                "fclock = \"1e300 GHz\"",
+                "comp: fclock: frequency must be finite, got inf",
+            ),
+            (
+                "fclock = 150000000.0",
+                "fclock = \"MHz\"",
+                "comp: fclock: `MHz` has no leading number",
+            ),
+            (
+                "iterations = 400",
+                "iterations = 400\niterations = 400",
+                "duplicate key `iterations`",
+            ),
+        ];
+        for (from, to, want) in rows {
+            match decode_edited(from, to) {
+                Err(e) => assert_eq!(e, format!("TOML parse error: {want}"), "`{from}` -> `{to}`"),
+                Ok(input) => panic!("`{from}` -> `{to}` decoded: {input:?}"),
+            }
+        }
+        assert_eq!(
+            toml::from_str::<RatInput>("").unwrap_err().to_string(),
+            "TOML parse error: missing field `name`"
+        );
+    }
+
+    #[test]
+    fn worksheet_accepts_coerced_numbers_and_unknown_keys() {
+        // Each edit must decode to the unedited example.
+        let rows = [
+            ("elements_in = 512", "elements_in = 512.0"),
+            ("elements_in = 512", "elements_in = \"512\""),
+            ("ops_per_element = 768.0", "ops_per_element = 768"),
+            (
+                "[dataset]\n",
+                "[dataset]\nhistory = [[1, 0.9], [1024, 0.37]]\n",
+            ),
+            (
+                "name = \"1-D PDF\"",
+                "name = \"1-D PDF\"\nmeta = { author = \"x\", rev = 2 }",
+            ),
+            (
+                "iterations = 400",
+                "iterations = 400\n\n[[runs]]\nid = 1\n\n[[runs]]\nid = 2",
+            ),
+        ];
+        for (from, to) in rows {
+            let input = decode_edited(from, to)
+                .unwrap_or_else(|e| panic!("`{from}` -> `{to}` rejected: {e}"));
+            assert_eq!(input, pdf1d_example(), "`{from}` -> `{to}`");
+        }
+        // NaN decodes; validation is what rejects it.
+        let input = decode_edited("alpha_read = 0.16", "alpha_read = nan").unwrap();
+        assert!(input.comm.alpha_read.is_nan());
+        assert!(
+            matches!(input.validate(), Err(RatError::InvalidParameter(m)) if m.contains("alpha_read"))
+        );
     }
 }

@@ -12,14 +12,13 @@
 use crate::resources::estimate::dsps_for_multiplier;
 use crate::table::TextTable;
 use fixedpoint::{ErrorStats, MiniFloat, QFormat};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A numeric format candidate: fixed point or reduced-precision float.
 ///
 /// The paper's §4.2 comparison spans both kinds: "18-bit and 32-bit fixed
 /// point along with 32-bit floating point were considered".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NumericFormat {
     /// A Q-format fixed-point representation.
     Fixed(QFormat),
@@ -59,7 +58,7 @@ impl fmt::Display for NumericFormat {
 }
 
 /// One candidate format's evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateResult {
     /// The format evaluated.
     pub format: QFormat,
@@ -73,7 +72,7 @@ pub struct CandidateResult {
 }
 
 /// Outcome of the precision test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrecisionReport {
     /// Relative-error tolerance applied.
     pub tolerance: f64,
@@ -162,7 +161,7 @@ where
 }
 
 /// One mixed-format candidate's evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedCandidateResult {
     /// The format evaluated.
     pub format: NumericFormat,
@@ -175,7 +174,7 @@ pub struct MixedCandidateResult {
 }
 
 /// Outcome of the mixed fixed/float precision comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedPrecisionReport {
     /// Relative-error tolerance applied.
     pub tolerance: f64,

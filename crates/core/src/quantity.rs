@@ -23,9 +23,10 @@
 //! `Freq` in Hz, `Throughput` in bytes/second. Constructors and accessors
 //! convert from/to the units the paper's tables print ([`Freq::from_mhz`],
 //! [`Throughput::from_mbps`], [`Throughput::from_mbytes_per_sec`]).
-//! Serialization writes the bare base-unit number (so existing worksheet
-//! TOML files are unchanged); deserialization additionally accepts suffixed
-//! strings such as `"133 MHz"`, `"1 Mbps"`, `"1000 MB/s"`, or `"0.578 s"`.
+//! Worksheets hold three of them: [`Freq`], [`Seconds`] and [`Throughput`].
+//! [`crate::params`] writes each as its bare base-unit number; reading one
+//! through its `TryFrom<&toml::Value>` also accepts a suffixed string such
+//! as `"133 MHz"`, `"1 Mbps"`, `"1000 MB/s"`, or `"0.578 s"`.
 //!
 //! The wrappers are `#[repr(transparent)]` over their primitive, so the
 //! compiled arithmetic — and therefore every golden table — is bit-identical
@@ -33,9 +34,8 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Sub};
-use std::str::FromStr;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use toml::{Error, Value};
 
 /// Parse a number-with-optional-unit string: `"133 MHz"` → `(133.0, "MHz")`.
 fn split_number_unit(s: &str) -> Result<(f64, &str), String> {
@@ -55,63 +55,29 @@ fn split_number_unit(s: &str) -> Result<(f64, &str), String> {
     Ok((value, unit.trim()))
 }
 
-/// Deserialize a float-valued quantity from a bare number or a suffixed
-/// string, mapping the unit via `scale` (factor from that unit to the base
-/// unit). Rejects non-finite values.
+/// Decode a float-valued quantity from a bare number or a suffixed string,
+/// mapping the unit via `scale` (factor from that unit to the base unit).
+/// Rejects non-finite values.
 fn quantity_from_value(
     value: &Value,
     what: &str,
     scale: impl Fn(&str) -> Option<f64>,
-) -> Result<f64, DeError> {
+) -> Result<f64, Error> {
     let base = match value {
         Value::Float(f) => *f,
         Value::Int(i) => *i as f64,
         Value::Str(s) => {
-            let (num, unit) = split_number_unit(s).map_err(DeError::custom)?;
+            let (num, unit) = split_number_unit(s).map_err(Error::new)?;
             let factor = scale(unit)
-                .ok_or_else(|| DeError::custom(format!("unknown {what} unit `{unit}` in `{s}`")))?;
+                .ok_or_else(|| Error::new(format!("unknown {what} unit `{unit}` in `{s}`")))?;
             num * factor
         }
-        other => return Err(DeError::expected(what, other)),
+        other => return Err(Error::expected(what, other)),
     };
     if !base.is_finite() {
-        return Err(DeError::custom(format!(
-            "{what} must be finite, got {base}"
-        )));
+        return Err(Error::new(format!("{what} must be finite, got {base}")));
     }
     Ok(base)
-}
-
-/// Deserialize an integer-valued quantity (bytes, elements, cycles) from an
-/// integer, a whole float, or a suffixed string.
-fn count_from_value(
-    value: &Value,
-    what: &str,
-    scale: impl Fn(&str) -> Option<u64>,
-) -> Result<u64, DeError> {
-    match value {
-        Value::Int(i) if *i >= 0 => Ok(*i as u64),
-        Value::Int(i) => Err(DeError::custom(format!(
-            "{what} cannot be negative, got {i}"
-        ))),
-        Value::Float(f) if f.fract() == 0.0 && *f >= 0.0 && *f <= u64::MAX as f64 => Ok(*f as u64),
-        Value::Float(f) => Err(DeError::custom(format!(
-            "{what} must be a non-negative whole number, got {f}"
-        ))),
-        Value::Str(s) => {
-            let (num, unit) = split_number_unit(s).map_err(DeError::custom)?;
-            let factor = scale(unit)
-                .ok_or_else(|| DeError::custom(format!("unknown {what} unit `{unit}` in `{s}`")))?;
-            let scaled = num * factor as f64;
-            if scaled < 0.0 || scaled.fract() != 0.0 || scaled > u64::MAX as f64 {
-                return Err(DeError::custom(format!(
-                    "{what} must be a non-negative whole number, got `{s}`"
-                )));
-            }
-            Ok(scaled as u64)
-        }
-        other => Err(DeError::expected(what, other)),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -545,7 +511,7 @@ impl Div<Throughput> for Throughput {
 }
 
 // ---------------------------------------------------------------------------
-// Serde (base-unit numbers out; numbers or suffixed strings in)
+// Worksheet decoding (numbers in base units, or suffixed strings)
 // ---------------------------------------------------------------------------
 
 fn freq_unit(unit: &str) -> Option<f64> {
@@ -584,115 +550,26 @@ fn throughput_unit(unit: &str) -> Option<f64> {
     }
 }
 
-fn bytes_unit(unit: &str) -> Option<u64> {
-    match unit {
-        "" | "B" => Some(1),
-        "kB" | "KB" => Some(1_000),
-        "MB" => Some(1_000_000),
-        "KiB" => Some(1 << 10),
-        "MiB" => Some(1 << 20),
-        _ => None,
-    }
-}
-
-fn plain_count_unit(unit: &str) -> Option<u64> {
-    unit.is_empty().then_some(1)
-}
-
-impl Serialize for Freq {
-    fn to_value(&self) -> Value {
-        Value::Float(self.0)
-    }
-}
-
-impl Deserialize for Freq {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
+impl TryFrom<&Value> for Freq {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
         quantity_from_value(value, "frequency", freq_unit).map(Freq)
     }
 }
 
-impl Serialize for Seconds {
-    fn to_value(&self) -> Value {
-        Value::Float(self.0)
-    }
-}
-
-impl Deserialize for Seconds {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
+impl TryFrom<&Value> for Seconds {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
         quantity_from_value(value, "duration", seconds_unit).map(Seconds)
     }
 }
 
-impl Serialize for Throughput {
-    fn to_value(&self) -> Value {
-        Value::Float(self.0)
-    }
-}
-
-impl Deserialize for Throughput {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
+impl TryFrom<&Value> for Throughput {
+    type Error = Error;
+    fn try_from(value: &Value) -> Result<Self, Error> {
         quantity_from_value(value, "bandwidth", throughput_unit).map(Throughput)
     }
 }
-
-impl Serialize for Bytes {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for Bytes {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        count_from_value(value, "byte count", bytes_unit).map(Bytes)
-    }
-}
-
-impl Serialize for Elements {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for Elements {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        count_from_value(value, "element count", plain_count_unit).map(Elements)
-    }
-}
-
-impl Serialize for Cycles {
-    fn to_value(&self) -> Value {
-        self.0.to_value()
-    }
-}
-
-impl Deserialize for Cycles {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        count_from_value(value, "cycle count", plain_count_unit).map(Cycles)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FromStr (CLI flag parsing)
-// ---------------------------------------------------------------------------
-
-macro_rules! impl_from_str {
-    ($ty:ident, $what:expr, $unit:expr, $wrap:expr) => {
-        impl FromStr for $ty {
-            type Err = String;
-            fn from_str(s: &str) -> Result<Self, String> {
-                let (num, unit) = split_number_unit(s)?;
-                let factor =
-                    $unit(unit).ok_or_else(|| format!("unknown {} unit `{unit}`", $what))?;
-                #[allow(clippy::redundant_closure_call)]
-                Ok($wrap(num * factor))
-            }
-        }
-    };
-}
-
-impl_from_str!(Freq, "frequency", freq_unit, Freq);
-impl_from_str!(Seconds, "duration", seconds_unit, Seconds);
-impl_from_str!(Throughput, "bandwidth", throughput_unit, Throughput);
 
 #[cfg(test)]
 mod tests {
@@ -735,66 +612,40 @@ mod tests {
 
     #[test]
     fn suffixed_strings_deserialize() {
-        let f = Freq::from_value(&Value::Str("133 MHz".into())).unwrap();
+        let f = Freq::try_from(&Value::Str("133 MHz".into())).unwrap();
         assert_eq!(f, Freq::from_hz(133.0e6));
-        let bw = Throughput::from_value(&Value::Str("1000 MB/s".into())).unwrap();
+        let bw = Throughput::try_from(&Value::Str("1000 MB/s".into())).unwrap();
         assert_eq!(bw, Throughput::from_bytes_per_sec(1.0e9));
-        let mbps = Throughput::from_value(&Value::Str("1 Mbps".into())).unwrap();
+        let mbps = Throughput::try_from(&Value::Str("1 Mbps".into())).unwrap();
         assert_eq!(mbps, Throughput::from_bytes_per_sec(1e6 / 8.0));
-        let t = Seconds::from_value(&Value::Str("0.578 s".into())).unwrap();
+        let t = Seconds::try_from(&Value::Str("0.578 s".into())).unwrap();
         assert_eq!(t, Seconds::new(0.578));
-        let ms = Seconds::from_value(&Value::Str("2.5 ms".into())).unwrap();
+        let ms = Seconds::try_from(&Value::Str("2.5 ms".into())).unwrap();
         assert_eq!(ms, Seconds::new(2.5e-3));
-        let b = Bytes::from_value(&Value::Str("2 KiB".into())).unwrap();
-        assert_eq!(b, Bytes::new(2048));
     }
 
     #[test]
     fn bare_numbers_deserialize_in_base_units() {
         assert_eq!(
-            Freq::from_value(&Value::Float(150.0e6)).unwrap(),
+            Freq::try_from(&Value::Float(150.0e6)).unwrap(),
             Freq::from_mhz(150.0)
         );
         assert_eq!(
-            Freq::from_value(&Value::Int(100)).unwrap(),
+            Freq::try_from(&Value::Int(100)).unwrap(),
             Freq::from_hz(100.0)
         );
         assert_eq!(
-            Seconds::from_value(&Value::Float(0.578)).unwrap(),
+            Seconds::try_from(&Value::Float(0.578)).unwrap(),
             Seconds::new(0.578)
         );
     }
 
     #[test]
-    fn serialization_is_the_bare_base_unit() {
-        assert_eq!(Freq::from_mhz(150.0).to_value(), Value::Float(150.0e6));
-        assert_eq!(Seconds::new(0.578).to_value(), Value::Float(0.578));
-        assert_eq!(
-            Throughput::from_bytes_per_sec(1.0e9).to_value(),
-            Value::Float(1.0e9)
-        );
-        assert_eq!(Bytes::new(2048).to_value(), Value::Int(2048));
-    }
-
-    #[test]
     fn unknown_units_and_nonfinite_values_rejected() {
-        assert!(Freq::from_value(&Value::Str("133 parsecs".into())).is_err());
-        assert!(Throughput::from_value(&Value::Str("1 MBps".into())).is_err());
-        assert!(Freq::from_value(&Value::Float(f64::NAN)).is_err());
-        assert!(Seconds::from_value(&Value::Float(f64::INFINITY)).is_err());
-        assert!(Bytes::from_value(&Value::Int(-4)).is_err());
-        assert!(Elements::from_value(&Value::Float(1.5)).is_err());
-    }
-
-    #[test]
-    fn from_str_parses_cli_style_inputs() {
-        assert_eq!("150 MHz".parse::<Freq>().unwrap(), Freq::from_mhz(150.0));
-        assert_eq!("1.5e8".parse::<Freq>().unwrap(), Freq::from_hz(1.5e8));
-        assert_eq!(
-            "500 MB/s".parse::<Throughput>().unwrap(),
-            Throughput::from_mbytes_per_sec(500.0)
-        );
-        assert!("fast".parse::<Freq>().is_err());
+        assert!(Freq::try_from(&Value::Str("133 parsecs".into())).is_err());
+        assert!(Throughput::try_from(&Value::Str("1 MBps".into())).is_err());
+        assert!(Freq::try_from(&Value::Float(f64::NAN)).is_err());
+        assert!(Seconds::try_from(&Value::Float(f64::INFINITY)).is_err());
     }
 
     #[test]

@@ -3,11 +3,10 @@
 use crate::params::{Buffering, RatInput};
 use crate::table::{pct, sci, TextTable};
 use crate::throughput::ThroughputPrediction;
-use serde::{Deserialize, Serialize};
 
 /// The complete output of one worksheet analysis: the echoed input plus every
 /// derived quantity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// The input the analysis was run on.
     pub input: RatInput,
@@ -233,13 +232,5 @@ mod tests {
         for line in s.lines().filter(|l| l.starts_with('|')) {
             assert_eq!(line.matches('|').count(), 3, "bad row: {line}");
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = report();
-        let json = toml::to_string(&r).unwrap();
-        let back: Report = toml::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

@@ -5,10 +5,8 @@
 //! handbook). RAT's resource test only needs the three headline capacities —
 //! DSP blocks, block RAMs, logic elements — plus the vendor's naming for each.
 
-use serde::{Deserialize, Serialize};
-
 /// The flavour of basic logic element a vendor counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LogicKind {
     /// Xilinx slices (each: 2 LUTs + 2 flip-flops in Virtex-4).
     Slices,
@@ -30,7 +28,7 @@ impl LogicKind {
 }
 
 /// An FPGA device's headline capacities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaDevice {
     /// Device name, e.g. "Xilinx Virtex-4 LX100".
     pub name: String,

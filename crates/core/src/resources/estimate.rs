@@ -8,10 +8,8 @@
 //! rule that a 32-bit fixed-point multiply on a Xilinx V4 needs two dedicated
 //! 18-bit multipliers.
 
-use serde::{Deserialize, Serialize};
-
 /// A design's estimated resource usage, in the target device's units.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceEstimate {
     /// DSP blocks (vendor granularity).
     pub dsp: u32,

@@ -13,7 +13,6 @@ pub use device::{FpgaDevice, LogicKind};
 pub use estimate::{dsps_for_multiplier, ResourceEstimate};
 
 use crate::table::{pct, TextTable};
-use serde::{Deserialize, Serialize};
 
 /// Logic-utilization fraction above which routing strain makes timing closure
 /// unlikely; the paper: "routing strain increases exponentially as logic
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 pub const ROUTING_STRAIN_THRESHOLD: f64 = 0.8;
 
 /// Outcome of holding a design's estimate against a device's capacity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceReport {
     /// The device analyzed against.
     pub device: FpgaDevice,

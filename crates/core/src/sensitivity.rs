@@ -13,11 +13,10 @@ use crate::solve::batch::{speedup_batch, BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::TextTable;
 use crate::throughput;
-use serde::{Deserialize, Serialize};
 
 /// Elasticity of speedup with respect to one parameter:
 /// `(d speedup / speedup) / (d p / p)`, estimated by central finite difference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sensitivity {
     /// The parameter varied.
     pub param: SweepParam,
@@ -26,7 +25,7 @@ pub struct Sensitivity {
 }
 
 /// Sensitivity of speedup to each of the scalar inputs, ranked by magnitude.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityReport {
     /// Per-parameter elasticities, most influential first.
     pub entries: Vec<Sensitivity>,

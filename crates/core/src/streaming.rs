@@ -28,10 +28,9 @@ use crate::error::RatError;
 use crate::params::RatInput;
 use crate::quantity::Seconds;
 use crate::table::{sci, TextTable};
-use serde::{Deserialize, Serialize};
 
 /// Whether the interconnect can move input and output concurrently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ChannelDuplex {
     /// One shared channel: input and output bytes serialize (PCI-X, and the
     /// assumption behind the paper's Eq. (1)).
@@ -43,7 +42,7 @@ pub enum ChannelDuplex {
 }
 
 /// What limits a streaming design's sustained rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamBottleneck {
     /// The interconnect: elements arrive/depart slower than the datapath
     /// consumes them.
@@ -53,7 +52,7 @@ pub enum StreamBottleneck {
 }
 
 /// Outputs of the streaming throughput test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingPrediction {
     /// Element rate the input path sustains (elements/s).
     pub input_rate: f64,

@@ -12,10 +12,9 @@ use crate::quantity::Freq;
 use crate::report::Report;
 use crate::solve::batch::{solve_batch_with, BatchPoints};
 use crate::table::{sci, TextTable};
-use serde::{Deserialize, Serialize};
 
 /// Which scalar input parameter a sweep varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SweepParam {
     /// FPGA clock frequency (Hz).
     Fclock,
@@ -101,7 +100,7 @@ impl SweepParam {
 }
 
 /// One sweep point: the parameter value and the full report at that value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The swept parameter's value at this point.
     pub value: f64,
@@ -110,7 +109,7 @@ pub struct SweepPoint {
 }
 
 /// A completed sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// The swept parameter.
     pub param: SweepParam,

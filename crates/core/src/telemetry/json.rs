@@ -1,13 +1,15 @@
-//! A minimal JSON reader for validating exporter output.
+//! A minimal JSON reader: `rat serve`'s request bodies, and the exporters'
+//! output in tests.
 //!
 //! The workspace deliberately carries no `serde_json`; the exporters
 //! ([`super::chrome`], `rat bench --json`) hand-roll their output. This
 //! module is the other half of that bargain: a small recursive-descent
-//! parser producing a [`Json`] value tree, so tests (and tools) can open an
-//! emitted profile or bench report and check its shape instead of greping
-//! strings. It accepts strict JSON (no comments, no trailing commas) and
-//! keeps object keys in document order — good enough to validate our own
-//! deterministic output, not a general-purpose library.
+//! parser producing a [`Json`] value tree. `rat serve` parses every request
+//! body with it, so it faces untrusted input, and it stays linear in the
+//! input length; tests use it to open an emitted profile or bench report
+//! and check its shape instead of greping strings. It accepts strict JSON
+//! (no comments, no trailing commas) and keeps object keys in document
+//! order.
 
 /// A parsed JSON value. Numbers are `f64` (the exporters emit nothing that
 /// needs more); object keys keep document order.
@@ -202,13 +204,18 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // slice. Both are ASCII, so the run ends on a character
+                    // boundary and multi-byte sequences pass through whole.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8 in string")?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -323,5 +330,19 @@ mod tests {
     fn unescapes_unicode_and_utf8_passthrough() {
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
         assert_eq!(parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // ~1 MiB of text with an escape and a two-byte character every 10
+        // bytes. A scan that re-validates the rest of the body per character
+        // takes minutes on this; a linear one takes milliseconds.
+        let unit = "abcdefé\n";
+        let text = unit.repeat((1 << 20) / unit.len());
+        let body = format!("\"{}\"", text.replace('\n', "\\n"));
+        let start = std::time::Instant::now();
+        assert_eq!(parse(&body).unwrap(), Json::Str(text));
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs() < 5, "1 MiB string took {elapsed:?}");
     }
 }

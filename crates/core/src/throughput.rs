@@ -13,7 +13,6 @@ use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::quantity::{Bytes, Seconds, Throughput};
 use crate::utilization;
-use serde::{Deserialize, Serialize};
 
 /// The transfer-time kernel shared by Equations (1)–(3):
 /// `t = bytes / (efficiency * throughput_ideal)`.
@@ -83,7 +82,7 @@ pub fn speedup(input: &RatInput) -> f64 {
 }
 
 /// All throughput-test outputs for one input, in one struct.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputPrediction {
     /// Per-iteration input (host→FPGA) transfer time, Eq. (2).
     pub t_write: Seconds,

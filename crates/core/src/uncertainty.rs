@@ -15,10 +15,9 @@ use crate::solve::batch::{speedup_batch, BatchPoints};
 use crate::sweep::SweepParam;
 use crate::table::TextTable;
 use rand::distributions::{Distribution, Uniform};
-use serde::{Deserialize, Serialize};
 
 /// A uniform uncertainty range on one parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParamRange {
     /// The uncertain parameter.
     pub param: SweepParam,
@@ -41,7 +40,7 @@ impl ParamRange {
 }
 
 /// Speedup distribution statistics from a Monte-Carlo run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UncertaintyReport {
     /// Number of samples drawn.
     pub samples: usize,

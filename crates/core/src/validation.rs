@@ -11,10 +11,9 @@
 
 use crate::table::{sci, TextTable};
 use crate::throughput::ThroughputPrediction;
-use serde::{Deserialize, Serialize};
 
 /// How close a prediction landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Grade {
     /// Within 10% — as good as pre-design analysis gets.
     Accurate,
@@ -55,7 +54,7 @@ impl Grade {
 }
 
 /// Measured performance, from hardware or simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredPerformance {
     /// Measured per-iteration communication time (s).
     pub t_comm: f64,
@@ -66,7 +65,7 @@ pub struct MeasuredPerformance {
 }
 
 /// One metric's comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationRow {
     /// Metric name.
     pub metric: String,
@@ -82,7 +81,7 @@ pub struct ValidationRow {
 }
 
 /// A full prediction-vs-measurement comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationReport {
     /// Per-metric comparisons: t_comm, t_comp, t_RC, speedup.
     pub rows: Vec<ValidationRow>,

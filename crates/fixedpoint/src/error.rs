@@ -5,11 +5,9 @@
 //! metrics the paper quotes (the PDF case study kept "maximum error percentage"
 //! around 2% for 18-bit fixed point).
 
-use serde::{Deserialize, Serialize};
-
 /// Accumulated error metrics between a reference (`f64`) computation and its
 /// quantized counterpart.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ErrorStats {
     count: u64,
     max_abs: f64,

@@ -8,7 +8,6 @@
 //! exponent to the target range (with gradual underflow to subnormals). This
 //! is exact for every format whose widths are at most `f64`'s own.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A custom floating-point format: sign bit + `exp_bits` exponent +
@@ -16,7 +15,7 @@ use std::fmt;
 ///
 /// `MiniFloat::new(8, 23)` is IEEE binary32; `MiniFloat::new(5, 10)` is
 /// binary16; `MiniFloat::new(8, 7)` is bfloat16.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MiniFloat {
     exp_bits: u32,
     mant_bits: u32,

@@ -1,6 +1,5 @@
 //! Q-number format descriptions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum total width (sign + integer + fractional bits) supported by [`QFormat`].
@@ -16,7 +15,7 @@ pub const MAX_TOTAL_BITS: u32 = 63;
 ///
 /// `QFormat::signed(0, 17)` is the 18-bit format the RAT paper's PDF estimation
 /// kernel uses (one sign bit, 17 fractional bits, values in `[-1, 1)`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QFormat {
     signed: bool,
     int_bits: u32,
@@ -24,7 +23,7 @@ pub struct QFormat {
 }
 
 /// Rounding mode applied when a value is quantized to fewer fractional bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Rounding {
     /// Round to the nearest representable value; ties away from zero.
     ///
@@ -42,7 +41,7 @@ pub enum Rounding {
 }
 
 /// Overflow policy applied when a value exceeds the format's range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Overflow {
     /// Clamp to the nearest representable extreme. Typical for DSP datapaths.
     #[default]

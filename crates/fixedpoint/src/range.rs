@@ -6,10 +6,9 @@
 //! integer bit count.
 
 use crate::format::{FormatError, QFormat};
-use serde::{Deserialize, Serialize};
 
 /// Observed dynamic range of a signal.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RangeAnalysis {
     min: f64,
     max: f64,

@@ -1,7 +1,6 @@
 //! Fixed-point values and arithmetic.
 
 use crate::format::{Overflow, QFormat, Rounding};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -11,7 +10,7 @@ use std::fmt;
 /// hardware inserts explicit alignment shifts; model those with [`Fx::requantize`]).
 /// All operations take an explicit [`Overflow`] policy so a design can be audited
 /// under both saturating and wrapping assumptions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Fx {
     raw: i64,
     fmt: QFormat,

@@ -9,10 +9,9 @@
 //! (Table 3: 7.45e-2 s total vs 400 x (2.50e-5 + 1.39e-4) = 6.56e-2 s).
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Host overheads charged by the platform simulator.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HostModel {
     /// Cost of one vendor-API transfer call (driver entry, descriptor build),
     /// charged per transfer *in application loops*. Microbenchmarks time the

@@ -11,11 +11,10 @@
 use crate::time::SimTime;
 use rat_core::quantity::{Bytes, Seconds, Throughput};
 use rat_core::throughput::transfer_seconds;
-use serde::{Deserialize, Serialize};
 
 /// Transfer direction, named from the host's perspective (matching the paper:
 /// "write" moves input data host→FPGA, "read" returns results FPGA→host).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Host → FPGA (input data).
     Write,
@@ -29,7 +28,7 @@ pub enum Direction {
 /// between points interpolate linearly in `log2(size)`, sizes outside the table
 /// clamp to the nearest endpoint. Curves need not be monotone — real driver
 /// stacks have cliffs (e.g. when a transfer exceeds a pinned bounce buffer).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AlphaCurve {
     points: Vec<(u64, f64)>,
 }
@@ -100,7 +99,7 @@ impl AlphaCurve {
 
 /// A CPU–FPGA interconnect: peak bandwidth, per-transfer setup latency, and
 /// direction-specific efficiency curves.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Interconnect {
     /// Human-readable name (e.g. "133MHz 64-bit PCI-X").
     pub name: String,
@@ -117,7 +116,6 @@ pub struct Interconnect {
     /// Largest single DMA the driver programs. Payloads beyond this split into
     /// chunks, each paying the setup latency — the mechanism behind many real
     /// drivers' large-transfer throughput plateaus. `None` disables splitting.
-    #[serde(default)]
     pub max_dma_bytes: Option<u64>,
 }
 

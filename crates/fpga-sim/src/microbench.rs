@@ -24,10 +24,9 @@
 //! ```
 
 use crate::interconnect::{Direction, Interconnect};
-use serde::{Deserialize, Serialize};
 
 /// Result of one microbenchmark probe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlphaSample {
     /// Probed transfer size in bytes.
     pub bytes: u64,

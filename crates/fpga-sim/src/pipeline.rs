@@ -11,10 +11,9 @@
 
 use crate::kernel::{Batch, HardwareKernel};
 use rat_core::quantity::Cycles;
-use serde::{Deserialize, Serialize};
 
 /// Stall behaviour of a pipelined design.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StallModel {
     /// A perfectly scheduled pipeline with no stalls.
     None,
@@ -58,7 +57,7 @@ impl StallModel {
 
 /// Structural description of a pipelined design, sufficient to compute cycle
 /// counts for a batch of work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineSpec {
     /// Number of parallel pipelines (the Figure-3 PDF design instantiates 8).
     pub lanes: u32,

@@ -26,12 +26,11 @@ use crate::trace::{FullTrace, NullSink, Resource, Trace, TraceSink};
 use rat_core::quantity::Freq;
 use rat_core::telemetry::{self, ArgValue, Metric};
 use rat_core::RatError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Buffering discipline for the input side of the co-processor loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BufferMode {
     /// One buffer: communication and computation fully serialize
     /// (paper Eq. 5: `t_RC = N_iter * (t_comm + t_comp)`).
@@ -42,7 +41,7 @@ pub enum BufferMode {
 }
 
 /// A platform definition: its interconnect and host-overhead model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformSpec {
     /// Human-readable platform name (e.g. "Nallatech H101-PCIXM / V4 LX100").
     pub name: String,
@@ -55,13 +54,12 @@ pub struct PlatformSpec {
     /// ("Reconfiguration and other setup times are ignored", §3.1); modeling
     /// it here lets the simulator show *when that assumption breaks* — short
     /// runs on platforms with ~100 ms configuration times.
-    #[serde(default)]
     pub reconfiguration: SimTime,
 }
 
 /// One application execution: how much data moves per iteration and how the
 /// loop is buffered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppRun {
     /// Number of communication+computation iterations (`N_iter`).
     pub iterations: u64,

@@ -1,7 +1,6 @@
 //! Simulation time.
 
 use rat_core::quantity::{Cycles, Freq, Seconds};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub};
@@ -11,9 +10,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// Picoseconds in a `u64` cover about 213 days of simulated time — far beyond any
 /// RAT workload — while resolving a single cycle at multi-GHz clock rates without
 /// accumulating floating-point drift in the event queue.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 const PS_PER_SEC: f64 = 1e12;

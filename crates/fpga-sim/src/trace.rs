@@ -7,11 +7,10 @@
 //! hand-drawn idealization.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// The resource a trace span occupied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// The CPU–FPGA interconnect channel (a single, serialized resource).
     Comm,
@@ -32,7 +31,7 @@ impl Resource {
 }
 
 /// One busy interval on a resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Span {
     /// Which resource was busy.
     pub resource: Resource,
@@ -52,7 +51,7 @@ impl Span {
 }
 
 /// A complete execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     spans: Vec<Span>,
 }

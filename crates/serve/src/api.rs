@@ -1148,6 +1148,25 @@ mod tests {
     }
 
     #[test]
+    fn undecodable_worksheet_is_a_bad_request_with_the_decoder_message() {
+        let bad = ws_toml().replace("fclock = 150000000.0", "fclock = \"150 parsecs\"");
+        let body = format!(
+            "{{\"worksheet_toml\": \"{}\", \"target\": 8.0}}",
+            escape_json(&bad)
+        );
+        match parse_mode_request("solve", &body) {
+            Err(ApiError::BadRequest { what, cause }) => {
+                assert_eq!(what, "parsing worksheet_toml");
+                assert_eq!(
+                    cause,
+                    "TOML parse error: comp: fclock: unknown frequency unit `parsecs` in `150 parsecs`"
+                );
+            }
+            other => panic!("expected a 400 from the decoder, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn simulate_report_is_deterministic_and_cached() {
         let cache = SimCache::new();
         let a = simulate_report("pdf1d", 150.0, Some(&cache)).unwrap();

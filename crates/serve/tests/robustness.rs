@@ -7,10 +7,11 @@ mod common;
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use common::{error_of, get, post, send_raw, split_response};
 use rat_serve::api::escape_json;
+use rat_serve::http::MAX_BODY_BYTES;
 use rat_serve::{ServeConfig, Server, ServerHandle};
 
 fn start() -> ServerHandle {
@@ -140,6 +141,43 @@ fn hostile_requests_map_to_documented_statuses_and_daemon_survives() {
         summary.ok >= 8,
         "expected the still-alive probes among {summary:?}"
     );
+}
+
+/// A worksheet past the TOML entry cap is refused before the parser's
+/// per-key duplicate scans grow quadratic: a ~900 KB body whose worksheet
+/// holds 70k keys answers 400 promptly, naming the cap, and the daemon
+/// stays up.
+#[test]
+fn worksheet_past_the_entry_cap_is_a_prompt_400() {
+    let handle = start();
+    let mut ws = toml::to_string(&rat_apps::pdf::pdf1d::rat_input(150.0e6)).unwrap();
+    for i in 0..70_000 {
+        ws.push_str(&format!("k_{i} = 1\n"));
+    }
+    let body = format!(
+        "{{\"worksheet_toml\": \"{}\", \"target\": 8.0}}",
+        escape_json(&ws)
+    );
+    assert!(
+        (850_000..MAX_BODY_BYTES).contains(&body.len()),
+        "{} bytes",
+        body.len()
+    );
+    let start = Instant::now();
+    let (status, resp) = post(handle.addr(), "/v1/solve", &body);
+    let elapsed = start.elapsed();
+    assert_eq!(status, 400, "{resp}");
+    let (_, causes) = error_of(&resp);
+    assert!(
+        causes.iter().any(|c| c.contains(&format!(
+            "more than {} keys and table headers",
+            toml::MAX_ENTRIES
+        ))),
+        "the 400 should name the cap: {resp}"
+    );
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    still_alive(&handle, "a worksheet with 70k keys");
+    handle.shutdown();
 }
 
 /// `/v1/optimize` edge shapes: degenerate ranges and bogus axis values are

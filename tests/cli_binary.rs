@@ -106,6 +106,30 @@ fn infeasible_strict_solve_exits_4_with_cause_chain() {
 }
 
 #[test]
+fn undecodable_worksheet_exits_3_with_the_decoder_message() {
+    // A quantity the worksheet decoder cannot read fails before validation,
+    // with the decoder's field path in the one stderr line.
+    let dir = std::env::temp_dir().join(format!("rat-cli-decode-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("parsecs.toml");
+    let text = std::fs::read_to_string(worksheet("pdf1d")).unwrap();
+    let bad = text.replace("fclock = 150000000.0", "fclock = \"150 parsecs\"");
+    assert_ne!(text, bad, "the edit must hit");
+    std::fs::write(&path, bad).unwrap();
+    let path = path.to_string_lossy();
+    let (stdout, stderr, code) = run_rat_env(&["analyze", &path], &[]);
+    assert_eq!(code, 3, "stdout: {stdout}\nstderr: {stderr}");
+    assert_eq!(
+        stderr,
+        format!(
+            "error: parsing {path}: TOML parse error: \
+             comp: fclock: unknown frequency unit `parsecs` in `150 parsecs`\n"
+        )
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
+#[test]
 fn simulation_failure_exits_5_with_cause_chain() {
     // A zero clock is user input the simulator rejects; the CLI must report
     // what it was doing (context) plus the simulator's reason (cause).

@@ -4,13 +4,43 @@
 use rat::core::params::RatInput;
 use rat::core::worksheet::Worksheet;
 
-fn load(name: &str) -> RatInput {
+fn read(name: &str) -> String {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/worksheets/");
-    let text = std::fs::read_to_string(format!("{path}{name}.toml"))
-        .unwrap_or_else(|e| panic!("reading {name}.toml: {e}"));
-    let input: RatInput = toml::from_str(&text).expect("valid worksheet TOML");
+    std::fs::read_to_string(format!("{path}{name}.toml"))
+        .unwrap_or_else(|e| panic!("reading {name}.toml: {e}"))
+}
+
+fn load(name: &str) -> RatInput {
+    let input: RatInput = toml::from_str(&read(name)).expect("valid worksheet TOML");
     input.validate().expect("valid parameters");
     input
+}
+
+/// The writer's golden: re-encoding a shipped worksheet reproduces the file
+/// byte for byte, minus its two leading comment lines.
+#[test]
+fn to_string_reproduces_the_shipped_worksheets() {
+    for name in ["pdf1d", "pdf2d", "md"] {
+        let text = read(name);
+        let (_, body) = text
+            .split_once('\n')
+            .and_then(|(_, rest)| rest.split_once('\n'))
+            .expect("two header lines");
+        assert_eq!(toml::to_string(&load(name)).unwrap(), body, "{name}");
+    }
+}
+
+/// A `u64` above `i64::MAX` is written as a decimal string and reads back.
+#[test]
+fn u64_max_round_trips_as_a_string() {
+    let mut input = load("pdf1d");
+    input.dataset.elements_in = u64::MAX;
+    let text = toml::to_string(&input).unwrap();
+    assert!(
+        text.contains("elements_in = \"18446744073709551615\"\n"),
+        "{text}"
+    );
+    assert_eq!(toml::from_str::<RatInput>(&text).unwrap(), input);
 }
 
 #[test]
