@@ -8,6 +8,11 @@
 //! product, and reports which corners pass, which is cheapest, and whether
 //! the space is exhausted (the paper's "without a satisfactory solution"
 //! outcome, which is itself an answer worth having before RTL).
+//!
+//! The gate is the batched speedup kernel, and its speedups also rank the
+//! passing corners. Only the corners the summary prints, the [`TOP`] fastest
+//! and the cheapest, get a full named [`Report`], so a million-corner space
+//! costs one kernel pass plus at most eleven reports.
 
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
@@ -136,25 +141,31 @@ impl DesignSpace {
     }
 }
 
+/// How many of the fastest passing corners an [`Exploration`] reports.
+pub const TOP: usize = 10;
+
 /// Outcome of exploring a design space against a speedup requirement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exploration {
     /// The speedup requirement applied.
     pub min_speedup: f64,
-    /// Corners that met the requirement, ranked best first.
-    pub passing: Vec<Report>,
+    /// Number of corners that met the requirement.
+    pub passing: usize,
+    /// The fastest passing corners, best first: at most [`TOP`] reports.
+    /// Corners with equal speedups keep enumeration order.
+    pub top: Vec<Report>,
     /// Number of corners that failed.
     pub failing: usize,
     /// The *cheapest* passing corner: lowest `throughput_proc` (parallelism is
     /// the expensive axis), ties broken by lowest clock (timing closure is the
-    /// risky axis). `None` when the space is exhausted.
+    /// risky axis), then by rank. `None` when the space is exhausted.
     pub cheapest: Option<Report>,
 }
 
 impl Exploration {
     /// Whether any corner satisfied the requirement.
     pub fn satisfiable(&self) -> bool {
-        !self.passing.is_empty()
+        self.passing > 0
     }
 
     /// Render a summary.
@@ -162,12 +173,10 @@ impl Exploration {
         let mut t = TextTable::new()
             .title(format!(
                 "Design-space exploration ({} passing, {} failing, target {:.1}x)",
-                self.passing.len(),
-                self.failing,
-                self.min_speedup
+                self.passing, self.failing, self.min_speedup
             ))
             .header(["Corner", "Speedup"]);
-        for r in self.passing.iter().take(10) {
+        for r in &self.top {
             t.row([r.input.name.clone(), format!("{:.2}", r.speedup)]);
         }
         let mut s = t.render();
@@ -186,16 +195,16 @@ impl Exploration {
 
 /// Explore `space` against `min_speedup`.
 ///
-/// Runs in two phases: the whole space is first gated through the batched
-/// SoA kernel — corners partition by buffering discipline (a base-level
-/// property of a batch), and each partition is one
-/// [`solve::batch::speedup_batch_indexed`] call with `f_clock` and
-/// `throughput_proc` columns — and only corners that pass the gate get a
-/// full named [`Report`]. The batch kernel is bit-identical to the scalar
-/// [`solve::speedup_only`] gate it replaced, so the partition is exactly
-/// what the per-corner version computed; on an invalid corner, the
-/// lowest-indexed corner in enumeration order wins error reporting, as
-/// before.
+/// The whole space is gated through the batched SoA kernel: corners
+/// partition by buffering discipline (a base-level property of a batch),
+/// and each partition is one [`solve::batch::speedup_batch_indexed`] call
+/// with `f_clock` and `throughput_proc` columns. The passing corners are
+/// ranked by those speedups, which are bit-identical to the ones a full
+/// [`Report`] would carry, and the cheapest is picked from their
+/// coordinates. Only the [`TOP`] ranked corners and the cheapest get a full
+/// named report, so the cost past the gate does not grow with the space. On
+/// an invalid corner, the lowest-indexed corner in enumeration order wins
+/// error reporting.
 pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, RatError> {
     let _span = crate::telemetry::span("explore");
     if !(min_speedup.is_finite() && min_speedup > 0.0) {
@@ -247,34 +256,33 @@ pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, Rat
     if let Some((_, e)) = first_err {
         return Err(e);
     }
-    let mut scratch = space.base.clone();
-    let mut passing = Vec::new();
-    let mut failing = 0usize;
-    for (corner, &speedup) in corners.iter().zip(&speedups) {
-        if speedup >= min_speedup {
-            scratch.copy_params_from(&space.base);
-            corner.apply_into(&mut scratch);
-            let mut named = scratch.clone();
-            named.name = corner.display_name(&space.base.name);
-            passing.push(Worksheet::new(named).analyze()?);
-        } else {
-            failing += 1;
-        }
-    }
-    passing.sort_by(|a, b| b.speedup.total_cmp(&a.speedup));
-    let cheapest = passing
-        .iter()
-        .min_by(|a, b| {
-            (a.input.comp.throughput_proc, a.input.comp.fclock)
-                .partial_cmp(&(b.input.comp.throughput_proc, b.input.comp.fclock))
-                .expect("finite by validation")
-        })
-        .cloned();
+    // Passing corners best first; the sort is stable, so ties keep
+    // enumeration order.
+    let mut ranked: Vec<usize> = (0..corners.len())
+        .filter(|&i| speedups[i] >= min_speedup)
+        .collect();
+    ranked.sort_by(|&a, &b| speedups[b].total_cmp(&speedups[a]));
+    // `min_by` keeps the first of equal minima, i.e. the best ranked.
+    let cheapest = ranked.iter().copied().min_by(|&a, &b| {
+        let key = |i: usize| (corners[i].throughput_proc, corners[i].fclock_hz);
+        key(a).partial_cmp(&key(b)).expect("finite by validation")
+    });
+    let report = |i: usize| {
+        let mut named = space.base.clone();
+        corners[i].apply_into(&mut named);
+        named.name = corners[i].display_name(&space.base.name);
+        Worksheet::new(named).analyze()
+    };
     Ok(Exploration {
         min_speedup,
-        passing,
-        failing,
-        cheapest,
+        passing: ranked.len(),
+        top: ranked
+            .iter()
+            .take(TOP)
+            .map(|&i| report(i))
+            .collect::<Result<_, _>>()?,
+        failing: corners.len() - ranked.len(),
+        cheapest: cheapest.map(report).transpose()?,
     })
 }
 
@@ -310,13 +318,15 @@ mod tests {
     #[test]
     fn exploration_partitions_the_space() {
         let e = explore(&space(), 10.0).unwrap();
-        assert_eq!(e.passing.len() + e.failing, 18);
+        assert_eq!(e.passing + e.failing, 18);
         assert!(e.satisfiable());
-        // Every passing corner genuinely meets the bar; ranking is descending.
-        for r in &e.passing {
+        assert_eq!(e.top.len(), e.passing.min(TOP));
+        // Every reported corner genuinely meets the bar; ranking is
+        // descending.
+        for r in &e.top {
             assert!(r.speedup >= 10.0);
         }
-        for w in e.passing.windows(2) {
+        for w in e.top.windows(2) {
             assert!(w[0].speedup >= w[1].speedup);
         }
     }
@@ -372,7 +382,7 @@ mod tests {
         let s = space();
         let eager_names: Vec<String> = s.corners().into_iter().map(|c| c.name).collect();
         let e = explore(&s, 10.0).unwrap();
-        for r in &e.passing {
+        for r in e.top.iter().chain(&e.cheapest) {
             assert!(
                 eager_names.contains(&r.input.name),
                 "unknown corner name {:?}",
@@ -380,6 +390,71 @@ mod tests {
             );
             let full = Worksheet::new(r.input.clone()).analyze().unwrap();
             assert_eq!(full.speedup, r.speedup);
+        }
+    }
+
+    /// The exploration a full report per passing corner gives: rank the
+    /// reports by speedup (stable), take the cheapest with `min_by`.
+    fn explore_reference(space: &DesignSpace, min_speedup: f64) -> Exploration {
+        let corners = space.corners();
+        let total = corners.len();
+        let mut passing: Vec<Report> = corners
+            .into_iter()
+            .map(|c| Worksheet::new(c).analyze().unwrap())
+            .filter(|r| r.speedup >= min_speedup)
+            .collect();
+        passing.sort_by(|a, b| b.speedup.total_cmp(&a.speedup));
+        let cheapest = passing
+            .iter()
+            .min_by(|a, b| {
+                (a.input.comp.throughput_proc, a.input.comp.fclock)
+                    .partial_cmp(&(b.input.comp.throughput_proc, b.input.comp.fclock))
+                    .unwrap()
+            })
+            .cloned();
+        Exploration {
+            min_speedup,
+            passing: passing.len(),
+            failing: total - passing.len(),
+            top: passing.into_iter().take(TOP).collect(),
+            cheapest,
+        }
+    }
+
+    #[test]
+    fn matches_a_full_report_per_passing_corner() {
+        use rand::{Rng, SeedableRng};
+        // A few values per axis, drawn with repeats, so corners tie exactly
+        // on speedup; throughputs up to 120 ops/cycle make double-buffered
+        // corners communication-bound, where distinct corners tie too.
+        let clocks = [50.0e6, 100.0e6, 150.0e6, 1.0e9, 1.5e9];
+        let tps = [4.0, 10.0, 20.0, 24.0, 80.0, 120.0];
+        for seed in 0..64u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut draw = |axis: &[f64]| -> Vec<f64> {
+                let n = rng.gen_range(1..=8);
+                (0..n).map(|_| axis[rng.gen_range(0..axis.len())]).collect()
+            };
+            let fclocks = draw(&clocks);
+            let throughput_procs = draw(&tps);
+            let bufferings = match seed % 3 {
+                0 => vec![Buffering::Single, Buffering::Double],
+                1 => vec![Buffering::Double, Buffering::Single, Buffering::Double],
+                _ => Vec::new(),
+            };
+            let s = DesignSpace {
+                base: pdf1d_example(),
+                fclocks,
+                throughput_procs,
+                bufferings,
+            };
+            for min_speedup in [1.0, 8.0, 12.0, 200.0, 1.0e6] {
+                assert_eq!(
+                    explore(&s, min_speedup).unwrap(),
+                    explore_reference(&s, min_speedup),
+                    "seed {seed}, target {min_speedup}"
+                );
+            }
         }
     }
 

@@ -40,13 +40,24 @@ pub struct ResourceReport {
     pub routing_strain: bool,
 }
 
+/// The DSP, block-RAM and logic utilization fractions of `estimate` on
+/// `device`, and whether all three fit (each at most 1). Reads the device
+/// by reference, so a search can gate candidates without building a
+/// [`ResourceReport`].
+pub(crate) fn utilization(device: &FpgaDevice, estimate: &ResourceEstimate) -> ([f64; 3], bool) {
+    let dsp = f64::from(estimate.dsp) / f64::from(device.dsp_blocks);
+    let bram = f64::from(estimate.bram) / f64::from(device.bram_blocks);
+    let logic = estimate.logic as f64 / device.logic_cells as f64;
+    (
+        [dsp, bram, logic],
+        dsp <= 1.0 && bram <= 1.0 && logic <= 1.0,
+    )
+}
+
 impl ResourceReport {
     /// Run the resource test: compare `estimate` against `device`.
     pub fn analyze(device: FpgaDevice, estimate: ResourceEstimate) -> Self {
-        let dsp_util = f64::from(estimate.dsp) / f64::from(device.dsp_blocks);
-        let bram_util = f64::from(estimate.bram) / f64::from(device.bram_blocks);
-        let logic_util = estimate.logic as f64 / device.logic_cells as f64;
-        let fits = dsp_util <= 1.0 && bram_util <= 1.0 && logic_util <= 1.0;
+        let ([dsp_util, bram_util, logic_util], fits) = utilization(&device, &estimate);
         Self {
             device,
             estimate,

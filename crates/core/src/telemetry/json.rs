@@ -71,12 +71,19 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the cap bounds its stack use on untrusted input (and
+/// the recursive drop of the tree it builds). Request bodies nest three
+/// levels at most.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document. Errors carry the byte offset and a short
 /// description.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -90,6 +97,8 @@ pub fn parse(text: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -123,8 +132,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -136,6 +145,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
@@ -330,6 +354,21 @@ mod tests {
     fn unescapes_unicode_and_utf8_passthrough() {
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
         assert_eq!(parse("\"héllo\"").unwrap(), Json::Str("héllo".into()));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains(&format!("deeper than {MAX_DEPTH}")), "{err}");
+        // Objects count too, mixed with arrays.
+        assert!(parse(&nest("{\"a\":[", "]}", MAX_DEPTH / 2)).is_ok());
+        assert!(parse(&nest("{\"a\":[", "]}", MAX_DEPTH / 2 + 1)).is_err());
+        // Far past the cap fails fast instead of exhausting the stack.
+        assert!(parse(&nest("[", "]", 200_000)).is_err());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! count. These tests are the contract's enforcement: property tests drive
 //! random (input, parameter, values) triples through both paths and compare
 //! `f64::to_bits`, and deterministic tests walk the chunk-boundary sizes
-//! (1, CHUNK-1, CHUNK, CHUNK+1) across 1/2/8-thread engines.
+//! (1, CHUNK-1, CHUNK, CHUNK+1) across 1/2/8-thread engines. The
+//! prediction-only kernel (`predict_batch`) is held to the `throughput`
+//! field of the full reports the same way.
 
 use proptest::prelude::*;
 use rat_core::engine::{Engine, EngineConfig};
@@ -13,8 +15,11 @@ use rat_core::params::{
     Buffering, CommParams, CompParams, DatasetParams, RatInput, SoftwareParams,
 };
 use rat_core::quantity::{Freq, Seconds, Throughput};
-use rat_core::solve::batch::{solve_batch, speedup_batch, BatchPoints, CHUNK};
+use rat_core::solve::batch::{
+    predict_batch, predict_batch_with, solve_batch, speedup_batch, BatchPoints, CHUNK,
+};
 use rat_core::sweep::{sweep_with, SweepParam};
+use rat_core::throughput::ThroughputPrediction;
 use rat_core::uncertainty::{propagate_with, ParamRange};
 use rat_core::{solve, Worksheet};
 
@@ -169,6 +174,31 @@ proptest! {
         }
     }
 
+    /// `predict_batch` returns exactly the bits of each full report's
+    /// `throughput`, for every parameter variant, one column or two.
+    #[test]
+    fn predictions_are_bit_identical_to_report_throughput(
+        input in worksheet(),
+        (pa, va) in param_and_values(1..48usize),
+        (pb, _) in param_and_values(1usize..2),
+        stacked in any::<bool>(),
+    ) {
+        let va = clamp_for(pa, &input, va);
+        let mut batch = BatchPoints::new(&input, va.len());
+        batch.push_column(pa, va.clone());
+        if stacked {
+            // Shrinks each point's current value, as in the stacked test.
+            let vb: Vec<f64> = va.iter().map(|&v| pb.read(&pa.apply(&input, v)) * 0.75).collect();
+            batch.push_column(pb, vb);
+        }
+        let predictions = predict_batch(&batch).unwrap();
+        let reports = solve_batch(&batch).unwrap();
+        prop_assert_eq!(predictions.len(), reports.len());
+        for (i, (p, r)) in predictions.iter().zip(&reports).enumerate() {
+            prop_assert_eq!(bits(p), bits(&r.throughput), "{:?} at index {}", pa, i);
+        }
+    }
+
     /// An invalid point surfaces the same error message the scalar path
     /// produces, and the *first* (lowest-index) invalid point wins.
     #[test]
@@ -189,6 +219,23 @@ proptest! {
             .unwrap_err();
         prop_assert_eq!(got.to_string(), want.to_string());
     }
+}
+
+/// Every field of a prediction, floats as raw bits.
+fn bits(p: &ThroughputPrediction) -> ([u64; 8], Buffering) {
+    (
+        [
+            p.t_write.seconds().to_bits(),
+            p.t_read.seconds().to_bits(),
+            p.t_comm.seconds().to_bits(),
+            p.t_comp.seconds().to_bits(),
+            p.t_rc.seconds().to_bits(),
+            p.speedup.to_bits(),
+            p.util_comm.to_bits(),
+            p.util_comp.to_bits(),
+        ],
+        p.buffering,
+    )
 }
 
 /// The engines the thread-count sweeps run on: serial, 2-way, 8-way.
@@ -269,6 +316,40 @@ fn uncertainty_is_bitwise_stable_across_chunk_seams_and_threads() {
                 "samples={samples} at {} jobs",
                 engine.config().jobs
             );
+        }
+    }
+}
+
+#[test]
+fn predictions_are_bitwise_stable_across_chunk_seams_and_threads() {
+    for buffering in [Buffering::Single, Buffering::Double] {
+        let input = pdf1d().with_buffering(buffering);
+        for n in [1usize, CHUNK - 1, CHUNK, CHUNK + 1] {
+            let fclock: Vec<f64> = (0..n)
+                .map(|i| 5.0e7 + 2.0e8 * (i as f64 / n.max(2) as f64))
+                .collect();
+            let tp: Vec<f64> = (0..n).map(|i| 1.0 + (i % 97) as f64).collect();
+            let mut batch = BatchPoints::new(&input, n);
+            batch.push_column(SweepParam::Fclock, &fclock[..]);
+            batch.push_column(SweepParam::ThroughputProc, &tp[..]);
+            let want: Vec<_> = solve_batch(&batch)
+                .unwrap()
+                .iter()
+                .map(|r| bits(&r.throughput))
+                .collect();
+            for engine in engines() {
+                let got: Vec<_> = predict_batch_with(&engine, &batch)
+                    .unwrap()
+                    .iter()
+                    .map(bits)
+                    .collect();
+                assert_eq!(
+                    got,
+                    want,
+                    "{buffering:?} n={n} at {} jobs",
+                    engine.config().jobs
+                );
+            }
         }
     }
 }

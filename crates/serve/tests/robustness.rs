@@ -180,6 +180,47 @@ fn worksheet_past_the_entry_cap_is_a_prompt_400() {
     handle.shutdown();
 }
 
+/// Bodies nested far past the parsers' depth caps are 400s naming the cap,
+/// not a worker thread overflowing its stack and aborting the daemon: a
+/// JSON body of 200k `[` then 200k `]`, and a worksheet holding an array
+/// nested 200k deep. `/healthz` and a solve still answer afterwards.
+#[test]
+fn deeply_nested_bodies_are_a_400_and_the_daemon_lives() {
+    let handle = start();
+    let deep = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let (status, resp) = post(handle.addr(), "/v1/solve", &deep(200_000));
+    assert_eq!(status, 400, "{resp}");
+    let (_, causes) = error_of(&resp);
+    let json_cap = format!(
+        "deeper than {} levels",
+        rat_core::telemetry::json::MAX_DEPTH
+    );
+    assert!(
+        causes.iter().any(|c| c.contains(&json_cap)),
+        "the 400 should name the cap: {resp}"
+    );
+
+    let mut ws = toml::to_string(&rat_apps::pdf::pdf1d::rat_input(150.0e6)).unwrap();
+    ws.push_str(&format!("x = {}\n", deep(200_000)));
+    let body = format!(
+        "{{\"worksheet_toml\": \"{}\", \"target\": 8.0}}",
+        escape_json(&ws)
+    );
+    let (status, resp) = post(handle.addr(), "/v1/solve", &body);
+    assert_eq!(status, 400, "{resp}");
+    let (_, causes) = error_of(&resp);
+    let toml_cap = format!("nested deeper than {} levels", toml::MAX_DEPTH);
+    assert!(
+        causes.iter().any(|c| c.contains(&toml_cap)),
+        "the 400 should name the cap: {resp}"
+    );
+
+    let (status, resp) = get(handle.addr(), "/healthz");
+    assert_eq!(status, 200, "{resp}");
+    still_alive(&handle, "deeply nested bodies");
+    handle.shutdown();
+}
+
 /// `/v1/optimize` edge shapes: degenerate ranges and bogus axis values are
 /// 400s naming the field, an all-infeasible space is a 422 whose cause
 /// chain names the resource test, and a legal single-candidate space still

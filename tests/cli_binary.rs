@@ -130,6 +130,36 @@ fn undecodable_worksheet_exits_3_with_the_decoder_message() {
 }
 
 #[test]
+fn deeply_nested_worksheets_exit_3_naming_the_cap() {
+    // Nesting far past the TOML parser's caps is a parse error (exit 3),
+    // not a stack overflow (exit 134): an array 200k levels deep, and a
+    // table header of 300k dotted parts.
+    let dir = std::env::temp_dir().join(format!("rat-cli-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = std::fs::read_to_string(worksheet("pdf1d")).unwrap();
+    let cases = [
+        (
+            "array.toml",
+            format!("{text}x = {}{}\n", "[".repeat(200_000), "]".repeat(200_000)),
+            format!("nested deeper than {} levels", toml::MAX_DEPTH),
+        ),
+        (
+            "header.toml",
+            format!("{text}[{}]\n", vec!["a"; 300_000].join(".")),
+            format!("more than {} parts in a dotted key", toml::MAX_DEPTH),
+        ),
+    ];
+    for (name, body, cap) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let (stdout, stderr, code) = run_rat_env(&["analyze", &path.to_string_lossy()], &[]);
+        assert_eq!(code, 3, "{name}: stdout: {stdout}\nstderr: {stderr}");
+        assert!(stderr.contains(&cap), "{name}: {stderr}");
+        assert!(stdout.is_empty(), "{name}: {stdout}");
+    }
+}
+
+#[test]
 fn simulation_failure_exits_5_with_cause_chain() {
     // A zero clock is user input the simulator rejects; the CLI must report
     // what it was doing (context) plus the simulator's reason (cause).
