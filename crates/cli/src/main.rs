@@ -14,21 +14,30 @@
 //! rat example-worksheet                    print a starter worksheet
 //! ```
 //!
-//! The analysis renderers live in `rat_serve::api` and are shared with the
-//! `rat serve` daemon, so a server response body is byte-identical to this
-//! CLI's stdout for the same request (see DESIGN.md §14).
+//! The six analysis modes `rat serve` also answers (solve, sweep,
+//! sensitivity, uncertainty, explore, optimize) build the daemon's
+//! `rat_serve::api::ApiRequest` from argv and run it through
+//! `rat_serve::api::handle`, so a server response body is byte-identical to
+//! this CLI's stdout for the same request (see DESIGN.md §14).
 
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
+// Every byte of stdout goes through `write_stdout`, which turns a closed
+// pipe into a quiet exit instead of a `println!` panic.
+#![warn(clippy::print_stdout)]
 
+use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use rat_core::engine::{Engine, EngineConfig};
-use rat_core::params::RatInput;
+use rat_core::params::{Buffering, RatInput};
 use rat_core::quantity::Freq;
 use rat_core::sweep::SweepParam;
 use rat_core::telemetry;
+use rat_core::uncertainty::ParamRange;
 use rat_core::worksheet::Worksheet;
 use rat_core::RatError;
+use rat_serve::api::{self, ApiError, ApiRequest, ModeError, OptimizeSpec};
 
 /// A CLI failure: a command-line usage problem, a worksheet I/O or parse
 /// failure, or an error from the model pipeline — each class mapped to a
@@ -61,18 +70,11 @@ enum CliError {
         /// The deserializer's message (already names the offending field).
         message: String,
     },
-    /// The model pipeline rejected the inputs or failed while running.
-    Rat(RatError),
-    /// A model-pipeline error with CLI-level context (what the CLI was doing
-    /// when it failed). The underlying [`RatError`] stays on the source chain
-    /// — and keeps determining the exit code — so `caused by:` rendering
-    /// shows both layers.
-    Context {
-        /// What the CLI was attempting.
-        context: String,
-        /// The pipeline failure underneath.
-        source: RatError,
-    },
+    /// The model pipeline rejected the inputs or failed while running: the
+    /// same error `rat serve` answers with. A context line (what was being
+    /// attempted) renders as the `error:` line with the [`RatError`] on the
+    /// `caused by:` chain; the [`RatError`] decides the exit code.
+    Mode(ModeError),
     /// The `RAT_SIM_CACHE` persistence path cannot be opened for writing.
     /// Surfaced up front (before any simulation) instead of silently losing
     /// cache writes at the end of the run.
@@ -82,6 +84,9 @@ enum CliError {
         /// Underlying filesystem error, rendered via the source chain.
         source: std::io::Error,
     },
+    /// Writing the output to stdout failed. A `BrokenPipe` (the reader
+    /// stopped early, as in `rat ... | head`) ends the run quietly, exit 0.
+    Stdout(std::io::Error),
 }
 
 impl CliError {
@@ -94,13 +99,13 @@ impl CliError {
         match self {
             CliError::Usage(_) => 2,
             CliError::Parse { .. } => 3,
-            CliError::Rat(e) | CliError::Context { source: e, .. } => match e {
+            CliError::Mode(m) => match m.source {
                 RatError::InvalidParameter(_) | RatError::InvalidQuantity { .. } => 3,
                 RatError::Infeasible(_) => 4,
                 RatError::Simulation(_) => 5,
                 RatError::CacheIo(_) => 6,
             },
-            CliError::Io { .. } | CliError::CacheEnv { .. } => 6,
+            CliError::Io { .. } | CliError::CacheEnv { .. } | CliError::Stdout(_) => 6,
         }
     }
 }
@@ -111,11 +116,11 @@ impl std::fmt::Display for CliError {
             CliError::Usage(msg) => write!(f, "{msg}"),
             CliError::Io { path, .. } => write!(f, "reading {path}"),
             CliError::Parse { path, message } => write!(f, "parsing {path}: {message}"),
-            CliError::Rat(e) => write!(f, "{e}"),
-            CliError::Context { context, .. } => write!(f, "{context}"),
+            CliError::Mode(m) => write!(f, "{m}"),
             CliError::CacheEnv { path, .. } => {
                 write!(f, "opening simulator cache (RAT_SIM_CACHE) at {path}")
             }
+            CliError::Stdout(_) => write!(f, "writing to stdout"),
         }
     }
 }
@@ -123,8 +128,10 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Io { source, .. } | CliError::CacheEnv { source, .. } => Some(source),
-            CliError::Context { source, .. } => Some(source),
+            CliError::Io { source, .. }
+            | CliError::CacheEnv { source, .. }
+            | CliError::Stdout(source) => Some(source),
+            CliError::Mode(m) => std::error::Error::source(m),
             _ => None,
         }
     }
@@ -132,21 +139,19 @@ impl std::error::Error for CliError {
 
 impl From<RatError> for CliError {
     fn from(e: RatError) -> Self {
-        CliError::Rat(e)
+        CliError::Mode(e.into())
     }
 }
 
-/// Map a shared-API mode error onto the CLI taxonomy: the context line (if
-/// any) becomes the `error:` line and the [`RatError`] stays on the source
-/// chain, exactly as [`CliError::Context`] renders it.
-impl From<rat_serve::api::ModeError> for CliError {
-    fn from(e: rat_serve::api::ModeError) -> Self {
-        match e.context {
-            Some(context) => CliError::Context {
-                context,
-                source: e.source,
-            },
-            None => CliError::Rat(e.source),
+/// A failure from the shared runner: a pipeline failure keeps its context
+/// line and exit code, and a malformed request is a usage error whose
+/// message is the cause `rat serve` puts in its 400 body.
+impl From<ApiError> for CliError {
+    fn from(e: ApiError) -> Self {
+        match e {
+            ApiError::Mode(m) => CliError::Mode(m),
+            ApiError::BadRequest { cause, .. } => CliError::Usage(cause),
+            other => CliError::Usage(other.message()),
         }
     }
 }
@@ -183,13 +188,15 @@ fn main() -> ExitCode {
             vec![("command", telemetry::ArgValue::Str(command))],
         );
         dispatch(&engine, &flags.rest)
-    };
+    }
+    .and_then(|output| write_stdout(&output));
     let code = match result {
-        Ok(output) => {
-            println!("{output}");
+        Ok(()) => {
             report_engine_stats(&engine);
             ExitCode::SUCCESS
         }
+        // The reader stopped early (`rat ... | head`): nothing went wrong.
+        Err(CliError::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(err) => {
             report_error(&err);
             ExitCode::from(err.exit_code())
@@ -208,6 +215,15 @@ fn main() -> ExitCode {
     }
     flush_global_cache();
     code
+}
+
+/// Write `text` and a newline to stdout through one locked handle, flushed,
+/// so a write failure is an error value rather than a `println!` panic.
+fn write_stdout(text: &str) -> Result<(), CliError> {
+    let mut out = std::io::stdout().lock();
+    writeln!(out, "{text}")
+        .and_then(|()| out.flush())
+        .map_err(CliError::Stdout)
 }
 
 /// Write the global simulator cache's batched inserts to disk. The global
@@ -319,30 +335,18 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "--jobs" {
-            let n = it
-                .next()
-                .ok_or_else(|| CliError::usage("--jobs needs a thread count"))?;
-            flags.config = flags.config.with_jobs(
-                n.parse()
-                    .map_err(|e| CliError::usage(format!("bad --jobs value '{n}': {e}")))?,
-            );
+            flags.config = flags.config.with_jobs(flag_value(&mut it, a)?);
         } else if let Some(n) = a.strip_prefix("--jobs=") {
-            flags.config = flags.config.with_jobs(
-                n.parse()
-                    .map_err(|e| CliError::usage(format!("bad --jobs value '{n}': {e}")))?,
-            );
+            flags.config = flags.config.with_jobs(parse_arg("--jobs value", n)?);
         } else if a == "--no-cache" {
             flags.no_cache = true;
         } else if a == "--metrics" {
             flags.metrics = true;
         } else if a == "--profile" {
-            let p = it
-                .next()
-                .ok_or_else(|| CliError::usage("--profile needs an output path"))?;
-            flags.profile = Some(p.clone());
+            flags.profile = Some(flag_value(&mut it, a)?);
         } else if let Some(p) = a.strip_prefix("--profile=") {
             if p.is_empty() {
-                return Err(CliError::usage("--profile needs an output path"));
+                return Err(CliError::usage("--profile needs a value"));
             }
             flags.profile = Some(p.to_string());
         } else {
@@ -390,190 +394,15 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             }
             Ok(out)
         }
-        "solve" => {
-            let strict = args.iter().any(|a| a == "--strict");
-            let pos: Vec<&String> = args[1..].iter().filter(|a| *a != "--strict").collect();
-            let input = load_worksheet(pos.first().copied())?;
-            let target: f64 = pos
-                .get(1)
-                .ok_or_else(|| CliError::usage("solve needs a target speedup"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad target speedup: {e}")))?;
-            if strict {
-                Ok(rat_serve::api::solve_report_strict(&input, target)?)
-            } else {
-                Ok(rat_serve::api::solve_report(&input, target))
-            }
-        }
-        "sweep" => {
-            let input = load_worksheet(args.get(1))?;
-            let param = parse_param(args.get(2).map(String::as_str).unwrap_or(""))?;
-            let values: Vec<f64> = args[3..]
-                .iter()
-                .map(|v| {
-                    v.parse()
-                        .map_err(|e| CliError::usage(format!("bad sweep value '{v}': {e}")))
-                })
-                .collect::<Result<_, _>>()?;
-            if values.is_empty() {
-                return Err(CliError::usage("sweep needs at least one value"));
-            }
-            Ok(rat_serve::api::sweep_report(
-                engine, &input, param, &values,
-            )?)
-        }
-        "sensitivity" => {
-            let input = load_worksheet(args.get(1))?;
-            Ok(rat_serve::api::sensitivity_report(engine, &input)?)
-        }
-        "explore" => {
-            let input = load_worksheet(args.get(1))?;
-            let min_speedup: f64 = args
-                .get(2)
-                .ok_or_else(|| CliError::usage("explore needs a minimum speedup"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad minimum speedup: {e}")))?;
-            let mut fclocks = None;
-            let mut throughput_procs = None;
-            let mut bufferings = None;
-            let mut it = args.iter().skip(3);
-            while let Some(a) = it.next() {
-                let mut take = |flag: &str| {
-                    it.next()
-                        .ok_or_else(|| CliError::usage(format!("{flag} needs a value list")))
-                };
-                match a.as_str() {
-                    "--fclocks" => fclocks = Some(parse_f64_csv(take("--fclocks")?)?),
-                    "--throughput-procs" => {
-                        throughput_procs = Some(parse_f64_csv(take("--throughput-procs")?)?)
-                    }
-                    "--bufferings" => {
-                        bufferings = Some(
-                            take("--bufferings")?
-                                .split(',')
-                                .map(|b| {
-                                    rat_serve::api::parse_buffering(b.trim())
-                                        .map_err(CliError::usage)
-                                })
-                                .collect::<Result<Vec<_>, _>>()?,
-                        )
-                    }
-                    other => {
-                        return Err(CliError::usage(format!("unknown explore flag '{other}'")))
-                    }
-                }
-            }
-            Ok(rat_serve::api::explore_report(
-                &input,
-                min_speedup,
-                fclocks,
-                throughput_procs,
-                bufferings,
-            )?)
-        }
-        "optimize" => {
-            let input = load_worksheet(args.get(1))?;
-            let mut spec = rat_serve::api::OptimizeSpec::default();
-            let mut it = args.iter().skip(2);
-            while let Some(a) = it.next() {
-                let mut take = |flag: &str| {
-                    it.next()
-                        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-                };
-                let parse_range = |flag: &str, text: &str| -> Result<(f64, f64), CliError> {
-                    let v = parse_f64_csv(text)?;
-                    if v.len() != 2 {
-                        return Err(CliError::usage(format!(
-                            "{flag} needs a lo,hi pair, got {} value(s)",
-                            v.len()
-                        )));
-                    }
-                    Ok((v[0], v[1]))
-                };
-                match a.as_str() {
-                    "--seed" => {
-                        spec.seed = Some(
-                            take("--seed")?
-                                .parse()
-                                .map_err(|e| CliError::usage(format!("bad --seed value: {e}")))?,
-                        )
-                    }
-                    "--generations" => {
-                        spec.generations = Some(take("--generations")?.parse().map_err(|e| {
-                            CliError::usage(format!("bad --generations value: {e}"))
-                        })?)
-                    }
-                    "--population" => {
-                        spec.population =
-                            Some(take("--population")?.parse().map_err(|e| {
-                                CliError::usage(format!("bad --population value: {e}"))
-                            })?)
-                    }
-                    "--fclock-range" => {
-                        spec.fclock_range =
-                            Some(parse_range("--fclock-range", take("--fclock-range")?)?)
-                    }
-                    "--throughput-range" => {
-                        spec.throughput_range = Some(parse_range(
-                            "--throughput-range",
-                            take("--throughput-range")?,
-                        )?)
-                    }
-                    "--bufferings" => {
-                        spec.bufferings = Some(
-                            take("--bufferings")?
-                                .split(',')
-                                .map(|b| {
-                                    rat_serve::api::parse_buffering(b.trim())
-                                        .map_err(CliError::usage)
-                                })
-                                .collect::<Result<Vec<_>, _>>()?,
-                        )
-                    }
-                    "--devices" => {
-                        spec.devices = Some(
-                            take("--devices")?
-                                .split(',')
-                                .map(|d| d.trim().to_string())
-                                .collect(),
-                        )
-                    }
-                    "--precision-bits" => {
-                        spec.precision_bits = Some(
-                            take("--precision-bits")?
-                                .split(',')
-                                .map(|b| {
-                                    b.trim().parse().map_err(|e| {
-                                        CliError::usage(format!(
-                                            "bad --precision-bits value '{b}': {e}"
-                                        ))
-                                    })
-                                })
-                                .collect::<Result<Vec<u32>, _>>()?,
-                        )
-                    }
-                    other => {
-                        return Err(CliError::usage(format!("unknown optimize flag '{other}'")))
-                    }
-                }
-            }
-            Ok(
-                rat_serve::api::optimize_report(engine, &input, &spec).map_err(|e| {
-                    rat_serve::api::ModeError::with_context(
-                        format!("running optimize for worksheet '{}'", input.name),
-                        e,
-                    )
-                })?,
-            )
+        "solve" | "sweep" | "sensitivity" | "uncertainty" | "explore" | "optimize" => {
+            let req = mode_request(cmd, &args[1..])?;
+            Ok(api::handle(engine, &req, None)?.report)
         }
         "multi-fpga" => {
             let input = load_worksheet(args.get(1))?;
             let max: u32 = args
                 .get(2)
-                .map(|v| {
-                    v.parse()
-                        .map_err(|e| CliError::usage(format!("bad device count: {e}")))
-                })
+                .map(|v| parse_arg("device count", v))
                 .transpose()?
                 .unwrap_or(16);
             let curve = rat_core::multifpga::scaling_curve_with(engine, &input, max)?;
@@ -596,35 +425,6 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             };
             let s = rat_core::streaming::analyze(&input, duplex)?;
             Ok(s.render())
-        }
-        "uncertainty" => {
-            let input = load_worksheet(args.get(1))?;
-            // Ranges as triples: <param> <lo> <hi> ...
-            let mut ranges = Vec::new();
-            let mut rest = &args[2..];
-            while rest.len() >= 3 {
-                let param = parse_param(&rest[0])?;
-                let lo: f64 = rest[1]
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("bad range low '{}': {e}", rest[1])))?;
-                let hi: f64 = rest[2]
-                    .parse()
-                    .map_err(|e| CliError::usage(format!("bad range high '{}': {e}", rest[2])))?;
-                ranges.push(rat_core::uncertainty::ParamRange::new(param, lo, hi));
-                rest = &rest[3..];
-            }
-            if ranges.is_empty() {
-                return Err(CliError::usage(
-                    "uncertainty needs at least one <param> <lo> <hi> triple",
-                ));
-            }
-            Ok(rat_serve::api::uncertainty_report(
-                engine,
-                &input,
-                &ranges,
-                rat_serve::api::DEFAULT_MC_SAMPLES,
-                engine.config().root_seed,
-            )?)
         }
         "microbench" => {
             let spec = parse_platform(args.get(1).map(String::as_str).unwrap_or(""))?;
@@ -659,45 +459,44 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
         }
         "trace" => {
             let app = args.get(1).map(String::as_str);
-            // Optional `--mhz <v>` overrides the case study's tuned clock; the
-            // override is user input, so simulator rejections (e.g. a zero or
-            // negative clock) surface as exit-code-5 errors with context
-            // rather than panics.
+            // Optional `--mhz <v>` overrides the case study's tuned clock. It
+            // passes the clock check `POST /v1/simulate` makes, so an
+            // out-of-band clock or a simulator rejection exits 5 with
+            // context rather than panicking.
             let mut mhz_override = None;
             let mut it = args.iter().skip(2);
             while let Some(a) = it.next() {
                 if a == "--mhz" {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::usage("--mhz needs a frequency in MHz"))?;
-                    mhz_override = Some(
-                        v.parse::<f64>()
-                            .map_err(|e| CliError::usage(format!("bad --mhz value '{v}': {e}")))?,
-                    );
+                    mhz_override = Some(flag_value(&mut it, a)?);
                 }
             }
-            let (name, default_hz, t_soft) = match app {
-                Some("pdf1d") => ("pdf1d", 150.0e6, rat_apps::pdf::pdf1d::T_SOFT),
-                Some("pdf2d") => ("pdf2d", 150.0e6, rat_apps::pdf::pdf2d::T_SOFT),
-                Some("md") => ("md", 100.0e6, rat_apps::md::rat::T_SOFT),
-                Some("sort") => ("sort", 150.0e6, rat_apps::sort::rat::T_SOFT),
+            let (name, default_mhz, t_soft) = match app {
+                Some("pdf1d") => ("pdf1d", 150.0, rat_apps::pdf::pdf1d::T_SOFT),
+                Some("pdf2d") => ("pdf2d", 150.0, rat_apps::pdf::pdf2d::T_SOFT),
+                Some("md") => ("md", 100.0, rat_apps::md::rat::T_SOFT),
+                Some("sort") => ("sort", 150.0, rat_apps::sort::rat::T_SOFT),
                 other => {
                     return Err(CliError::usage(format!(
                         "trace needs a case study (pdf1d|pdf2d|md|sort), got {other:?}"
                     )))
                 }
             };
-            let fclk = mhz_override.map_or(default_hz, |mhz| mhz * 1.0e6);
+            let mhz: f64 = mhz_override.unwrap_or(default_mhz);
+            let fclk = mhz * 1.0e6;
+            let simulating = |source: RatError| {
+                CliError::Mode(ModeError::with_context(
+                    format!("simulating {name} at {:.1} MHz", fclk / 1.0e6),
+                    source,
+                ))
+            };
+            api::check_clock_mhz(mhz).map_err(simulating)?;
             let measurement = match name {
                 "pdf1d" => rat_apps::pdf::pdf1d::design().try_simulate(fclk),
                 "pdf2d" => rat_apps::pdf::pdf2d::design().try_simulate(fclk),
                 "md" => rat_apps::md::hw::MdDesign::paper_scale_analytic().try_simulate(fclk),
                 _ => rat_apps::sort::rat::design().try_simulate(fclk),
             }
-            .map_err(|e| CliError::Context {
-                context: format!("simulating {name} at {:.1} MHz", fclk / 1.0e6),
-                source: e.into(),
-            })?;
+            .map_err(|e| simulating(e.into()))?;
             let csv = args.iter().any(|a| a == "--csv");
             if csv {
                 Ok(measurement.trace.to_csv())
@@ -736,16 +535,9 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
         }
         "breakeven" => {
             let input = load_worksheet(args.get(1))?;
-            let dev_hours: f64 = args
-                .get(2)
-                .ok_or_else(|| CliError::usage("breakeven needs <dev-hours> <runs-per-day>"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad dev-hours: {e}")))?;
-            let runs_per_day: f64 = args
-                .get(3)
-                .ok_or_else(|| CliError::usage("breakeven needs <dev-hours> <runs-per-day>"))?
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad runs-per-day: {e}")))?;
+            let missing = || CliError::usage("breakeven needs <dev-hours> <runs-per-day>");
+            let dev_hours: f64 = parse_arg("dev-hours", args.get(2).ok_or_else(missing)?)?;
+            let runs_per_day: f64 = parse_arg("runs-per-day", args.get(3).ok_or_else(missing)?)?;
             let cost = rat_core::breakeven::MigrationCost {
                 development_hours: dev_hours,
                 runs_per_day,
@@ -806,36 +598,18 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             };
             let mut it = args.iter().skip(1);
             while let Some(a) = it.next() {
-                let mut take = |flag: &str| {
-                    it.next()
-                        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-                };
                 match a.as_str() {
-                    "--port" => {
-                        let v = take("--port")?;
-                        config.port = v
-                            .parse()
-                            .map_err(|e| CliError::usage(format!("bad --port value '{v}': {e}")))?;
-                    }
-                    "--addr" => config.addr = take("--addr")?.clone(),
-                    "--workers" => {
-                        let v = take("--workers")?;
-                        config.workers = v.parse().map_err(|e| {
-                            CliError::usage(format!("bad --workers value '{v}': {e}"))
-                        })?;
-                    }
+                    "--port" => config.port = flag_value(&mut it, a)?,
+                    "--addr" => config.addr = flag_value(&mut it, a)?,
+                    "--workers" => config.workers = flag_value(&mut it, a)?,
                     "--queue" => {
-                        let v = take("--queue")?;
-                        let cap: usize = v.parse().map_err(|e| {
-                            CliError::usage(format!("bad --queue value '{v}': {e}"))
-                        })?;
-                        if cap == 0 {
+                        config.queue_capacity = flag_value(&mut it, a)?;
+                        if config.queue_capacity == 0 {
                             return Err(CliError::usage("--queue needs a capacity of at least 1"));
                         }
-                        config.queue_capacity = cap;
                     }
                     "--no-response-cache" => config.response_cache_bytes = 0,
-                    other => return Err(CliError::usage(format!("unknown serve flag '{other}'"))),
+                    other => return Err(unexpected("serve", other)),
                 }
             }
             let workers = config.workers;
@@ -869,25 +643,9 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--poll-ms" => {
-                        poll_ms = it
-                            .next()
-                            .ok_or_else(|| CliError::usage("--poll-ms needs a value"))?
-                            .parse()
-                            .map_err(|e| CliError::usage(format!("bad --poll-ms value: {e}")))?;
-                    }
-                    "--max-renders" => {
-                        max_renders = it
-                            .next()
-                            .ok_or_else(|| CliError::usage("--max-renders needs a value"))?
-                            .parse()
-                            .map_err(|e| {
-                                CliError::usage(format!("bad --max-renders value: {e}"))
-                            })?;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(CliError::usage(format!("unknown watch flag '{other}'")));
-                    }
+                    "--poll-ms" => poll_ms = flag_value(&mut it, a)?,
+                    "--max-renders" => max_renders = flag_value(&mut it, a)?,
+                    other if other.starts_with("--") => return Err(unexpected("watch", other)),
                     _ => {
                         if path.replace(a).is_some() {
                             return Err(CliError::usage("watch takes exactly one worksheet"));
@@ -922,7 +680,7 @@ fn watch(path: Option<&String>, poll_ms: u64, max_renders: u64) -> Result<String
     if max_renders == 1 {
         return Ok(first);
     }
-    println!("{first}");
+    write_stdout(&first)?;
     loop {
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
         let next = match watch_digest(path) {
@@ -942,7 +700,7 @@ fn watch(path: Option<&String>, poll_ms: u64, max_renders: u64) -> Result<String
                 if max_renders != 0 && renders >= max_renders {
                     return Ok(out);
                 }
-                println!("{out}");
+                write_stdout(&out)?;
             }
             Err(err) => report_error(&err),
         }
@@ -1080,29 +838,189 @@ fn parse_mhz_list(args: &[String]) -> Result<Vec<Freq>, CliError> {
         ));
     }
     args.iter()
-        .map(|a| {
-            a.parse::<f64>()
-                .map(Freq::from_mhz)
-                .map_err(|e| CliError::usage(format!("bad frequency '{a}': {e}")))
-        })
+        .map(|a| parse_arg("frequency", a).map(Freq::from_mhz))
         .collect()
 }
 
-/// A comma-separated list of numbers (`100e6,150e6`), for explore's axes.
-fn parse_f64_csv(text: &str) -> Result<Vec<f64>, CliError> {
+/// Build the request `rat serve` parses from a JSON body, for one of the
+/// six analysis modes both surfaces share. Only argv syntax is checked
+/// here: the worksheet loads, each value parses, no argument is left over.
+/// `api::handle` checks the shape rules and the core every value, for the
+/// CLI and the daemon alike.
+fn mode_request(mode: &str, args: &[String]) -> Result<ApiRequest, CliError> {
+    // `--strict` may sit anywhere in a solve; every other flag follows the
+    // positional arguments.
+    let strict = mode == "solve" && args.iter().any(|a| a == "--strict");
+    let mut it = args.iter().filter(|a| !(strict && *a == "--strict"));
+    let input = load_worksheet(it.next())?;
+    let req = match mode {
+        "solve" => ApiRequest::Solve {
+            target: parse_arg(
+                "target speedup",
+                it.next()
+                    .ok_or_else(|| CliError::usage("solve needs a target speedup"))?,
+            )?,
+            strict,
+            input,
+        },
+        "sweep" => ApiRequest::Sweep {
+            param: parse_param(it.next().map_or("", String::as_str))?,
+            values: it
+                .by_ref()
+                .map(|v| parse_arg("sweep value", v))
+                .collect::<Result<_, _>>()?,
+            input,
+        },
+        "sensitivity" => ApiRequest::Sensitivity { input },
+        "uncertainty" => {
+            // Ranges as triples: <param> <lo> <hi> ...
+            let rest: Vec<&str> = it.by_ref().map(String::as_str).collect();
+            let ranges = rest
+                .chunks(3)
+                .map(|triple| match triple {
+                    [param, lo, hi] => Ok(ParamRange::new(
+                        parse_param(param)?,
+                        parse_arg("range low", lo)?,
+                        parse_arg("range high", hi)?,
+                    )),
+                    partial => Err(CliError::usage(format!(
+                        "incomplete uncertainty range '{}': need <param> <lo> <hi>",
+                        partial.join(" ")
+                    ))),
+                })
+                .collect::<Result<_, _>>()?;
+            ApiRequest::Uncertainty {
+                input,
+                ranges,
+                samples: api::DEFAULT_MC_SAMPLES,
+                seed: None,
+            }
+        }
+        "explore" => {
+            let min_speedup = parse_arg(
+                "minimum speedup",
+                it.next()
+                    .ok_or_else(|| CliError::usage("explore needs a minimum speedup"))?,
+            )?;
+            let (mut fclocks, mut throughput_procs, mut bufferings) = (None, None, None);
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--fclocks" => fclocks = Some(flag_list(&mut it, a)?),
+                    "--throughput-procs" => throughput_procs = Some(flag_list(&mut it, a)?),
+                    "--bufferings" => bufferings = Some(buffering_list(&mut it, a)?),
+                    other => return Err(unexpected(mode, other)),
+                }
+            }
+            ApiRequest::Explore {
+                input,
+                min_speedup,
+                fclocks,
+                throughput_procs,
+                bufferings,
+            }
+        }
+        "optimize" => {
+            let mut spec = OptimizeSpec::default();
+            while let Some(a) = it.next() {
+                match a.as_str() {
+                    "--seed" => spec.seed = Some(flag_value(&mut it, a)?),
+                    "--generations" => spec.generations = Some(flag_value(&mut it, a)?),
+                    "--population" => spec.population = Some(flag_value(&mut it, a)?),
+                    "--fclock-range" => spec.fclock_range = Some(flag_pair(&mut it, a)?),
+                    "--throughput-range" => spec.throughput_range = Some(flag_pair(&mut it, a)?),
+                    "--bufferings" => spec.bufferings = Some(buffering_list(&mut it, a)?),
+                    "--devices" => spec.devices = Some(flag_list(&mut it, a)?),
+                    "--precision-bits" => spec.precision_bits = Some(flag_list(&mut it, a)?),
+                    other => return Err(unexpected(mode, other)),
+                }
+            }
+            ApiRequest::Optimize { input, spec }
+        }
+        other => return Err(CliError::usage(format!("unknown command '{other}'"))),
+    };
+    match it.next() {
+        Some(extra) => Err(unexpected(mode, extra)),
+        None => Ok(req),
+    }
+}
+
+/// The error for an argument `command` does not take, naming it.
+fn unexpected(command: &str, arg: &str) -> CliError {
+    if arg.starts_with("--") {
+        CliError::usage(format!("unknown {command} flag '{arg}'"))
+    } else {
+        CliError::usage(format!("unexpected {command} argument '{arg}'"))
+    }
+}
+
+/// Parse one argument, naming it on failure: `bad <what> '<text>': <why>`.
+fn parse_arg<T: FromStr>(what: &str, text: &str) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse()
+        .map_err(|e| CliError::usage(format!("bad {what} '{text}': {e}")))
+}
+
+/// The argument after `flag`, parsed; `<flag> needs a value` if argv ends.
+fn flag_value<'a, T: FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let text = it
+        .next()
+        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))?;
+    parse_arg(&format!("{flag} value"), text)
+}
+
+/// The comma-separated list after `flag` (`--fclocks 100e6,150e6`).
+fn flag_list<'a, T: FromStr>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<Vec<T>, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    let text: String = flag_value(it, flag)?;
+    let what = format!("{flag} value");
     text.split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .map_err(|e| CliError::usage(format!("bad value '{v}': {e}")))
-        })
+        .map(|v| parse_arg(&what, v.trim()))
+        .collect()
+}
+
+/// The `lo,hi` pair after `flag` (`--fclock-range 1e8,2e8`).
+fn flag_pair<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<(f64, f64), CliError> {
+    let v: Vec<f64> = flag_list(it, flag)?;
+    match v[..] {
+        [lo, hi] => Ok((lo, hi)),
+        _ => Err(CliError::usage(format!(
+            "{flag} needs a lo,hi pair, got {} value(s)",
+            v.len()
+        ))),
+    }
+}
+
+/// The buffering list after `flag` (`--bufferings single,double`).
+fn buffering_list<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+) -> Result<Vec<Buffering>, CliError> {
+    flag_list::<String>(it, flag)?
+        .iter()
+        .map(|b| api::parse_buffering(b).map_err(CliError::usage))
         .collect()
 }
 
 /// Parameter names are owned by the shared API layer so the CLI and the
 /// server accept (and reject) exactly the same spellings.
 fn parse_param(name: &str) -> Result<SweepParam, CliError> {
-    rat_serve::api::parse_param(name).map_err(CliError::usage)
+    api::parse_param(name).map_err(CliError::usage)
 }
 
 fn parse_platform(name: &str) -> Result<fpga_sim::platform::PlatformSpec, CliError> {
@@ -1467,6 +1385,116 @@ mod tests {
     /// Build an argv for `run` from string literals.
     fn argv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    /// A scratch copy of the example worksheet, for argv tests.
+    fn scratch_worksheet(name: &str) -> String {
+        let dir = std::env::temp_dir().join("rat-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        std::fs::write(&path, example_worksheet()).unwrap();
+        path.to_string_lossy().into_owned()
+    }
+
+    #[test]
+    fn argv_builds_the_request_the_daemon_parses_from_json() {
+        // The canonical cache key hashes every field of a request, so equal
+        // keys mean the CLI and `rat serve` would run the same request.
+        let ws = scratch_worksheet("ws-request.toml");
+        let ws_json = api::escape_json(&example_worksheet());
+        let json = |fields: &str| format!("{{\"worksheet_toml\": \"{ws_json}\"{fields}}}");
+        let cases = [
+            (
+                "solve",
+                argv(&["--strict", &ws, "4"]),
+                json(", \"target\": 4, \"strict\": true"),
+            ),
+            (
+                "sweep",
+                argv(&[&ws, "fclock", "75e6", "-1"]),
+                json(", \"param\": \"fclock\", \"values\": [75e6, -1]"),
+            ),
+            ("sensitivity", argv(&[&ws]), json("")),
+            (
+                "uncertainty",
+                argv(&[&ws, "fclock", "75e6", "150e6", "alpha", "0.5", "0.9"]),
+                json(
+                    ", \"ranges\": [{\"param\": \"fclock\", \"lo\": 75e6, \"hi\": 150e6}, \
+                     {\"param\": \"alpha\", \"lo\": 0.5, \"hi\": 0.9}]",
+                ),
+            ),
+            (
+                "explore",
+                argv(&[&ws, "5", "--fclocks", "1e8, 2e8", "--bufferings", "double"]),
+                json(
+                    ", \"min_speedup\": 5, \"fclocks\": [1e8, 2e8], \
+                     \"bufferings\": [\"double\"]",
+                ),
+            ),
+            (
+                "optimize",
+                argv(&[
+                    &ws,
+                    "--seed",
+                    "3",
+                    "--population",
+                    "64",
+                    "--fclock-range",
+                    "1e8,2e8",
+                    "--devices",
+                    "lx100,sx55",
+                    "--precision-bits",
+                    "18",
+                ]),
+                json(
+                    ", \"seed\": 3, \"population\": 64, \"fclock_range\": [1e8, 2e8], \
+                     \"devices\": [\"lx100\", \"sx55\"], \"precision_bits\": [18]",
+                ),
+            ),
+        ];
+        for (mode, args, body) in cases {
+            let cli = mode_request(mode, &args).unwrap();
+            let daemon = api::parse_mode_request(mode, &body).unwrap();
+            assert_eq!(
+                rat_serve::keys::request_key(&cli, 1, 1),
+                rat_serve::keys::request_key(&daemon, 1, 1),
+                "{mode}: {cli:?} vs {daemon:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn leftover_arguments_are_usage_errors_naming_them() {
+        let ws = scratch_worksheet("ws-leftover.toml");
+        let cases = [
+            (argv(&["solve", &ws, "8", "9"]), "'9'"),
+            (argv(&["solve", &ws, "8", "--bogus"]), "'--bogus'"),
+            (
+                argv(&["sweep", &ws, "fclock", "1e8", "--bogus"]),
+                "'--bogus'",
+            ),
+            (argv(&["sensitivity", &ws, "--bogus"]), "'--bogus'"),
+            (argv(&["sensitivity", &ws, "extra"]), "'extra'"),
+            (
+                argv(&[
+                    "uncertainty",
+                    &ws,
+                    "fclock",
+                    "75e6",
+                    "150e6",
+                    "alpha",
+                    "0.5",
+                ]),
+                "'alpha 0.5'",
+            ),
+            (argv(&["explore", &ws, "5", "extra"]), "'extra'"),
+            (argv(&["optimize", &ws, "--seed", "1", "extra"]), "'extra'"),
+        ];
+        for (args, named) in cases {
+            let err = run(&args).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{args:?}: {err}");
+            assert!(err.to_string().contains(named), "{args:?}: {err}");
+        }
     }
 
     #[test]

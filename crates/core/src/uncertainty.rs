@@ -28,13 +28,10 @@ pub struct ParamRange {
 }
 
 impl ParamRange {
-    /// A range spanning `lo..=hi` for `param`. Panics if the bounds are not
-    /// finite and ordered.
+    /// A range spanning `lo..=hi` for `param`. The bounds are checked where
+    /// the range is used: [`propagate_with`] rejects a non-finite or
+    /// inverted range with an error naming it.
     pub fn new(param: SweepParam, lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo <= hi,
-            "need finite lo <= hi"
-        );
         Self { param, lo, hi }
     }
 }
@@ -164,6 +161,19 @@ pub fn propagate_with(
         return Err(RatError::param(
             "need at least one uncertain parameter range",
         ));
+    }
+    for (i, r) in ranges.iter().enumerate() {
+        if !(r.lo.is_finite() && r.hi.is_finite() && r.lo <= r.hi) {
+            return Err(RatError::quantity(
+                format!("ranges[{i}]"),
+                format!(
+                    "{} needs finite lo <= hi, got [{}, {}]",
+                    r.param.label(),
+                    r.lo,
+                    r.hi
+                ),
+            ));
+        }
     }
     let dists: Vec<(SweepParam, Uniform<f64>)> = ranges
         .iter()
@@ -323,9 +333,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "finite lo <= hi")]
-    fn reversed_range_panics() {
-        ParamRange::new(SweepParam::Fclock, 2.0, 1.0);
+    fn reversed_or_non_finite_range_is_a_quantity_error() {
+        for (lo, hi) in [
+            (2.0e8, 1.0e8),
+            (f64::NAN, 1.0e8),
+            (f64::NEG_INFINITY, 1.0e8),
+        ] {
+            let ranges = [
+                ParamRange::new(SweepParam::ThroughputProc, 16.0, 24.0),
+                ParamRange::new(SweepParam::Fclock, lo, hi),
+            ];
+            let err = propagate(&pdf1d_example(), &ranges, 10, 1).unwrap_err();
+            assert!(
+                matches!(&err, RatError::InvalidQuantity { field, .. } if field == "ranges[1]"),
+                "{err}"
+            );
+            assert!(err.to_string().contains("finite lo <= hi"), "{err}");
+        }
     }
 
     fn summary() -> UncertaintyReport {

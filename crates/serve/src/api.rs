@@ -1,11 +1,18 @@
 //! The analysis API surface shared by the CLI and the server.
 //!
-//! Every mode handler here returns the **exact report text** the CLI prints
-//! for the same inputs — the CLI's `dispatch` calls these functions, and the
-//! server wraps their output in a one-field JSON envelope. That shared code
-//! path is the parity contract: `crates/serve/tests/parity.rs` asserts the
-//! JSON body a warm server returns is byte-identical to what a cold CLI
-//! process computes, and it holds because there is only one renderer.
+//! [`ApiRequest`] is the one request type for the analysis modes and
+//! [`handle`] the one runner. The server parses a JSON body into an
+//! [`ApiRequest`] ([`parse_mode_request`]); the CLI builds the same request
+//! from argv; both run it through [`handle`], which returns the **exact
+//! report text** the CLI prints. That shared code path is the parity
+//! contract: `crates/serve/tests/parity.rs` asserts the JSON body a warm
+//! server returns is byte-identical to what a cold CLI process computes,
+//! and it holds because there is only one runner and one renderer.
+//!
+//! Each validation rule lives in one place. The front ends check syntax
+//! only (a JSON field's type, an argv flag's value); [`ApiRequest::check_shape`]
+//! checks the rules both surfaces share; the core checks every value; and
+//! the daemon-only size caps (`MAX_*` below) stay in [`parse_mode_request`].
 //!
 //! The error side mirrors the CLI the same way. [`RatError`] classes map
 //! onto HTTP status codes exactly as they map onto CLI exit codes
@@ -29,7 +36,6 @@ use rat_core::engine::Engine;
 use rat_core::explore::{explore, DesignSpace};
 use rat_core::optimize::{optimize, OptimizeConfig, OptimizeSpace};
 use rat_core::params::{Buffering, RatInput};
-use rat_core::quantity::Freq;
 use rat_core::sweep::SweepParam;
 use rat_core::telemetry::json::{self, Json};
 use rat_core::uncertainty::ParamRange;
@@ -80,6 +86,24 @@ impl From<RatError> for ModeError {
             context: None,
             source,
         }
+    }
+}
+
+/// The top line: the context if there is one, else the failure itself.
+impl std::fmt::Display for ModeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match &self.context {
+            Some(context) => write!(f, "{context}"),
+            None => write!(f, "{}", self.source),
+        }
+    }
+}
+
+/// The failure is the `caused by:` line under a context, and is the top
+/// line itself without one.
+impl std::error::Error for ModeError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        self.context.as_ref().map(|_| &self.source as _)
     }
 }
 
@@ -164,7 +188,7 @@ impl ApiError {
                 format!("request body exceeds the {limit}-byte limit")
             }
             ApiError::Busy => "server is at capacity or draining; retry later".into(),
-            ApiError::Mode(m) => m.context.clone().unwrap_or_else(|| m.source.to_string()),
+            ApiError::Mode(m) => m.to_string(),
         }
     }
 
@@ -172,10 +196,10 @@ impl ApiError {
     pub fn causes(&self) -> Vec<String> {
         match self {
             ApiError::BadRequest { cause, .. } => vec![cause.clone()],
-            ApiError::Mode(ModeError {
-                context: Some(_),
-                source,
-            }) => vec![source.to_string()],
+            ApiError::Mode(m) => std::error::Error::source(m)
+                .map(|c| c.to_string())
+                .into_iter()
+                .collect(),
             _ => Vec::new(),
         }
     }
@@ -285,19 +309,14 @@ pub fn parse_worksheet(toml_text: &str) -> Result<RatInput, ApiError> {
 }
 
 // ---------------------------------------------------------------------------
-// Mode reports — the single renderer each mode has. The CLI calls these.
+// Mode renderers that take more than a core type's `render()`.
 // ---------------------------------------------------------------------------
 
 /// `rat solve` without `--strict`: every sub-solve renders inline, feasible
-/// or not, and the report always succeeds.
-pub fn solve_report(input: &RatInput, target: f64) -> String {
-    solve_report_from_quad(input, target, &rat_core::solve::inverse_quad(input, target))
-}
-
-/// Render the non-strict solve report from an already-evaluated quad. The
-/// coalesced server path evaluates quads in cross-request batches and feeds
-/// them here, so solo and batched responses share one renderer — the only
-/// way the byte-identity contract can hold by construction.
+/// or not, and the report always succeeds. The coalesced server path
+/// evaluates quads in cross-request batches and feeds them here, so solo
+/// and batched responses share one renderer — the only way the
+/// byte-identity contract can hold by construction.
 pub fn solve_report_from_quad(
     input: &RatInput,
     target: f64,
@@ -324,13 +343,8 @@ pub fn solve_report_from_quad(
 }
 
 /// `rat solve --strict`: any infeasible sub-solve is a hard error (CLI exit
-/// code 4, HTTP 422) instead of an inline annotation.
-pub fn solve_report_strict(input: &RatInput, target: f64) -> Result<String, ModeError> {
-    solve_report_strict_from_quad(input, target, &rat_core::solve::inverse_quad(input, target))
-}
-
-/// Strict renderer over an already-evaluated quad; same error precedence as
-/// the sequential path (throughput_proc, then f_clock, alpha, ceiling).
+/// code 4, HTTP 422) instead of an inline annotation. Errors take the
+/// sub-solves in order: throughput_proc, then f_clock, alpha, ceiling.
 pub fn solve_report_strict_from_quad(
     input: &RatInput,
     target: f64,
@@ -355,33 +369,6 @@ pub fn solve_report_strict_from_quad(
         input.name,
         fclk.mhz(),
     ))
-}
-
-/// `rat sweep`: one parameter over explicit values, on `engine`.
-pub fn sweep_report(
-    engine: &Engine,
-    input: &RatInput,
-    param: SweepParam,
-    values: &[f64],
-) -> Result<String, RatError> {
-    Ok(rat_core::sweep::sweep_with(engine, input, param, values)?.render())
-}
-
-/// `rat sensitivity`: parameter elasticities, on `engine`.
-pub fn sensitivity_report(engine: &Engine, input: &RatInput) -> Result<String, RatError> {
-    Ok(rat_core::sensitivity::analyze_with(engine, input)?.render())
-}
-
-/// `rat uncertainty`: seeded Monte-Carlo propagation, on `engine`. The same
-/// seed produces the same quantiles at every worker and thread count.
-pub fn uncertainty_report(
-    engine: &Engine,
-    input: &RatInput,
-    ranges: &[ParamRange],
-    samples: usize,
-    seed: u64,
-) -> Result<String, RatError> {
-    Ok(rat_core::uncertainty::propagate_with(engine, input, ranges, samples, seed)?.render())
 }
 
 /// `rat explore`: throughput-gate the cartesian corner space around a base
@@ -487,6 +474,22 @@ pub fn optimize_report(
     Ok(optimize(engine, &space, &config)?.render())
 }
 
+/// The clock band a case-study simulation accepts, checked by `rat trace`
+/// and `POST /v1/simulate` alike: 1 MHz to 1 THz. The simulator's time is
+/// picosecond integers, so past 1 THz a cycle rounds to zero, and a slow
+/// enough clock overflows the makespan (sort's at about 1e-9 MHz, pdf2d's
+/// at 1e-4 MHz). The floor sits far above those onsets and far below the
+/// paper's 75–150 MHz designs.
+pub fn check_clock_mhz(mhz: f64) -> Result<(), RatError> {
+    if (1.0..=1.0e6).contains(&mhz) {
+        Ok(())
+    } else {
+        Err(RatError::simulation(format!(
+            "clock must be in [1, 1e6] MHz, got {mhz:?}"
+        )))
+    }
+}
+
 /// Cached case-study simulation: run one of the four shipped hardware
 /// designs on its simulated platform at `mhz`, memoized through `cache` so
 /// repeated points cost a hash lookup instead of a simulation. This is the
@@ -495,14 +498,7 @@ pub fn simulate_report(app: &str, mhz: f64, cache: Option<&SimCache>) -> Result<
     let wrap = |source: RatError| {
         ModeError::with_context(format!("simulating {app} at {mhz:.1} MHz"), source)
     };
-    // The simulator's clock is picosecond-resolution; past 1 THz a cycle
-    // rounds to zero, so reject anything outside the physically plausible
-    // band up front instead of letting the simulator panic.
-    if !(mhz.is_finite() && mhz > 0.0 && mhz <= 1.0e6) {
-        return Err(wrap(RatError::simulation(format!(
-            "clock must be a positive frequency in (0, 1e6] MHz, got {mhz}"
-        ))));
-    }
+    check_clock_mhz(mhz).map_err(wrap)?;
     let fclock_hz = mhz * 1.0e6;
     let summary = match app {
         "pdf1d" => rat_apps::pdf::pdf1d::design().simulate_summary(fclock_hz, cache),
@@ -537,7 +533,8 @@ pub fn simulate_report(app: &str, mhz: f64, cache: Option<&SimCache>) -> Result<
 // Request parsing and dispatch for the HTTP surface.
 // ---------------------------------------------------------------------------
 
-/// A parsed analysis request, ready to run.
+/// A parsed analysis request, ready to run: what `parse_mode_request` reads
+/// from a JSON body and what the CLI builds from argv.
 #[derive(Debug, Clone)]
 pub enum ApiRequest {
     /// `POST /v1/solve`
@@ -617,6 +614,22 @@ impl ApiRequest {
             ApiRequest::Simulate { .. } => "simulate",
         }
     }
+
+    /// The shape rules both surfaces share, checked by [`handle`] before it
+    /// runs anything: a sweep needs a value and an uncertainty run a range.
+    /// A violation is a malformed request (CLI exit 2, HTTP 400).
+    pub fn check_shape(&self) -> Result<(), ApiError> {
+        let missing = match self {
+            ApiRequest::Sweep { values, .. } if values.is_empty() => {
+                "sweep needs at least one value"
+            }
+            ApiRequest::Uncertainty { ranges, .. } if ranges.is_empty() => {
+                "uncertainty needs at least one (param, lo, hi) range"
+            }
+            _ => return Ok(()),
+        };
+        Err(bad_body(missing))
+    }
 }
 
 /// All mode route suffixes under `/v1/`, in documentation order.
@@ -630,56 +643,76 @@ pub const MODES: [&str; 7] = [
     "simulate",
 ];
 
+/// A 400 for a request body that is not the shape a mode needs.
+fn bad_body(cause: impl Into<String>) -> ApiError {
+    ApiError::bad_request("reading request body", cause)
+}
+
 fn require<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
     doc.get(key)
-        .ok_or_else(|| ApiError::bad_request("reading request body", format!("missing '{key}'")))
+        .ok_or_else(|| bad_body(format!("missing '{key}'")))
 }
 
 fn require_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, ApiError> {
-    require(doc, key)?.as_str().ok_or_else(|| {
-        ApiError::bad_request("reading request body", format!("'{key}' must be a string"))
-    })
+    require(doc, key)?
+        .as_str()
+        .ok_or_else(|| bad_body(format!("'{key}' must be a string")))
 }
 
 fn require_f64(doc: &Json, key: &str) -> Result<f64, ApiError> {
-    require(doc, key)?.as_f64().ok_or_else(|| {
-        ApiError::bad_request("reading request body", format!("'{key}' must be a number"))
-    })
+    require(doc, key)?
+        .as_f64()
+        .ok_or_else(|| bad_body(format!("'{key}' must be a number")))
 }
 
 fn optional_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_f64().map(Some).ok_or_else(|| {
-            ApiError::bad_request("reading request body", format!("'{key}' must be a number"))
-        }),
+        Some(v) => v
+            .as_f64()
+            .map(Some)
+            .ok_or_else(|| bad_body(format!("'{key}' must be a number"))),
     }
+}
+
+/// A JSON number as an integer that fits the field's type `T`. JSON numbers
+/// are doubles, so only integers up to 2^53 are exact; larger ones are
+/// refused rather than rounded. Value rules (at least one generation, a
+/// supported precision width, …) are the core's.
+fn int_field<T: TryFrom<u64>>(key: &str, v: f64) -> Result<T, ApiError> {
+    const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if v.fract() == 0.0 && (0.0..=EXACT).contains(&v) {
+        if let Ok(n) = T::try_from(v as u64) {
+            return Ok(n);
+        }
+    }
+    Err(bad_body(format!(
+        "'{key}' must be a non-negative integer that fits {}, got {v}",
+        std::any::type_name::<T>()
+    )))
+}
+
+fn optional_int<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<Option<T>, ApiError> {
+    optional_f64(doc, key)?
+        .map(|v| int_field(key, v))
+        .transpose()
 }
 
 fn optional_bool(doc: &Json, key: &str) -> Result<bool, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(false),
         Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(ApiError::bad_request(
-            "reading request body",
-            format!("'{key}' must be a boolean"),
-        )),
+        Some(_) => Err(bad_body(format!("'{key}' must be a boolean"))),
     }
 }
 
 fn f64_list(v: &Json, key: &str) -> Result<Vec<f64>, ApiError> {
     v.as_array()
-        .ok_or_else(|| {
-            ApiError::bad_request("reading request body", format!("'{key}' must be an array"))
-        })?
+        .ok_or_else(|| bad_body(format!("'{key}' must be an array")))?
         .iter()
         .map(|x| {
-            x.as_f64().ok_or_else(|| {
-                ApiError::bad_request(
-                    "reading request body",
-                    format!("'{key}' must contain only numbers"),
-                )
-            })
+            x.as_f64()
+                .ok_or_else(|| bad_body(format!("'{key}' must contain only numbers")))
         })
         .collect()
 }
@@ -695,24 +728,11 @@ fn optional_str_list(doc: &Json, key: &str) -> Result<Option<Vec<String>>, ApiEr
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => {
-            let arr = v.as_array().ok_or_else(|| {
-                ApiError::bad_request(
-                    "reading request body",
-                    format!("'{key}' must be an array of strings"),
-                )
-            })?;
+            let not_strings = || bad_body(format!("'{key}' must be an array of strings"));
+            let arr = v.as_array().ok_or_else(not_strings)?;
             let mut out = Vec::with_capacity(arr.len());
             for s in arr {
-                out.push(
-                    s.as_str()
-                        .ok_or_else(|| {
-                            ApiError::bad_request(
-                                "reading request body",
-                                format!("'{key}' must be an array of strings"),
-                            )
-                        })?
-                        .to_string(),
-                );
+                out.push(s.as_str().ok_or_else(not_strings)?.to_string());
             }
             Ok(Some(out))
         }
@@ -725,25 +745,22 @@ fn parse_buffering_list(doc: &Json) -> Result<Option<Vec<Buffering>>, ApiError> 
         Some(names) => {
             let mut out = Vec::with_capacity(names.len());
             for n in &names {
-                out.push(
-                    parse_buffering(n)
-                        .map_err(|e| ApiError::bad_request("reading request body", e))?,
-                );
+                out.push(parse_buffering(n).map_err(bad_body)?);
             }
             Ok(Some(out))
         }
     }
 }
 
-/// Parse the JSON body of `POST /v1/<mode>` into a runnable request.
+/// Parse the JSON body of `POST /v1/<mode>` into a runnable request. This
+/// checks each field's JSON type and the daemon's per-request size caps
+/// (`MAX_*`), which protect a shared worker pool; [`handle`] and the core
+/// check everything else.
 pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError> {
     let doc =
         json::parse(body).map_err(|e| ApiError::bad_request("parsing request body as JSON", e))?;
     if doc.as_object().is_none() {
-        return Err(ApiError::bad_request(
-            "reading request body",
-            "top-level value must be an object",
-        ));
+        return Err(bad_body("top-level value must be an object"));
     }
     match mode {
         "solve" => {
@@ -758,20 +775,12 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
         }
         "sweep" => {
             let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let param = parse_param(require_str(&doc, "param")?)
-                .map_err(|e| ApiError::bad_request("reading request body", e))?;
+            let param = parse_param(require_str(&doc, "param")?).map_err(bad_body)?;
             let values = f64_list(require(&doc, "values")?, "values")?;
-            if values.is_empty() {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    "sweep needs at least one value",
-                ));
-            }
             if values.len() > MAX_SWEEP_VALUES {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    format!("at most {MAX_SWEEP_VALUES} sweep values per request"),
-                ));
+                return Err(bad_body(format!(
+                    "at most {MAX_SWEEP_VALUES} sweep values per request"
+                )));
             }
             Ok(ApiRequest::Sweep {
                 input,
@@ -781,43 +790,23 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
         }
         "uncertainty" => {
             let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let ranges_json = require(&doc, "ranges")?.as_array().ok_or_else(|| {
-                ApiError::bad_request("reading request body", "'ranges' must be an array")
-            })?;
+            let ranges_json = require(&doc, "ranges")?
+                .as_array()
+                .ok_or_else(|| bad_body("'ranges' must be an array"))?;
             let mut ranges = Vec::with_capacity(ranges_json.len());
             for r in ranges_json {
-                let param = parse_param(require_str(r, "param")?)
-                    .map_err(|e| ApiError::bad_request("reading request body", e))?;
+                let param = parse_param(require_str(r, "param")?).map_err(bad_body)?;
                 let lo = require_f64(r, "lo")?;
                 let hi = require_f64(r, "hi")?;
                 ranges.push(ParamRange::new(param, lo, hi));
             }
-            if ranges.is_empty() {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    "uncertainty needs at least one {param, lo, hi} range",
-                ));
+            let samples = optional_int(&doc, "samples")?.unwrap_or(DEFAULT_MC_SAMPLES);
+            if samples > MAX_MC_SAMPLES {
+                return Err(bad_body(format!(
+                    "at most {MAX_MC_SAMPLES} Monte-Carlo samples per request"
+                )));
             }
-            let samples = match optional_f64(&doc, "samples")? {
-                None => DEFAULT_MC_SAMPLES,
-                Some(s) if s.fract() == 0.0 && s >= 1.0 && s <= MAX_MC_SAMPLES as f64 => s as usize,
-                Some(s) => {
-                    return Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'samples' must be an integer in 1..={MAX_MC_SAMPLES}, got {s}"),
-                    ))
-                }
-            };
-            let seed = match optional_f64(&doc, "seed")? {
-                None => None,
-                Some(s) if s.fract() == 0.0 && (0.0..9.0e15).contains(&s) => Some(s as u64),
-                Some(s) => {
-                    return Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'seed' must be a non-negative integer below 2^53, got {s}"),
-                    ))
-                }
-            };
+            let seed = optional_int(&doc, "seed")?;
             Ok(ApiRequest::Uncertainty {
                 input,
                 ranges,
@@ -835,10 +824,9 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
                 * throughput_procs.as_ref().map_or(1, Vec::len)
                 * bufferings.as_ref().map_or(2, Vec::len);
             if corners > MAX_EXPLORE_CORNERS {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    format!("design space has {corners} corners; at most {MAX_EXPLORE_CORNERS}"),
-                ));
+                return Err(bad_body(format!(
+                    "design space has {corners} corners; at most {MAX_EXPLORE_CORNERS}"
+                )));
             }
             Ok(ApiRequest::Explore {
                 input,
@@ -850,71 +838,39 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
         }
         "optimize" => {
             let input = parse_worksheet(require_str(&doc, "worksheet_toml")?)?;
-            let seed = match optional_f64(&doc, "seed")? {
-                None => None,
-                Some(s) if s.fract() == 0.0 && (0.0..9.0e15).contains(&s) => Some(s as u64),
-                Some(s) => {
-                    return Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'seed' must be a non-negative integer below 2^53, got {s}"),
-                    ))
-                }
-            };
-            let small_int = |key: &str, max: f64| -> Result<Option<f64>, ApiError> {
-                match optional_f64(&doc, key)? {
-                    None => Ok(None),
-                    Some(v) if v.fract() == 0.0 && v >= 1.0 && v <= max => Ok(Some(v)),
-                    Some(v) => Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'{key}' must be an integer in 1..={max}, got {v}"),
-                    )),
-                }
-            };
-            let generations = small_int("generations", 1.0e6)?.map(|v| v as u32);
-            let population =
-                small_int("population", MAX_OPTIMIZE_EVALS as f64)?.map(|v| v as usize);
+            let seed = optional_int(&doc, "seed")?;
+            let generations = optional_int(&doc, "generations")?;
+            let population = optional_int(&doc, "population")?;
             let defaults = OptimizeConfig::default();
             let evals = u64::from(generations.unwrap_or(defaults.generations))
                 .saturating_mul(population.unwrap_or(defaults.population) as u64);
             if evals > MAX_OPTIMIZE_EVALS {
-                return Err(ApiError::bad_request(
-                    "reading request body",
-                    format!(
-                        "generations x population is {evals} evaluations; \
-                         at most {MAX_OPTIMIZE_EVALS}"
-                    ),
-                ));
+                return Err(bad_body(format!(
+                    "generations x population is {evals} evaluations; \
+                     at most {MAX_OPTIMIZE_EVALS}"
+                )));
             }
             let pair = |key: &str| -> Result<Option<(f64, f64)>, ApiError> {
                 match optional_f64_list(&doc, key)? {
                     None => Ok(None),
                     Some(v) if v.len() == 2 => Ok(Some((v[0], v[1]))),
-                    Some(v) => Err(ApiError::bad_request(
-                        "reading request body",
-                        format!("'{key}' must be a [lo, hi] pair, got {} values", v.len()),
-                    )),
+                    Some(v) => Err(bad_body(format!(
+                        "'{key}' must be a [lo, hi] pair, got {} values",
+                        v.len()
+                    ))),
                 }
             };
             let fclock_range = pair("fclock_range")?;
             let throughput_range = pair("throughput_range")?;
             let bufferings = parse_buffering_list(&doc)?;
             let devices = optional_str_list(&doc, "devices")?;
-            let precision_bits = match optional_f64_list(&doc, "precision_bits")? {
-                None => None,
-                Some(v) => {
-                    let mut bits = Vec::with_capacity(v.len());
-                    for b in v {
-                        if b.fract() != 0.0 || !(1.0..=63.0).contains(&b) {
-                            return Err(ApiError::bad_request(
-                                "reading request body",
-                                format!("'precision_bits' must be integers in 1..=63, got {b}"),
-                            ));
-                        }
-                        bits.push(b as u32);
-                    }
-                    Some(bits)
-                }
-            };
+            let precision_bits = optional_f64_list(&doc, "precision_bits")?
+                .map(|bits| {
+                    bits.into_iter()
+                        .map(|b| int_field("precision_bits", b))
+                        .collect()
+                })
+                .transpose()?;
             Ok(ApiRequest::Optimize {
                 input,
                 spec: OptimizeSpec {
@@ -943,13 +899,17 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
 }
 
 /// Run a parsed request on `engine`, memoizing simulations through `cache`.
-/// The success value's `report` is byte-identical to the CLI's stdout for
-/// the same inputs.
+/// This is the one runner: `rat serve` calls it for every request but a
+/// coalesced solve, and the CLI for its six analysis modes. The success
+/// value's `report` is byte-identical to the CLI's stdout for the same
+/// inputs; a pipeline failure carries a `running <mode> for worksheet
+/// '<name>'` context line.
 pub fn handle(
     engine: &Engine,
     req: &ApiRequest,
     cache: Option<&SimCache>,
 ) -> Result<ApiOk, ApiError> {
+    req.check_shape()?;
     let mode = req.mode();
     let wrap = |input: &RatInput, source: RatError| {
         ApiError::Mode(ModeError::with_context(
@@ -963,17 +923,20 @@ pub fn handle(
             target,
             strict,
         } => {
+            let quad = rat_core::solve::inverse_quad(input, *target);
             if *strict {
-                solve_report_strict(input, *target).map_err(ApiError::Mode)?
+                solve_report_strict_from_quad(input, *target, &quad)?
             } else {
-                solve_report(input, *target)
+                solve_report_from_quad(input, *target, &quad)
             }
         }
         ApiRequest::Sweep {
             input,
             param,
             values,
-        } => sweep_report(engine, input, *param, values).map_err(|e| wrap(input, e))?,
+        } => rat_core::sweep::sweep_with(engine, input, *param, values)
+            .map_err(|e| wrap(input, e))?
+            .render(),
         ApiRequest::Uncertainty {
             input,
             ranges,
@@ -981,7 +944,9 @@ pub fn handle(
             seed,
         } => {
             let seed = seed.unwrap_or(engine.config().root_seed);
-            uncertainty_report(engine, input, ranges, *samples, seed).map_err(|e| wrap(input, e))?
+            rat_core::uncertainty::propagate_with(engine, input, ranges, *samples, seed)
+                .map_err(|e| wrap(input, e))?
+                .render()
         }
         ApiRequest::Explore {
             input,
@@ -1000,20 +965,15 @@ pub fn handle(
         ApiRequest::Optimize { input, spec } => {
             optimize_report(engine, input, spec).map_err(|e| wrap(input, e))?
         }
-        ApiRequest::Sensitivity { input } => {
-            sensitivity_report(engine, input).map_err(|e| wrap(input, e))?
-        }
+        ApiRequest::Sensitivity { input } => rat_core::sensitivity::analyze_with(engine, input)
+            .map_err(|e| wrap(input, e))?
+            .render(),
         ApiRequest::Simulate { app, mhz } => {
             simulate_report(app, *mhz, cache).map_err(ApiError::Mode)?
         }
     };
     Ok(ApiOk { mode, report })
 }
-
-/// A convenience for tests and the load generator: the Freq type the CLI
-/// uses for clock arguments, re-exported so callers need not depend on
-/// `rat-core` directly for it.
-pub type Clock = Freq;
 
 #[cfg(test)]
 mod tests {
@@ -1097,9 +1057,10 @@ mod tests {
         }
         let ok = handle(&Engine::sequential(), &req, None).unwrap();
         assert_eq!(ok.mode, "solve");
+        let input = rat_apps::pdf::pdf1d::rat_input(150.0e6);
         assert_eq!(
             ok.report,
-            solve_report(&rat_apps::pdf::pdf1d::rat_input(150.0e6), 8.0)
+            solve_report_from_quad(&input, 8.0, &rat_core::solve::inverse_quad(&input, 8.0))
         );
     }
 
@@ -1176,11 +1137,90 @@ mod tests {
         assert_eq!(a, b);
         assert!(after.hits > before.hits, "{after:?} vs {before:?}");
         assert!(a.contains("total (t_RC)"), "{a}");
-        // Bad inputs are simulation-class errors, not panics.
-        let err = simulate_report("pdf1d", 0.0, Some(&cache)).unwrap_err();
-        assert_eq!(http_status(&err.source), 500);
+        // Bad inputs are simulation-class errors, not panics: clocks outside
+        // [1, 1e6] MHz, including ones slow enough to overflow the makespan.
+        for mhz in [0.0, 0.999, 1.0e-9, -150.0, 1.000_001e6, f64::NAN] {
+            let err = simulate_report("sort", mhz, Some(&cache)).unwrap_err();
+            assert_eq!(http_status(&err.source), 500, "{mhz}");
+        }
+        assert!(simulate_report("sort", 1.0, Some(&cache)).is_ok());
         let err = simulate_report("warp", 100.0, Some(&cache)).unwrap_err();
         assert!(err.source.to_string().contains("unknown case study"));
+    }
+
+    #[test]
+    fn shape_rules_are_bad_requests_from_handle() {
+        let input = rat_apps::pdf::pdf1d::rat_input(150.0e6);
+        let engine = Engine::sequential();
+        let empty = [
+            ApiRequest::Sweep {
+                input: input.clone(),
+                param: SweepParam::Fclock,
+                values: Vec::new(),
+            },
+            ApiRequest::Uncertainty {
+                input,
+                ranges: Vec::new(),
+                samples: DEFAULT_MC_SAMPLES,
+                seed: None,
+            },
+        ];
+        for req in &empty {
+            match handle(&engine, req, None) {
+                Err(ApiError::BadRequest { cause, .. }) => {
+                    assert!(cause.contains("needs at least one"), "{cause}")
+                }
+                other => panic!("{} with nothing to vary: {other:?}", req.mode()),
+            }
+        }
+    }
+
+    #[test]
+    fn integer_fields_check_only_that_the_number_fits() {
+        let ws = escape_json(&ws_toml());
+        let optimize = |fields: &str| {
+            parse_mode_request(
+                "optimize",
+                &format!("{{\"worksheet_toml\": \"{ws}\", {fields}}}"),
+            )
+        };
+        // Fractions, negatives and values past the field's type are syntax
+        // errors the parser names.
+        for fields in [
+            "\"seed\": 1.5",
+            "\"seed\": -1",
+            "\"seed\": 1e300",
+            "\"generations\": 5e9",
+            "\"precision_bits\": [18, 4294967296]",
+        ] {
+            match optimize(fields) {
+                Err(ApiError::BadRequest { cause, .. }) => {
+                    assert!(cause.contains("non-negative integer that fits"), "{cause}")
+                }
+                other => panic!("{fields}: {other:?}"),
+            }
+        }
+        // Zero generations and a 64-bit width parse; the core rejects them
+        // when the request runs, naming the field.
+        for (fields, field) in [
+            ("\"generations\": 0", "generations"),
+            ("\"precision_bits\": [64]", "precision_bits"),
+        ] {
+            let req = optimize(fields).unwrap();
+            let err = handle(&Engine::sequential(), &req, None).unwrap_err();
+            assert_eq!(err.status(), 400, "{fields}");
+            assert!(err.causes()[0].contains(field), "{fields}: {err:?}");
+        }
+        // The daemon's sample cap is the parser's.
+        let body = format!(
+            "{{\"worksheet_toml\": \"{ws}\", \"samples\": {}, \
+             \"ranges\": [{{\"param\": \"fclock\", \"lo\": 1e8, \"hi\": 2e8}}]}}",
+            MAX_MC_SAMPLES + 1
+        );
+        assert!(matches!(
+            parse_mode_request("uncertainty", &body),
+            Err(ApiError::BadRequest { .. })
+        ));
     }
 
     #[test]

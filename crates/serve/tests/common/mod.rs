@@ -25,12 +25,18 @@ pub fn send_raw(addr: SocketAddr, raw: &str) -> String {
 /// then a `Content-Length`-framed body. Panics on EOF before a full
 /// response. Reads the head one byte at a time and the body with
 /// `read_exact`, so it never consumes bytes of a pipelined next response —
-/// that makes it safe to call repeatedly on one kept-alive connection.
+/// that makes it safe to call repeatedly on one kept-alive connection. A
+/// read interrupted before any byte arrives (`EINTR`, which a socket with a
+/// read timeout returns instead of restarting) is retried, as `read_exact`
+/// retries it for the body.
 pub fn read_response(s: &mut TcpStream) -> String {
     let mut buf: Vec<u8> = Vec::new();
     while !buf.ends_with(b"\r\n\r\n") {
         let mut byte = [0u8; 1];
-        let n = s.read(&mut byte).expect("read response");
+        let n = match s.read(&mut byte) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            read => read.expect("read response"),
+        };
         assert!(
             n > 0,
             "connection closed before response head: {:?}",

@@ -3,17 +3,18 @@
 //!
 //! For every analysis mode, the JSON body a **warm** server returns must be
 //! byte-identical to what the **cold** path computes for the same inputs:
-//! the in-process scalar pipeline (the same `rat_serve::api` renderers the
-//! CLI calls) and the spawned `rat` binary itself. Parity is asserted at
-//! 1, 2, and 8 server workers, on cache-cold and cache-warm requests, and
-//! for the seeded Monte-Carlo path (same seed → same quantiles through the
-//! server).
+//! the in-process core pipeline (each mode's `rat_core` entry point and
+//! renderer, called directly) and the spawned `rat` binary itself. Parity
+//! is asserted at 1, 2, and 8 server workers, on cache-cold and cache-warm
+//! requests, and for the seeded Monte-Carlo path (same seed → same
+//! quantiles through the server). A failing request fails alike both ways:
+//! the same exit code and status class, and the same error and causes.
 
 mod common;
 
 use std::process::Command;
 
-use common::{get, metric_value, post, rat_binary, report_of};
+use common::{error_of, post, rat_binary, report_of};
 use proptest::prelude::*;
 use rat_core::engine::{Engine, EngineConfig};
 use rat_core::params::{
@@ -60,6 +61,11 @@ fn optimize_spec() -> OptimizeSpec {
     }
 }
 
+/// The in-process non-strict solve report.
+fn solve_reference(input: &RatInput, target: f64) -> String {
+    api::solve_report_from_quad(input, target, &rat_core::solve::inverse_quad(input, target))
+}
+
 /// Request bodies for the six analysis modes on `input`, paired with the
 /// in-process reference report each must match byte-for-byte.
 fn mode_cases(input: &RatInput) -> Vec<(&'static str, String, String)> {
@@ -70,7 +76,7 @@ fn mode_cases(input: &RatInput) -> Vec<(&'static str, String, String)> {
         (
             "/v1/solve",
             format!("{{\"worksheet_toml\": \"{ws}\", \"target\": 8.0}}"),
-            api::solve_report(input, 8.0),
+            solve_reference(input, 8.0),
         ),
         (
             "/v1/sweep",
@@ -78,13 +84,14 @@ fn mode_cases(input: &RatInput) -> Vec<(&'static str, String, String)> {
                 "{{\"worksheet_toml\": \"{ws}\", \"param\": \"fclock\", \
                  \"values\": [75e6, 100e6, 150e6]}}"
             ),
-            api::sweep_report(
+            rat_core::sweep::sweep_with(
                 &engine,
                 input,
                 SweepParam::Fclock,
                 &[75.0e6, 100.0e6, 150.0e6],
             )
-            .expect("sweep reference"),
+            .expect("sweep reference")
+            .render(),
         ),
         (
             "/v1/uncertainty",
@@ -92,14 +99,15 @@ fn mode_cases(input: &RatInput) -> Vec<(&'static str, String, String)> {
                 "{{\"worksheet_toml\": \"{ws}\", \
                  \"ranges\": [{{\"param\": \"fclock\", \"lo\": 75e6, \"hi\": 150e6}}]}}"
             ),
-            api::uncertainty_report(
+            rat_core::uncertainty::propagate_with(
                 &engine,
                 input,
                 &ranges,
                 api::DEFAULT_MC_SAMPLES,
                 engine.config().root_seed,
             )
-            .expect("uncertainty reference"),
+            .expect("uncertainty reference")
+            .render(),
         ),
         (
             "/v1/explore",
@@ -113,7 +121,9 @@ fn mode_cases(input: &RatInput) -> Vec<(&'static str, String, String)> {
         (
             "/v1/sensitivity",
             format!("{{\"worksheet_toml\": \"{ws}\"}}"),
-            api::sensitivity_report(&engine, input).expect("sensitivity reference"),
+            rat_core::sensitivity::analyze_with(&engine, input)
+                .expect("sensitivity reference")
+                .render(),
         ),
         (
             "/v1/optimize",
@@ -274,6 +284,99 @@ fn server_reports_match_cold_cli_stdout_for_every_mode() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// DESIGN.md §14: the HTTP status for each CLI exit code.
+const EXIT_TO_STATUS: [(i32, u16); 5] = [(2, 400), (3, 400), (4, 422), (5, 500), (6, 507)];
+
+#[test]
+fn failing_requests_fail_alike_through_the_cli_and_the_server() {
+    // One failing request per mode that can fail after the worksheet
+    // loads, sent both ways. The CLI's exit code and the server's status
+    // sit on the same row of the §14 table. For a pipeline failure the
+    // CLI's `error:` line is the body's `error` and its `caused by:` lines
+    // are `caused_by`; a usage error (exit 2) prints the 400's cause.
+    let input = pdf1d();
+    let dir = std::env::temp_dir().join(format!("rat-serve-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ws_path = dir.join("ws.toml");
+    std::fs::write(&ws_path, ws_toml(&input)).unwrap();
+    let ws = ws_path.to_string_lossy().into_owned();
+    let ws_json = escape_json(&ws_toml(&input));
+    let body = |fields: &str| format!("{{\"worksheet_toml\": \"{ws_json}\", {fields}}}");
+    let cases = [
+        (
+            vec!["solve", "--strict", &ws, "1e9"],
+            "/v1/solve",
+            body("\"target\": 1e9, \"strict\": true"),
+            4,
+        ),
+        (
+            vec!["sweep", &ws, "fclock", "-1e8"],
+            "/v1/sweep",
+            body("\"param\": \"fclock\", \"values\": [-1e8]"),
+            3,
+        ),
+        (
+            vec!["uncertainty", &ws, "fclock", "2e8", "1e8"],
+            "/v1/uncertainty",
+            body("\"ranges\": [{\"param\": \"fclock\", \"lo\": 2e8, \"hi\": 1e8}]"),
+            3,
+        ),
+        (
+            vec!["explore", &ws, "-1"],
+            "/v1/explore",
+            body("\"min_speedup\": -1"),
+            3,
+        ),
+        (
+            vec!["optimize", &ws, "--generations", "0"],
+            "/v1/optimize",
+            body("\"generations\": 0"),
+            3,
+        ),
+        (
+            vec!["sweep", &ws, "fclock"],
+            "/v1/sweep",
+            body("\"param\": \"fclock\", \"values\": []"),
+            2,
+        ),
+    ];
+    let handle = start(2);
+    for (args, path, body, exit) in &cases {
+        let out = Command::new(rat_binary())
+            .args(args)
+            .output()
+            .expect("spawning the rat binary (build it with `cargo build -p rat-cli`)");
+        let stderr = String::from_utf8(out.stderr).expect("utf8 stderr");
+        assert_eq!(out.status.code(), Some(*exit), "rat {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "rat {args:?} printed a report");
+        let status = EXIT_TO_STATUS
+            .iter()
+            .find(|(code, _)| code == exit)
+            .map(|&(_, status)| status);
+        let (got, resp) = post(handle.addr(), path, body);
+        assert_eq!(Some(got), status, "{path} for rat {args:?}: {resp}");
+
+        let (error, causes) = error_of(&resp);
+        let cli_error = stderr
+            .lines()
+            .next()
+            .and_then(|l| l.strip_prefix("error: "))
+            .unwrap_or_else(|| panic!("no error line: {stderr}"));
+        let cli_causes: Vec<&str> = stderr
+            .lines()
+            .filter_map(|l| l.strip_prefix("  caused by: "))
+            .collect();
+        if *exit == 2 {
+            assert_eq!(vec![cli_error], causes, "rat {args:?} vs {resp}");
+        } else {
+            assert_eq!(cli_error, error, "rat {args:?} vs {resp}");
+            assert_eq!(cli_causes, causes, "rat {args:?} vs {resp}");
+        }
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn seeded_mc_is_deterministic_through_the_server() {
     let input = pdf1d();
@@ -298,37 +401,10 @@ fn seeded_mc_is_deterministic_through_the_server() {
     // And matches the in-process pipeline with the same seed.
     let engine = reference_engine();
     let ranges = [ParamRange::new(SweepParam::AlphaBoth, 0.5, 1.0)];
-    let reference = api::uncertainty_report(&engine, &input, &ranges, 2000, 42).unwrap();
+    let reference = rat_core::uncertainty::propagate_with(&engine, &input, &ranges, 2000, 42)
+        .unwrap()
+        .render();
     assert_eq!(report_of(&r1), reference);
-}
-
-#[test]
-fn simulate_parity_cold_vs_warm_with_cache_hits() {
-    // /v1/simulate is the one endpoint that runs the cycle simulator; the
-    // first request at a clock point renders fresh, the identical repeat is
-    // served straight from the response cache — and the body must not
-    // change by a byte either way.
-    let handle = start(2);
-    let addr = handle.addr();
-    let body = "{\"app\": \"sort\", \"mhz\": 147.0}";
-    let (_, metrics0) = get(addr, "/metrics");
-    let hits0 = metric_value(&metrics0, "pipeline_cache_response_hits").unwrap();
-    let (s1, cold) = post(addr, "/v1/simulate", body);
-    let (s2, warm) = post(addr, "/v1/simulate", body);
-    assert_eq!((s1, s2), (200, 200), "{cold}");
-    assert_eq!(cold, warm, "cached simulation drifted");
-    let (_, metrics1) = get(addr, "/metrics");
-    let hits1 = metric_value(&metrics1, "pipeline_cache_response_hits").unwrap();
-    assert!(
-        hits1 > hits0,
-        "warm request did not hit the response cache: {hits0} -> {hits1}"
-    );
-    // The report matches the in-process cached path.
-    assert_eq!(
-        report_of(&cold),
-        api::simulate_report("sort", 147.0, Some(fpga_sim::SimCache::global())).unwrap()
-    );
-    handle.shutdown();
 }
 
 #[test]
@@ -474,7 +550,7 @@ proptest! {
             &format!("{{\"worksheet_toml\": \"{ws}\", \"target\": {target}}}"),
         );
         prop_assert_eq!(status, 200, "{}", resp);
-        prop_assert_eq!(report_of(&resp), api::solve_report(&input, target));
+        prop_assert_eq!(report_of(&resp), solve_reference(&input, target));
 
         let (status, resp) = post_cold_and_cached(
             addr,
@@ -487,13 +563,14 @@ proptest! {
         prop_assert_eq!(status, 200, "{}", resp);
         prop_assert_eq!(
             report_of(&resp),
-            api::sweep_report(
+            rat_core::sweep::sweep_with(
                 &engine,
                 &input,
                 SweepParam::ThroughputProc,
                 &[0.5, 5.0, 50.0]
             )
             .unwrap()
+            .render()
         );
 
         let (status, resp) = post_cold_and_cached(
@@ -504,7 +581,7 @@ proptest! {
         prop_assert_eq!(status, 200, "{}", resp);
         prop_assert_eq!(
             report_of(&resp),
-            api::sensitivity_report(&engine, &input).unwrap()
+            rat_core::sensitivity::analyze_with(&engine, &input).unwrap().render()
         );
 
         let (status, resp) = post_cold_and_cached(
@@ -519,7 +596,9 @@ proptest! {
         let ranges = [ParamRange::new(SweepParam::Fclock, 1.0e7, 1.0e9)];
         prop_assert_eq!(
             report_of(&resp),
-            api::uncertainty_report(&engine, &input, &ranges, 64, mc_seed).unwrap()
+            rat_core::uncertainty::propagate_with(&engine, &input, &ranges, 64, mc_seed)
+                .unwrap()
+                .render()
         );
 
         let (status, resp) = post_cold_and_cached(

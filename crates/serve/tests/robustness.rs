@@ -315,6 +315,47 @@ fn optimize_spaces_map_to_the_documented_statuses() {
     );
 }
 
+/// Inputs that used to panic a worker thread: an inverted or non-finite
+/// uncertainty range (the range check now lives in the core's
+/// `propagate_with`) and a clock slow enough to overflow the simulator's
+/// makespan (the shared clock check floors it at 1 MHz). Each answers with
+/// its status, and the daemon keeps answering after every one.
+#[test]
+fn inverted_ranges_and_slow_clocks_answer_without_killing_a_worker() {
+    let handle = start();
+    let addr = handle.addr();
+    let ws = escape_json(&toml::to_string(&rat_apps::pdf::pdf1d::rat_input(150.0e6)).unwrap());
+    for (lo, hi) in [("2e8", "1e8"), ("-1e400", "1e8")] {
+        let (status, body) = post(
+            addr,
+            "/v1/uncertainty",
+            &format!(
+                "{{\"worksheet_toml\": \"{ws}\", \
+                 \"ranges\": [{{\"param\": \"fclock\", \"lo\": {lo}, \"hi\": {hi}}}]}}"
+            ),
+        );
+        assert_eq!(status, 400, "{body}");
+        let (_, causes) = error_of(&body);
+        assert!(
+            causes.iter().any(|c| c.contains("ranges[0]")),
+            "the 400 should name the range: {body}"
+        );
+        still_alive(&handle, &format!("uncertainty range [{lo}, {hi}]"));
+    }
+
+    let (status, body) = post(addr, "/v1/simulate", "{\"app\": \"sort\", \"mhz\": 1e-9}");
+    assert_eq!(status, 500, "{body}");
+    let (_, causes) = error_of(&body);
+    assert!(
+        causes.iter().any(|c| c.contains("[1, 1e6] MHz")),
+        "the 500 should name the clock band: {body}"
+    );
+    still_alive(&handle, "simulate at 1e-9 MHz");
+    let (status, _) = get(addr, "/healthz");
+    assert_eq!(status, 200);
+    handle.shutdown();
+}
+
 #[test]
 fn full_queue_answers_503_busy_and_recovers() {
     // One worker, one queue slot, short request timeout: occupy the worker
