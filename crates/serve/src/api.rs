@@ -257,13 +257,19 @@ pub struct ApiOk {
 }
 
 impl ApiOk {
-    /// The JSON success envelope: `{"mode": ..., "report": ...}`.
+    /// The JSON success envelope: `{"mode": ..., "report": ...}`, allocated
+    /// at its exact length, since the response cache keeps it and charges
+    /// its budget `len()`, not capacity.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"mode\": \"{}\", \"report\": \"{}\"}}",
+        let report = escape_json(&self.report);
+        [
+            "{\"mode\": \"",
             self.mode,
-            escape_json(&self.report)
-        )
+            "\", \"report\": \"",
+            &report,
+            "\"}",
+        ]
+        .concat()
     }
 }
 
@@ -1062,6 +1068,33 @@ mod tests {
             ok.report,
             solve_report_from_quad(&input, 8.0, &rat_core::solve::inverse_quad(&input, 8.0))
         );
+    }
+
+    #[test]
+    fn success_bodies_are_allocated_at_their_exact_length() {
+        let ws = escape_json(&ws_toml());
+        let with_ws = |fields: &str| format!("{{\"worksheet_toml\": \"{ws}\"{fields}}}");
+        let engine = Engine::sequential();
+        let sims = SimCache::new();
+        for (mode, body) in [
+            ("solve", with_ws(", \"target\": 8.0")),
+            ("sweep", with_ws(", \"param\": \"fclock\", \"values\": [75e6, 150e6]")),
+            ("sensitivity", with_ws("")),
+            (
+                "uncertainty",
+                with_ws(", \"samples\": 64, \"ranges\": [{\"param\": \"fclock\", \"lo\": 1e8, \"hi\": 2e8}]"),
+            ),
+            ("explore", with_ws(", \"min_speedup\": 4.0, \"fclocks\": [100e6, 150e6]")),
+            ("simulate", "{\"app\": \"pdf1d\", \"mhz\": 150.0}".to_string()),
+        ] {
+            let req = parse_mode_request(mode, &body).unwrap();
+            let ok = handle(&engine, &req, Some(&sims)).unwrap();
+            let json = ok.to_json();
+            assert_eq!(json.capacity(), json.len(), "{mode}");
+            let doc = json::parse(&json).unwrap();
+            assert_eq!(doc.get("mode").and_then(Json::as_str), Some(mode));
+            assert_eq!(doc.get("report").and_then(Json::as_str), Some(&*ok.report));
+        }
     }
 
     #[test]

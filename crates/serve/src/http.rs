@@ -97,7 +97,7 @@ impl Connection {
         if self.buf.is_empty() {
             self.set_timeout(wait)?;
             let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            match read_restarting(&mut self.stream, &mut chunk) {
                 Ok(0) => {
                     return Err(if idle_wait {
                         ReadError::Idle
@@ -135,7 +135,7 @@ impl Connection {
                 }));
             }
             let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+            match read_restarting(&mut self.stream, &mut chunk) {
                 Ok(0) => {
                     return Err(bad(
                         "reading request",
@@ -200,7 +200,7 @@ impl Connection {
         let mut read = body.len();
         body.resize(content_length, 0);
         while read < content_length {
-            match self.stream.read(&mut body[read..]) {
+            match read_restarting(&mut self.stream, &mut body[read..]) {
                 Ok(0) => {
                     return Err(bad(
                         "reading request body",
@@ -240,6 +240,19 @@ impl Connection {
     }
 }
 
+/// One `read`, restarted on `EINTR`: a socket with a read timeout returns
+/// `Interrupted` instead of restarting when the process is stopped and
+/// resumed (a cgroup freeze, SIGSTOP then SIGCONT), which is no fault of the
+/// client's.
+fn read_restarting(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            read => return read,
+        }
+    }
+}
+
 fn is_timeout(e: &std::io::Error) -> bool {
     e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut
 }
@@ -267,8 +280,10 @@ pub fn reason(status: u16) -> &'static str {
 }
 
 /// Write a complete response and flush, advertising whether the connection
-/// stays open. Errors are returned so the caller can count them, but a
-/// failed write to a gone client is not fatal.
+/// stays open. Head and body go out in one `write_all` of one buffer: one
+/// syscall and, on a `TCP_NODELAY` socket, one segment for a small response.
+/// Errors are returned so the caller can count them, but a failed write to
+/// a gone client is not fatal.
 pub fn write_response(
     stream: &mut TcpStream,
     status: u16,
@@ -277,13 +292,17 @@ pub fn write_response(
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let head = format!(
+    // The fixed head text plus the longest reason phrase and a 20-digit
+    // length fit in 128 bytes.
+    let mut out = Vec::with_capacity(128 + content_type.len() + body.len());
+    write!(
+        out,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
         reason(status),
         body.len(),
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    )?;
+    out.extend_from_slice(body.as_bytes());
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -433,6 +452,52 @@ mod tests {
     fn garbage_content_length_is_400() {
         let err = round_trip(b"POST /x HTTP/1.1\r\nContent-Length: ten\r\n\r\n").unwrap_err();
         assert_eq!(status_of(err), 400);
+    }
+
+    #[test]
+    fn interrupted_reads_are_restarted() {
+        use std::io::ErrorKind::{ConnectionReset, Interrupted};
+        /// Fails its first read with the given error, then yields its bytes.
+        struct Flaky<'a>(Option<std::io::ErrorKind>, &'a [u8]);
+        impl Read for Flaky<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                match self.0.take() {
+                    Some(kind) => Err(kind.into()),
+                    None => self.1.read(buf),
+                }
+            }
+        }
+        let mut buf = [0u8; 16];
+        let n = read_restarting(&mut Flaky(Some(Interrupted), b"GET /"), &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"GET /");
+        let err = read_restarting(&mut Flaky(Some(ConnectionReset), b"GET /"), &mut buf);
+        assert_eq!(err.unwrap_err().kind(), ConnectionReset);
+    }
+
+    #[test]
+    fn a_response_is_its_exact_head_and_body() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        write_json(&mut server, 200, "{\"ok\": true}", true).unwrap();
+        write_response(
+            &mut server,
+            503,
+            "text/plain; charset=utf-8",
+            "busy\n",
+            false,
+        )
+        .unwrap();
+        drop(server);
+        let mut got = String::new();
+        client.read_to_string(&mut got).unwrap();
+        assert_eq!(
+            got,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 12\r\n\
+             Connection: keep-alive\r\n\r\n{\"ok\": true}\
+             HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+             Content-Length: 5\r\nConnection: close\r\n\r\nbusy\n"
+        );
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //!   tier and a canonicalized parsed tier, both 128-bit FNV via the
 //!   `fpga-sim` digest scheme.
 //! * [`respcache`] — the rendered-response cache those keys index, 16-way
-//!   sharded with an LRU byte budget and single-flight dedup: a thundering
-//!   herd of identical requests computes once.
+//!   sharded under a byte budget with O(1) CLOCK (second-chance) eviction,
+//!   and single-flight dedup: a thundering herd of identical requests
+//!   computes once.
 //! * [`coalesce`] — cross-request solve batching: concurrent `/v1/solve`
 //!   computations drain into one batched evaluation whose per-request
 //!   answers are bit-identical to the solo path.

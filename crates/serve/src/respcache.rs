@@ -15,15 +15,19 @@
 //! alias onto the canonical entry's body, filled in after the canonical key
 //! is known.
 //!
-//! Eviction is LRU by a global access tick under a per-shard byte budget.
-//! Flights are never evicted — a leader must always find its own marker to
+//! Eviction is CLOCK (second chance) under a per-shard byte budget, in both
+//! tiers: a hit marks its entry, and an insert that overflows the budget
+//! walks the shard's queue from the front, sending each marked entry to the
+//! back unmarked and evicting the first unmarked one. Both steps are O(1)
+//! amortized. Flights live in a map of their own beside the ready bodies, so
+//! eviction never sees one — a leader must always find its own marker to
 //! complete. If a leader fails (error response) or panics, its guard's
 //! `Drop` clears the flight and wakes all waiters to retry, so a poisoned
 //! request cannot wedge the cache.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use rat_core::telemetry::{self, Metric};
 
@@ -42,22 +46,60 @@ enum FlightState {
     Failed,
 }
 
-enum Slot {
-    Ready { body: Arc<String>, stamp: u64 },
-    Pending(Arc<Flight>),
+/// One shard's ready bodies under CLOCK eviction.
+#[derive(Default)]
+struct Ready {
+    /// Each body with its used mark, set by a hit since the last sweep.
+    map: HashMap<u128, (Arc<String>, bool)>,
+    /// Every key of `map` exactly once, in sweep order.
+    queue: VecDeque<u128>,
+    /// Sum of the stored bodies' `len()`.
+    bytes: usize,
+}
+
+impl Ready {
+    fn get(&mut self, key: u128) -> Option<Arc<String>> {
+        let (body, used) = self.map.get_mut(&key)?;
+        *used = true;
+        Some(Arc::clone(body))
+    }
+
+    /// Store `body` (or mark the entry already under `key` used), then
+    /// evict until the shard fits `budget`. A body over `budget` on its own
+    /// is not stored.
+    fn put(&mut self, key: u128, body: &Arc<String>, budget: usize) {
+        if body.len() > budget {
+            return;
+        }
+        match self.map.entry(key) {
+            Entry::Occupied(mut e) => e.get_mut().1 = true,
+            Entry::Vacant(e) => {
+                e.insert((Arc::clone(body), false));
+                self.queue.push_back(key);
+                self.bytes += body.len();
+            }
+        }
+        while self.bytes > budget {
+            let key = self
+                .queue
+                .pop_front()
+                .expect("stored bytes belong to queued keys");
+            let Entry::Occupied(mut entry) = self.map.entry(key) else {
+                unreachable!("queued key is stored");
+            };
+            if std::mem::take(&mut entry.get_mut().1) {
+                self.queue.push_back(key);
+            } else {
+                self.bytes -= entry.remove().0.len();
+            }
+        }
+    }
 }
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<u128, Slot>,
-    /// Bytes held by Ready bodies in this shard.
-    bytes: usize,
-}
-
-#[derive(Default)]
-struct RawShard {
-    map: HashMap<u128, (Arc<String>, u64)>,
-    bytes: usize,
+    ready: Ready,
+    flights: HashMap<u128, Arc<Flight>>,
 }
 
 /// What [`ResponseCache::begin`] resolved to.
@@ -90,22 +132,9 @@ impl FlightGuard {
         }
         self.flight.cv.notify_all();
 
-        let shard = &self.cache.shards[shard_of(self.key)];
-        let mut sh = shard.lock().expect("response cache shard poisoned");
-        if let Some(Slot::Pending(_)) = sh.map.get(&self.key) {
-            sh.map.remove(&self.key);
-            if body.len() <= self.cache.shard_budget {
-                sh.bytes += body.len();
-                sh.map.insert(
-                    self.key,
-                    Slot::Ready {
-                        body,
-                        stamp: self.cache.tick(),
-                    },
-                );
-                let budget = self.cache.shard_budget;
-                evict_over_budget(&mut sh, budget);
-            }
+        let mut sh = self.cache.shard(self.key);
+        if sh.flights.remove(&self.key).is_some() {
+            sh.ready.put(self.key, &body, self.cache.shard_budget);
         }
     }
 }
@@ -116,13 +145,7 @@ impl Drop for FlightGuard {
             return;
         }
         // Leader failed: clear the marker and signal retry.
-        {
-            let shard = &self.cache.shards[shard_of(self.key)];
-            let mut sh = shard.lock().expect("response cache shard poisoned");
-            if let Some(Slot::Pending(_)) = sh.map.get(&self.key) {
-                sh.map.remove(&self.key);
-            }
-        }
+        self.cache.shard(self.key).flights.remove(&self.key);
         let mut st = self.flight.state.lock().expect("flight lock poisoned");
         *st = FlightState::Failed;
         drop(st);
@@ -133,28 +156,6 @@ impl Drop for FlightGuard {
 fn shard_of(key: u128) -> usize {
     // High bits: the FNV mixing concentrates entropy there.
     (key >> 124) as usize % SHARD_COUNT
-}
-
-fn evict_over_budget(sh: &mut Shard, budget: usize) {
-    while sh.bytes > budget {
-        let victim = sh
-            .map
-            .iter()
-            .filter_map(|(k, slot)| match slot {
-                Slot::Ready { stamp, .. } => Some((*k, *stamp)),
-                Slot::Pending(_) => None,
-            })
-            .min_by_key(|&(_, stamp)| stamp)
-            .map(|(k, _)| k);
-        match victim {
-            Some(k) => {
-                if let Some(Slot::Ready { body, .. }) = sh.map.remove(&k) {
-                    sh.bytes -= body.len();
-                }
-            }
-            None => break, // only flights left; nothing evictable
-        }
-    }
 }
 
 /// Point-in-time occupancy, for `/metrics` rendering and tests.
@@ -169,38 +170,38 @@ pub struct ResponseCacheStats {
 /// The serving layer's rendered-response cache. One per server.
 pub struct ResponseCache {
     shards: [Mutex<Shard>; SHARD_COUNT],
-    raw_shards: [Mutex<RawShard>; SHARD_COUNT],
+    raw_shards: [Mutex<Ready>; SHARD_COUNT],
     shard_budget: usize,
-    clock: AtomicU64,
 }
 
 impl ResponseCache {
-    /// A cache splitting `total_budget_bytes` evenly across 16 shards (the
-    /// canonical tier; the raw alias tier gets the same again — aliases are
-    /// `Arc` clones, so the true overhead is key + pointer, not body bytes).
+    /// A cache splitting `total_budget_bytes` evenly across 16 shards of the
+    /// canonical tier, and the same again across 16 shards of the raw alias
+    /// tier. Each tier charges every body it holds its full `len()`; a body
+    /// both tiers hold is one allocation, kept alive until both drop it.
     pub fn new(total_budget_bytes: usize) -> Arc<Self> {
         Arc::new(ResponseCache {
             shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            raw_shards: std::array::from_fn(|_| Mutex::new(RawShard::default())),
+            raw_shards: std::array::from_fn(|_| Mutex::new(Ready::default())),
             shard_budget: (total_budget_bytes / SHARD_COUNT).max(1),
-            clock: AtomicU64::new(0),
         })
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
+    fn shard(&self, key: u128) -> MutexGuard<'_, Shard> {
+        self.shards[shard_of(key)]
+            .lock()
+            .expect("response cache shard poisoned")
+    }
+
+    fn raw_shard(&self, raw_key: u128) -> MutexGuard<'_, Ready> {
+        self.raw_shards[shard_of(raw_key)]
+            .lock()
+            .expect("raw response shard poisoned")
     }
 
     /// Byte-exact fast tier: a hit skips request parsing entirely.
     pub fn lookup_raw(&self, raw_key: u128) -> Option<Arc<String>> {
-        let mut sh = self.raw_shards[shard_of(raw_key)]
-            .lock()
-            .expect("raw response shard poisoned");
-        let stamp = self.tick();
-        let hit = sh.map.get_mut(&raw_key).map(|(body, s)| {
-            *s = stamp;
-            Arc::clone(body)
-        });
+        let hit = self.raw_shard(raw_key).get(raw_key);
         if hit.is_some() {
             telemetry::add(Metric::ResponseCacheHits, 1);
         }
@@ -209,31 +210,8 @@ impl ResponseCache {
 
     /// Alias the byte-exact request onto a body the canonical tier settled.
     pub fn alias_raw(&self, raw_key: u128, body: &Arc<String>) {
-        if body.len() > self.shard_budget {
-            return;
-        }
-        let mut sh = self.raw_shards[shard_of(raw_key)]
-            .lock()
-            .expect("raw response shard poisoned");
-        let stamp = self.tick();
-        match sh.map.entry(raw_key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().1 = stamp,
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((Arc::clone(body), stamp));
-                sh.bytes += body.len();
-            }
-        }
-        while sh.bytes > self.shard_budget {
-            let victim = sh.map.iter().min_by_key(|(_, (_, s))| *s).map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    if let Some((body, _)) = sh.map.remove(&k) {
-                        sh.bytes -= body.len();
-                    }
-                }
-                None => break,
-            }
-        }
+        self.raw_shard(raw_key)
+            .put(raw_key, body, self.shard_budget);
     }
 
     /// Resolve a canonical key: a ready hit, a wait on someone else's
@@ -242,23 +220,19 @@ impl ResponseCache {
     pub fn begin(self: &Arc<Self>, key: u128) -> Lookup {
         loop {
             let flight = {
-                let mut sh = self.shards[shard_of(key)]
-                    .lock()
-                    .expect("response cache shard poisoned");
-                match sh.map.get_mut(&key) {
-                    Some(Slot::Ready { body, stamp }) => {
-                        *stamp = self.tick();
-                        let body = Arc::clone(body);
-                        telemetry::add(Metric::ResponseCacheHits, 1);
-                        return Lookup::Hit(body);
-                    }
-                    Some(Slot::Pending(flight)) => Arc::clone(flight),
-                    None => {
+                let mut sh = self.shard(key);
+                if let Some(body) = sh.ready.get(key) {
+                    telemetry::add(Metric::ResponseCacheHits, 1);
+                    return Lookup::Hit(body);
+                }
+                match sh.flights.entry(key) {
+                    Entry::Occupied(e) => Arc::clone(e.get()),
+                    Entry::Vacant(e) => {
                         let flight = Arc::new(Flight {
                             state: Mutex::new(FlightState::Pending),
                             cv: Condvar::new(),
                         });
-                        sh.map.insert(key, Slot::Pending(Arc::clone(&flight)));
+                        e.insert(Arc::clone(&flight));
                         telemetry::add(Metric::ResponseCacheMisses, 1);
                         return Lookup::Miss(FlightGuard {
                             cache: Arc::clone(self),
@@ -290,29 +264,28 @@ impl ResponseCache {
 
     /// Occupancy across both tiers.
     pub fn stats(&self) -> ResponseCacheStats {
-        let mut entries = 0;
-        let mut bytes = 0;
+        let mut stats = ResponseCacheStats {
+            entries: 0,
+            bytes: 0,
+        };
+        let mut add = |ready: &Ready| {
+            stats.entries += ready.map.len();
+            stats.bytes += ready.bytes;
+        };
         for sh in &self.shards {
-            let sh = sh.lock().expect("response cache shard poisoned");
-            entries += sh
-                .map
-                .values()
-                .filter(|s| matches!(s, Slot::Ready { .. }))
-                .count();
-            bytes += sh.bytes;
+            add(&sh.lock().expect("response cache shard poisoned").ready);
         }
         for sh in &self.raw_shards {
-            let sh = sh.lock().expect("raw response shard poisoned");
-            entries += sh.map.len();
-            bytes += sh.bytes;
+            add(&sh.lock().expect("raw response shard poisoned"));
         }
-        ResponseCacheStats { entries, bytes }
+        stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Barrier;
 
     fn body(s: &str) -> Arc<String> {
@@ -422,6 +395,88 @@ mod tests {
     }
 
     #[test]
+    fn a_hit_entry_gets_a_second_chance() {
+        let mut ready = Ready::default();
+        let budget = 90;
+        for key in [1, 2, 3] {
+            ready.put(key, &body(&"x".repeat(30)), budget);
+        }
+        assert!(ready.get(1).is_some());
+        ready.put(4, &body(&"x".repeat(30)), budget);
+        assert!(ready.map.contains_key(&1), "the hit entry survives");
+        assert!(
+            !ready.map.contains_key(&2),
+            "the oldest unmarked entry goes"
+        );
+        assert_eq!(ready.queue, [3, 4, 1], "the survivor went to the back");
+        assert!(!ready.map[&1].1, "and lost its mark on the way");
+    }
+
+    /// Check one ready set's invariants; returns its `(entries, bytes)`.
+    fn check_ready(ready: &Ready, budget: usize) -> (usize, usize) {
+        let stored: usize = ready.map.values().map(|(b, _)| b.len()).sum();
+        assert_eq!(ready.bytes, stored, "bytes must be the stored bodies' sum");
+        assert!(ready.bytes <= budget, "{} > {budget}", ready.bytes);
+        let mut queued: Vec<u128> = ready.queue.iter().copied().collect();
+        let mut keys: Vec<u128> = ready.map.keys().copied().collect();
+        queued.sort_unstable();
+        keys.sort_unstable();
+        assert_eq!(queued, keys, "the queue must hold each stored key once");
+        (ready.map.len(), ready.bytes)
+    }
+
+    #[test]
+    fn ready_sets_keep_their_invariants_under_random_traffic() {
+        // SplitMix64, so the sequence is fixed by the seed.
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let budget = 256;
+        let cache = ResponseCache::new(budget * SHARD_COUNT);
+        // A few hundred keys spread over every shard of both tiers.
+        let keys: Vec<u128> = (0..300)
+            .map(|_| (u128::from(next()) << 64) | u128::from(next()))
+            .collect();
+        for step in 0..24_000 {
+            let key = keys[next() as usize % keys.len()];
+            // 1..=300 bytes: some bodies exceed the shard budget on their own.
+            let len = 1 + next() as usize % 300;
+            match next() % 3 {
+                0 => cache.alias_raw(key, &body(&"r".repeat(len))),
+                1 => {
+                    if let Some(b) = cache.lookup_raw(key) {
+                        assert!(b.len() <= budget);
+                    }
+                }
+                _ => match cache.begin(key) {
+                    Lookup::Miss(guard) => guard.complete(body(&"c".repeat(len))),
+                    Lookup::Hit(b) => assert!(b.len() <= budget),
+                },
+            }
+            let mut total = (0, 0);
+            let mut add = |(entries, bytes)| {
+                total.0 += entries;
+                total.1 += bytes;
+            };
+            for sh in &cache.shards {
+                let sh = sh.lock().unwrap();
+                assert!(sh.flights.is_empty(), "step {step}: a flight leaked");
+                add(check_ready(&sh.ready, budget));
+            }
+            for sh in &cache.raw_shards {
+                add(check_ready(&sh.lock().unwrap(), budget));
+            }
+            let stats = cache.stats();
+            assert_eq!((stats.entries, stats.bytes), total, "step {step}");
+        }
+    }
+
+    #[test]
     fn raw_tier_aliases_without_double_charging_entries() {
         let cache = ResponseCache::new(1 << 20);
         assert!(cache.lookup_raw(11).is_none());
@@ -439,5 +494,19 @@ mod tests {
         }
         assert!(matches!(cache.begin(3), Lookup::Miss(_)));
         assert_eq!(cache.stats().bytes, 0);
+
+        // Nor does one evict what the shard already holds, in either tier.
+        let cache = ResponseCache::new(64 * SHARD_COUNT);
+        let (small, big) = (body(&"s".repeat(30)), body(&"b".repeat(65)));
+        for (key, b) in [(0, &small), (1, &big)] {
+            match cache.begin(key) {
+                Lookup::Miss(g) => g.complete(Arc::clone(b)),
+                Lookup::Hit(_) => panic!(),
+            }
+            cache.alias_raw(key, b);
+        }
+        assert!(matches!(cache.begin(0), Lookup::Hit(_)));
+        assert!(cache.lookup_raw(0).is_some());
+        assert_eq!(cache.stats().bytes, 2 * small.len());
     }
 }

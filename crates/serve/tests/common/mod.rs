@@ -11,12 +11,18 @@ use std::time::Duration;
 
 use rat_core::telemetry::json::{self, Json};
 
+/// Connect to the server with a generous read timeout.
+pub fn connect(addr: SocketAddr) -> TcpStream {
+    let s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    s
+}
+
 /// Send one raw HTTP request and return one full framed response. The read
 /// is framed by `Content-Length`, not by connection close, so it works
 /// whether the server keeps the connection alive or closes it.
 pub fn send_raw(addr: SocketAddr, raw: &str) -> String {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut s = connect(addr);
     s.write_all(raw.as_bytes()).expect("write request");
     read_response(&mut s)
 }

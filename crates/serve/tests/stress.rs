@@ -3,22 +3,44 @@
 //! `cache.hits` must be monotonically non-decreasing across `/metrics`
 //! samples, shard contention must be reported, and shutdown must drain
 //! cleanly — in-flight requests complete and the write-behind simulator
-//! cache is flushed to disk (verified by reading the TSV back).
+//! cache is flushed to disk (verified by reading the TSV back). A second
+//! test keeps a small response cache evicting on every insert and checks
+//! every body it serves.
 //!
-//! This file is a single `#[test]` on purpose: it owns the process-global
-//! simulator cache (pointed at a temp path via `RAT_SIM_CACHE` before the
-//! first touch), which integration tests in other files must not share.
+//! This file owns the process-global simulator cache (pointed at a temp
+//! path via `RAT_SIM_CACHE` before the first touch), which integration
+//! tests in other files must not share. Its tests run one at a time: every
+//! in-process server drains the process-global telemetry collector, so a
+//! concurrent server could absorb the hit counts the first test asserts.
 
 mod common;
 
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
-use common::{get, metric_value, post};
+use common::{connect, get, metric_value, post, read_response, split_response};
+use rat_core::engine::Engine;
 use rat_core::telemetry::json::{self, Json};
-use rat_serve::api::escape_json;
+use rat_serve::api::{self, escape_json};
 use rat_serve::{ServeConfig, Server};
+
+/// Hold for a test's whole run, so no two of this file's servers overlap.
+/// The first caller points the simulator cache at the returned TSV path
+/// before anything can touch it.
+fn exclusive() -> (MutexGuard<'static, ()>, &'static Path) {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    static TSV: OnceLock<PathBuf> = OnceLock::new();
+    let guard = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let tsv = TSV.get_or_init(|| {
+        let tsv = std::env::temp_dir().join(format!("rat-serve-stress-{}.tsv", std::process::id()));
+        std::env::set_var("RAT_SIM_CACHE", &tsv);
+        tsv
+    });
+    (guard, tsv)
+}
 
 const CLIENT_THREADS: usize = 8;
 const REQUESTS_PER_CLIENT: usize = 12;
@@ -79,11 +101,10 @@ fn workload() -> Vec<(String, String, &'static str)> {
 
 #[test]
 fn mixed_load_is_torn_free_and_drains_with_cache_flush() {
-    // Point the process-global cache at a fresh TSV *before* anything can
-    // touch it, so shutdown's flush is observable on disk.
-    let tsv = std::env::temp_dir().join(format!("rat-serve-stress-{}.tsv", std::process::id()));
-    let _ = std::fs::remove_file(&tsv);
-    std::env::set_var("RAT_SIM_CACHE", &tsv);
+    // The process-global cache persists at `tsv`; start from no file, so
+    // shutdown's flush is observable on disk.
+    let (_serial, tsv) = exclusive();
+    let _ = std::fs::remove_file(tsv);
 
     let handle = Server::start(ServeConfig {
         workers: 4,
@@ -187,12 +208,77 @@ fn mixed_load_is_torn_free_and_drains_with_cache_flush() {
 
     // The write-behind cache was flushed on drain: the TSV exists and
     // holds at least the distinct simulation points we drove.
-    let flushed = std::fs::read_to_string(&tsv)
+    let flushed = std::fs::read_to_string(tsv)
         .unwrap_or_else(|e| panic!("cache TSV not flushed to {}: {e}", tsv.display()));
     let entries = flushed.lines().filter(|l| !l.trim().is_empty()).count();
     assert!(
         entries >= 2,
         "flushed cache has {entries} entries, expected >= 2:\n{flushed}"
     );
-    let _ = std::fs::remove_file(&tsv);
+    let _ = std::fs::remove_file(tsv);
+}
+
+#[test]
+fn a_small_response_cache_evicts_and_serves_exact_bodies() {
+    const CLIENTS: usize = 2;
+    const REQUESTS_PER_CLIENT: usize = 1500;
+    const BUDGET: usize = 64 << 10;
+    let (_serial, tsv) = exclusive();
+    let handle = Server::start(ServeConfig {
+        workers: 2,
+        response_cache_bytes: BUDGET,
+        ..ServeConfig::default()
+    })
+    .expect("server starts");
+    let addr = handle.addr();
+
+    // Every request is new: a distinct clock per request, so each one
+    // inserts into both tiers and, once the shards are full, evicts.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let engine = Engine::sequential();
+                let mut conn = connect(addr);
+                for i in 0..REQUESTS_PER_CLIENT {
+                    // Above the mixed test's clocks, so neither test's
+                    // simulations are the other's cache hits.
+                    let mhz = 200.0 + (i * CLIENTS + c) as f64 / 8.0;
+                    let body = format!("{{\"app\": \"sort\", \"mhz\": {mhz}}}");
+                    conn.write_all(
+                        format!(
+                            "POST /v1/simulate HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+                            body.len()
+                        )
+                        .as_bytes(),
+                    )
+                    .expect("write request");
+                    let raw = read_response(&mut conn);
+                    let (status, got) = split_response(&raw);
+                    let req = api::parse_mode_request("simulate", &body).unwrap();
+                    let want = api::handle(&engine, &req, None).unwrap().to_json();
+                    assert_eq!((status, got), (200, want), "client {c} at {mhz} MHz");
+                    // The server recycles a connection after its request cap.
+                    if raw.contains("\r\nConnection: close\r\n") {
+                        conn = connect(addr);
+                    }
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread panicked");
+    }
+
+    // Occupancy comes from the cache itself, not from the telemetry hit
+    // counters. Each tier holds at most its budget.
+    let (_, metrics) = get(addr, "/metrics");
+    let bytes = metric_value(&metrics, "response_cache_bytes ").expect("bytes exported");
+    let entries = metric_value(&metrics, "response_cache_entries ").expect("entries exported");
+    assert!(
+        bytes <= 2 * BUDGET as u64,
+        "{bytes} bytes over 2 x {BUDGET}"
+    );
+    assert!(entries > 0, "the cache kept nothing");
+    handle.shutdown();
+    let _ = std::fs::remove_file(tsv);
 }
