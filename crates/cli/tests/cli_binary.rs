@@ -157,6 +157,27 @@ fn deeply_nested_worksheets_exit_3_naming_the_cap() {
 }
 
 #[test]
+fn buffers_past_u32_block_rams_are_infeasible_not_wrapped() {
+    // 8-byte elements in 2304-byte BRAM18 blocks. 2^32 + 10 blocks once
+    // wrapped to 10 and fitted a Virtex-5 (exit 0 with a front); 2^32 - 1
+    // overflowed the sum with the output buffer's block (a debug panic).
+    let dir = std::env::temp_dir().join(format!("rat-cli-bram-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = std::fs::read_to_string(worksheet("pdf1d")).unwrap();
+    for elements_in in ["1236950584128", "1236950581248"] {
+        let huge = text
+            .replace("elements_in = 512", &format!("elements_in = {elements_in}"))
+            .replace("bytes_per_element = 4", "bytes_per_element = 8");
+        let path = dir.join(format!("bram-{elements_in}.toml"));
+        std::fs::write(&path, huge).unwrap();
+        let (stdout, stderr, code) = run_rat_env(&["optimize", &path.to_string_lossy()], &[]);
+        assert_eq!(code, 4, "{elements_in}: stdout: {stdout}\nstderr: {stderr}");
+        assert!(stderr.contains("no feasible design point"), "{stderr}");
+        assert!(stdout.is_empty(), "{elements_in}: {stdout}");
+    }
+}
+
+#[test]
 fn simulation_failure_exits_5_with_cause_chain() {
     // A zero clock is user input the simulator rejects; the CLI must report
     // what it was doing (context) plus the simulator's reason (cause).

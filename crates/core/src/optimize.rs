@@ -19,11 +19,14 @@
 //! trades these off — the fastest point may saturate the device, the
 //! lightest may idle it — so the front is the honest deliverable.
 //!
-//! The search computes only what the front needs. A generation keeps each
-//! feasible point's objectives and coordinates, nothing more; the front is
-//! one sort-and-sweep skyline over all of them after the last generation
-//! (`pareto_front`); and only its members are solved again, through
-//! [`solve_batch`], for the full reports a [`FrontPoint`] carries.
+//! The search computes only what the front needs. A generation reads its
+//! draws in bulk, scores each candidate with the two numbers the search
+//! ranks by, and keeps each feasible point's objectives. A sort-and-sweep
+//! skyline (`pareto_front`) then runs over that generation's points alone,
+//! and only its members keep their coordinates. After the last generation
+//! one more skyline over those survivors gives the front, and only its
+//! members are solved again, through [`solve_batch`], for the full reports
+//! a [`FrontPoint`] carries.
 //!
 //! ## Determinism contract
 //!
@@ -60,8 +63,6 @@ use crate::sweep::SweepParam;
 use crate::table::{pct, TextTable};
 use crate::telemetry::{self, Metric};
 use fixedpoint::QFormat;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 use std::cmp::Ordering;
 
 /// Slices/ALUTs of datapath logic per lane-bit of the candidate's number
@@ -77,6 +78,14 @@ const CONTROL_OVERHEAD_CELLS: u64 = 320;
 
 /// Fraction of the population adopted as the elite set each generation.
 const ELITE_FRACTION: usize = 8;
+
+/// `u64` draws per candidate: two per Box–Muller normal and one per
+/// categorical pick.
+const DRAWS_PER_CANDIDATE: usize = 7;
+
+/// Candidates per bulk read of a generation's stream, so the draw buffer
+/// stays at 56 KiB at any population.
+const SAMPLE_CHUNK: usize = 1024;
 
 /// Multiplier applied to the elite standard deviation when adapting the
 /// per-axis step size: keeps the search from collapsing prematurely on a
@@ -404,9 +413,9 @@ pub fn estimate_candidate(
         Buffering::Single => 1,
         Buffering::Double => 2,
     };
-    let bram = (brams_for_buffer(base.input_bytes().get(), block_bytes)
-        + brams_for_buffer(base.output_bytes().get(), block_bytes))
-        * copies;
+    let bram = brams_for_buffer(base.input_bytes().get(), block_bytes)
+        .saturating_add(brams_for_buffer(base.output_bytes().get(), block_bytes))
+        .saturating_mul(copies);
     let logic = lanes * u64::from(precision.total_bits()) * LOGIC_CELLS_PER_LANE_BIT
         + CONTROL_OVERHEAD_CELLS;
     ResourceEstimate { dsp, bram, logic }
@@ -447,22 +456,27 @@ impl SearchState {
         }
     }
 
-    fn sample(&self, rng: &mut ChaCha8Rng) -> Candidate {
-        // Fixed draw order (two Gaussians, three categorical picks) keeps
-        // the per-generation stream layout independent of everything else.
-        let z0 = gaussian(rng);
-        let z1 = gaussian(rng);
+    /// The categorical weights' totals, which [`Self::sample`] takes: the
+    /// weights change only in [`Self::adapt`].
+    fn weight_totals(&self) -> [f64; 3] {
+        self.weights.each_ref().map(|w| w.iter().sum())
+    }
+
+    /// One candidate from its [`DRAWS_PER_CANDIDATE`] words, in a fixed
+    /// order (two Gaussians of two words each, three categorical picks of
+    /// one), so the per-generation stream layout is independent of
+    /// everything else.
+    fn sample(&self, w: &[u64], totals: &[f64; 3]) -> Candidate {
+        let z0 = gaussian(w[0], w[1]);
+        let z1 = gaussian(w[2], w[3]);
         let fclock_hz = (self.mean[0] + self.sigma[0] * z0).clamp(self.lo[0], self.hi[0]);
         let throughput_proc = (self.mean[1] + self.sigma[1] * z1).clamp(self.lo[1], self.hi[1]);
-        let buf = pick(rng, &self.weights[0]);
-        let dev = pick(rng, &self.weights[1]);
-        let prec = pick(rng, &self.weights[2]);
         Candidate {
             fclock_hz,
             throughput_proc,
-            buf,
-            dev,
-            prec,
+            buf: pick(w[4], &self.weights[0], totals[0]),
+            dev: pick(w[5], &self.weights[1], totals[1]),
+            prec: pick(w[6], &self.weights[2], totals[2]),
         }
     }
 
@@ -501,19 +515,18 @@ impl SearchState {
     }
 }
 
-/// A standard normal draw via Box–Muller: two uniform draws per Gaussian, so
-/// the stream layout is fixed.
-fn gaussian(rng: &mut ChaCha8Rng) -> f64 {
-    let u1: f64 = rng.gen();
-    let u2: f64 = rng.gen();
+/// A standard normal draw via Box–Muller from two `u64` draws, so the
+/// stream layout is fixed.
+fn gaussian(w1: u64, w2: u64) -> f64 {
+    let u1 = rand::unit_f64(w1);
+    let u2 = rand::unit_f64(w2);
     (-2.0 * (1.0 - u1).ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Weighted categorical pick: one uniform draw walked against the cumulative
-/// weights. Deterministic for a given stream position.
-fn pick(rng: &mut ChaCha8Rng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
-    let mut u: f64 = rng.gen::<f64>() * total;
+/// Weighted categorical pick: one `u64` draw, as a uniform in `[0, total)`,
+/// walked against the cumulative weights. `total` is `weights`' sum.
+fn pick(word: u64, weights: &[f64], total: f64) -> usize {
+    let mut u = rand::unit_f64(word) * total;
     for (i, w) in weights.iter().enumerate() {
         u -= w;
         if u < 0.0 {
@@ -527,11 +540,12 @@ fn pick(rng: &mut ChaCha8Rng, weights: &[f64]) -> usize {
 ///
 /// Each generation draws `config.population` candidates from the adapted
 /// distribution (per-generation stream [`job_rng`]`(seed, generation)`),
-/// predicts their throughput through [`predict_batch_with`] on `engine`'s
-/// warm pool, gates them through the Eq. (9)–(11) resource test, records
-/// the feasible ones' objectives, and adapts toward the highest-speedup
-/// feasible elite. After the last generation, `pareto_front` picks the
-/// non-dominated points, and only those get full reports.
+/// scores them through [`predict_batch_with`] on `engine`'s warm pool,
+/// gates them through the Eq. (9)–(11) resource test, records the feasible
+/// ones' objectives, keeps the members of their own front, and adapts
+/// toward the highest-speedup feasible elite. After the last generation,
+/// `pareto_front` picks the non-dominated points among those members, and
+/// only those get full reports.
 ///
 /// Errors: invalid axes/knobs report the offending field; a space where *no*
 /// evaluated candidate passes the resource test is [`RatError::Infeasible`]
@@ -571,44 +585,65 @@ pub fn optimize(
     };
     let mut state = SearchState::new(space, bufs.len(), devs.len(), precs.len());
     let mut visited: Vec<Objectives> = Vec::new();
-    // The generation and coordinates of each visited point, indexed like
-    // `visited`: all the front needs to rebuild its members' reports.
-    let mut seen: Vec<(u32, Candidate)> = Vec::new();
+    // Each generation's own front members, in visit order: their index in
+    // `visited`, their generation and their coordinates. Every member of
+    // the final front is among them.
+    let mut survivors: Vec<(usize, u32, Candidate)> = Vec::new();
+    let mut words = vec![0u64; DRAWS_PER_CANDIDATE * config.population.min(SAMPLE_CHUNK)];
+    let mut candidates: Vec<Candidate> = Vec::with_capacity(config.population);
+    // A generation's feasible points: candidate index and speedup.
+    let mut feasible: Vec<(usize, f64)> = Vec::new();
+    let elite_n = (config.population / ELITE_FRACTION).max(1);
+    // Highest speedup first, index-tiebroken: a total order.
+    let rank = |(ia, sa): &(usize, f64), (ib, sb): &(usize, f64)| sb.total_cmp(sa).then(ia.cmp(ib));
     let mut evals = 0u64;
 
     for generation in 0..config.generations {
         let mut rng = job_rng(config.seed, u64::from(generation));
-        let candidates: Vec<Candidate> = (0..config.population)
-            .map(|_| state.sample(&mut rng))
-            .collect();
-        let predictions = evaluate(engine, &space.base, &bufs, &candidates, predict_batch_with)?;
+        let totals = state.weight_totals();
+        candidates.clear();
+        while candidates.len() < config.population {
+            let n = (config.population - candidates.len()).min(SAMPLE_CHUNK);
+            let w = &mut words[..DRAWS_PER_CANDIDATE * n];
+            rng.fill_u64(w);
+            candidates.extend(
+                w.chunks_exact(DRAWS_PER_CANDIDATE)
+                    .map(|c| state.sample(c, &totals)),
+            );
+        }
+        let scores = evaluate(engine, &space.base, &bufs, &candidates, predict_batch_with)?;
         evals += candidates.len() as u64;
         telemetry::add(Metric::OptimizeGenerations, 1);
         telemetry::add(Metric::OptimizeEvals, candidates.len() as u64);
 
-        let mut gen_feasible: Vec<(usize, f64)> = Vec::new();
-        for (i, (cand, prediction)) in candidates.iter().zip(&predictions).enumerate() {
+        let first = visited.len();
+        feasible.clear();
+        for (i, (cand, score)) in candidates.iter().zip(&scores).enumerate() {
             let ([dsp, bram, logic], fits) = utilization(&devs[cand.dev], &estimate(cand));
             if !fits {
                 continue;
             }
             visited.push(Objectives {
-                speedup: prediction.speedup,
-                util_comp: prediction.util_comp,
+                speedup: score.speedup,
+                util_comp: score.util_comp,
                 resource_frac: dsp.max(bram).max(logic),
             });
-            seen.push((generation, *cand));
-            gen_feasible.push((i, prediction.speedup));
+            feasible.push((i, score.speedup));
         }
+        survivors.extend(
+            generation_front(&visited, first)
+                .into_iter()
+                .map(|v| (v, generation, candidates[feasible[v - first].0])),
+        );
 
-        // Elite update: highest feasible speedup first, index-tiebroken.
-        gen_feasible.sort_by(|(ia, sa), (ib, sb)| sb.total_cmp(sa).then(ia.cmp(ib)));
-        let elite_n = (config.population / ELITE_FRACTION).max(1);
-        let elites: Vec<&Candidate> = gen_feasible
-            .iter()
-            .take(elite_n)
-            .map(|&(i, _)| &candidates[i])
-            .collect();
+        // Elite update: select the elite, then rank only it, because
+        // `adapt` sums in rank order.
+        if feasible.len() > elite_n {
+            feasible.select_nth_unstable_by(elite_n, rank);
+            feasible.truncate(elite_n);
+        }
+        feasible.sort_unstable_by(rank);
+        let elites: Vec<&Candidate> = feasible.iter().map(|&(i, _)| &candidates[i]).collect();
         state.adapt(&elites);
     }
 
@@ -622,8 +657,12 @@ pub fn optimize(
         )));
     }
 
-    let members = pareto_front(&visited);
-    let member_candidates: Vec<Candidate> = members.iter().map(|&m| seen[m].1).collect();
+    let survivor_objectives: Vec<Objectives> = survivors.iter().map(|s| visited[s.0]).collect();
+    let members: Vec<(usize, u32, Candidate)> = pareto_front(&survivor_objectives)
+        .into_iter()
+        .map(|m| survivors[m])
+        .collect();
+    let member_candidates: Vec<Candidate> = members.iter().map(|m| m.2).collect();
     let reports = evaluate(
         engine,
         &space.base,
@@ -633,15 +672,14 @@ pub fn optimize(
     )?;
     let front: Vec<FrontPoint> = members
         .iter()
-        .zip(&member_candidates)
         .zip(reports)
-        .map(|((&m, cand), report)| FrontPoint {
+        .map(|(&(v, generation, cand), report)| FrontPoint {
             report,
             device: devs[cand.dev].clone(),
             precision: precs[cand.prec],
-            resources: ResourceReport::analyze(devs[cand.dev].clone(), estimate(cand)),
-            objectives: visited[m],
-            generation: seen[m].0,
+            resources: ResourceReport::analyze(devs[cand.dev].clone(), estimate(&cand)),
+            objectives: visited[v],
+            generation,
         })
         .collect();
     telemetry::add(Metric::OptimizeFrontSize, front.len() as u64);
@@ -706,6 +744,25 @@ pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
     front
 }
 
+/// The members of the front of `visited[first..]` alone, as indices into
+/// `visited`, ascending.
+///
+/// Run on each generation's points as they arrive, this is an exact
+/// prefilter: the front of the survivors, kept in visit order, is the front
+/// of all of `visited`. Say a point beats another when it dominates it, or
+/// ties it and was visited first; the relation is transitive, and the
+/// front is the points nothing beats. A point dropped here is beaten within
+/// its generation, so it is off the front. And whatever beats a survivor is
+/// a survivor or beaten by one (of its own generation), which then beats
+/// that survivor too, so the survivors' front drops only what the whole
+/// front drops.
+fn generation_front(visited: &[Objectives], first: usize) -> Vec<usize> {
+    let mut members = pareto_front(&visited[first..]);
+    members.sort_unstable();
+    members.iter_mut().for_each(|m| *m += first);
+    members
+}
+
 /// `x` as an integer with the ordering of [`f64::total_cmp`].
 fn total_key(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
@@ -756,6 +813,8 @@ mod tests {
     use crate::params::pdf1d_example;
     use crate::resources::device::{virtex4_lx100, virtex4_lx25};
     use crate::worksheet::Worksheet;
+    use rand::Rng;
+    use rand_chacha::ChaCha8Rng;
 
     fn quick_config() -> OptimizeConfig {
         OptimizeConfig {
@@ -994,11 +1053,25 @@ mod tests {
                     resource_frac: one_of(&fracs),
                 })
                 .collect();
-            assert_eq!(
-                pareto_front(&visited),
-                fold_reference(&visited),
-                "seed {seed}, {n} points"
-            );
+            let fold = fold_reference(&visited);
+            assert_eq!(pareto_front(&visited), fold, "seed {seed}, {n} points");
+
+            // The same points in random generations, as `optimize` sees
+            // them: each generation's own front, then the final skyline
+            // over those survivors.
+            let mut survivors = Vec::new();
+            let mut first = 0;
+            while first < n {
+                let end = (first + rng.gen_range(1..=60)).min(n);
+                survivors.extend(generation_front(&visited[..end], first));
+                first = end;
+            }
+            let objectives: Vec<Objectives> = survivors.iter().map(|&v| visited[v]).collect();
+            let front: Vec<usize> = pareto_front(&objectives)
+                .into_iter()
+                .map(|m| survivors[m])
+                .collect();
+            assert_eq!(front, fold, "seed {seed}, {n} points in generations");
         }
     }
 

@@ -50,10 +50,11 @@ pub fn dsps_for_multiplier(bits: u32, native_width: u32) -> u32 {
 }
 
 /// Block RAMs needed to hold `bytes` of buffer, given `bram_bytes` per block.
-/// Any non-empty buffer takes at least one block.
+/// Any non-empty buffer takes at least one block. A count past `u32::MAX`
+/// saturates there, so it still fails every device's resource test.
 pub fn brams_for_buffer(bytes: u64, bram_bytes: u64) -> u32 {
     assert!(bram_bytes > 0, "block size must be positive");
-    bytes.div_ceil(bram_bytes) as u32
+    u32::try_from(bytes.div_ceil(bram_bytes)).unwrap_or(u32::MAX)
 }
 
 /// Bytes in one 18-kbit Xilinx block RAM.
@@ -92,6 +93,21 @@ mod tests {
         assert_eq!(brams_for_buffer(1, XILINX_BRAM18_BYTES), 1);
         assert_eq!(brams_for_buffer(2304, XILINX_BRAM18_BYTES), 1);
         assert_eq!(brams_for_buffer(2305, XILINX_BRAM18_BYTES), 2);
+    }
+
+    #[test]
+    fn bram_count_saturates_instead_of_wrapping() {
+        // 2^32 + 10 blocks used to truncate to 10.
+        let bytes = ((1u64 << 32) + 10) * XILINX_BRAM18_BYTES;
+        assert_eq!(brams_for_buffer(bytes, XILINX_BRAM18_BYTES), u32::MAX);
+        assert_eq!(brams_for_buffer(u64::MAX, ALTERA_M4K_BYTES), u32::MAX);
+        let most = u64::from(u32::MAX) * XILINX_BRAM18_BYTES;
+        assert_eq!(brams_for_buffer(most, XILINX_BRAM18_BYTES), u32::MAX);
+        assert_eq!(brams_for_buffer(most - 1, XILINX_BRAM18_BYTES), u32::MAX);
+        assert_eq!(
+            brams_for_buffer(most - XILINX_BRAM18_BYTES, XILINX_BRAM18_BYTES),
+            u32::MAX - 1
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! [`BatchPoints`] stores the *varied* parameters as columns
 //! (structure-of-arrays) over one base [`RatInput`], and [`speedup_batch`],
 //! [`predict_batch`] and [`solve_batch`] evaluate all points in tight loops
-//! over those columns: Eq. (7) alone, the prediction at the base buffering,
-//! or the full report.
+//! over those columns: Eq. (7) alone, speedup and computation utilization
+//! at the base buffering, or the full report.
 //!
 //! ## Bit-identity contract
 //!
@@ -671,16 +671,34 @@ pub fn solve_batch(points: &BatchPoints) -> Result<Vec<Report>, RatError> {
         .collect())
 }
 
-/// Evaluate only the prediction at the base buffering for every point:
-/// `out[i]` is bit-identical to `solve_batch(points)?[i].throughput`, with
-/// no alternate prediction, no ceiling and no materialized input. This is
-/// what a search that ranks points by speedup and utilization needs.
-pub fn predict_batch(points: &BatchPoints) -> Result<Vec<ThroughputPrediction>, RatError> {
+/// The two numbers a search ranks a design point by: the speedup and the
+/// computation utilization of its prediction at the base buffering.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Score {
+    /// Eq. (7).
+    pub speedup: f64,
+    /// Eq. (8) or (10).
+    pub util_comp: f64,
+}
+
+/// Evaluate only speedup and computation utilization at the base buffering
+/// for every point: `out[i]` holds the bits of
+/// `solve_batch(points)?[i].throughput`'s `speedup` and `util_comp`, with no
+/// other prediction field, no alternate prediction, no ceiling and no
+/// materialized input. This is what a search that ranks points by speedup
+/// and utilization needs.
+pub fn predict_batch(points: &BatchPoints) -> Result<Vec<Score>, RatError> {
     let d = checked_decode(points).map_err(|(_, e)| e)?;
     let base = points.base;
     let t_soft = base.software.t_soft.seconds();
     Ok((0..points.len)
-        .map(|i| PointTerms::at(base, &d, i).prediction(base.buffering, t_soft))
+        .map(|i| {
+            let p = PointTerms::at(base, &d, i).prediction(base.buffering, t_soft);
+            Score {
+                speedup: p.speedup,
+                util_comp: p.util_comp,
+            }
+        })
         .collect())
 }
 
@@ -698,10 +716,7 @@ pub fn solve_batch_with(engine: &Engine, points: &BatchPoints) -> Result<Vec<Rep
 /// contract as [`solve_batch_with`]. A point costs about as much as a
 /// Monte-Carlo sample, so a generation of a thousand points stays one or two
 /// jobs while a million-point batch still spreads across the pool.
-pub fn predict_batch_with(
-    engine: &Engine,
-    points: &BatchPoints,
-) -> Result<Vec<ThroughputPrediction>, RatError> {
+pub fn predict_batch_with(engine: &Engine, points: &BatchPoints) -> Result<Vec<Score>, RatError> {
     chunked(engine, points, PointCost::McSample, predict_batch)
 }
 

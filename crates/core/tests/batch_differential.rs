@@ -6,8 +6,8 @@
 //! random (input, parameter, values) triples through both paths and compare
 //! `f64::to_bits`, and deterministic tests walk the chunk-boundary sizes
 //! (1, CHUNK-1, CHUNK, CHUNK+1) across 1/2/8-thread engines. The
-//! prediction-only kernel (`predict_batch`) is held to the `throughput`
-//! field of the full reports the same way.
+//! search's scoring kernel (`predict_batch`) is held to the `speedup` and
+//! `util_comp` of the full reports' `throughput` the same way.
 
 use proptest::prelude::*;
 use rat_core::engine::{Engine, EngineConfig};
@@ -16,7 +16,7 @@ use rat_core::params::{
 };
 use rat_core::quantity::{Freq, Seconds, Throughput};
 use rat_core::solve::batch::{
-    predict_batch, predict_batch_with, solve_batch, speedup_batch, BatchPoints, CHUNK,
+    predict_batch, predict_batch_with, solve_batch, speedup_batch, BatchPoints, Score, CHUNK,
 };
 use rat_core::sweep::{sweep_with, SweepParam};
 use rat_core::throughput::ThroughputPrediction;
@@ -175,7 +175,8 @@ proptest! {
     }
 
     /// `predict_batch` returns exactly the bits of each full report's
-    /// `throughput`, for every parameter variant, one column or two.
+    /// `throughput.speedup` and `throughput.util_comp`, for every parameter
+    /// variant, one column or two.
     #[test]
     fn predictions_are_bit_identical_to_report_throughput(
         input in worksheet(),
@@ -195,7 +196,7 @@ proptest! {
         let reports = solve_batch(&batch).unwrap();
         prop_assert_eq!(predictions.len(), reports.len());
         for (i, (p, r)) in predictions.iter().zip(&reports).enumerate() {
-            prop_assert_eq!(bits(p), bits(&r.throughput), "{:?} at index {}", pa, i);
+            prop_assert_eq!(score_bits(p), scored(&r.throughput), "{:?} at index {}", pa, i);
         }
     }
 
@@ -222,20 +223,14 @@ proptest! {
 }
 
 /// Every field of a prediction, floats as raw bits.
-fn bits(p: &ThroughputPrediction) -> ([u64; 8], Buffering) {
-    (
-        [
-            p.t_write.seconds().to_bits(),
-            p.t_read.seconds().to_bits(),
-            p.t_comm.seconds().to_bits(),
-            p.t_comp.seconds().to_bits(),
-            p.t_rc.seconds().to_bits(),
-            p.speedup.to_bits(),
-            p.util_comm.to_bits(),
-            p.util_comp.to_bits(),
-        ],
-        p.buffering,
-    )
+/// A score's bits: speedup, then util_comp.
+fn score_bits(s: &Score) -> [u64; 2] {
+    [s.speedup.to_bits(), s.util_comp.to_bits()]
+}
+
+/// The bits of the two prediction fields a score carries.
+fn scored(p: &ThroughputPrediction) -> [u64; 2] {
+    [p.speedup.to_bits(), p.util_comp.to_bits()]
 }
 
 /// The engines the thread-count sweeps run on: serial, 2-way, 8-way.
@@ -335,13 +330,13 @@ fn predictions_are_bitwise_stable_across_chunk_seams_and_threads() {
             let want: Vec<_> = solve_batch(&batch)
                 .unwrap()
                 .iter()
-                .map(|r| bits(&r.throughput))
+                .map(|r| scored(&r.throughput))
                 .collect();
             for engine in engines() {
                 let got: Vec<_> = predict_batch_with(&engine, &batch)
                     .unwrap()
                     .iter()
-                    .map(bits)
+                    .map(score_bits)
                     .collect();
                 assert_eq!(
                     got,

@@ -294,6 +294,23 @@ fn optimize_spaces_map_to_the_documented_statuses() {
     );
     still_alive(&handle, "all-infeasible optimize space");
 
+    // Input buffers of 2^32 + 10 and 2^32 - 1 BRAM18 blocks: the first
+    // once wrapped to 10 blocks and answered 200 with a front, the second
+    // overflowed the block sum in a debug worker. Both are infeasible.
+    for elements_in in [1_236_950_584_128, 1_236_950_581_248] {
+        let mut huge = rat_apps::pdf::pdf1d::rat_input(150.0e6);
+        huge.dataset.elements_in = elements_in;
+        huge.dataset.bytes_per_element = 8;
+        let huge = escape_json(&toml::to_string(&huge).unwrap());
+        let (status, body) = post(
+            addr,
+            "/v1/optimize",
+            &format!("{{\"worksheet_toml\": \"{huge}\"}}"),
+        );
+        assert_eq!(status, 422, "{elements_in}: {body}");
+        still_alive(&handle, "a buffer past u32 block RAMs");
+    }
+
     // A legal single-candidate space answers 200.
     let (status, body) = post(
         addr,
@@ -310,7 +327,7 @@ fn optimize_spaces_map_to_the_documented_statuses() {
 
     let summary = handle.shutdown();
     assert!(
-        summary.ok >= 5,
+        summary.ok >= 7,
         "expected the still-alive probes: {summary:?}"
     );
 }
