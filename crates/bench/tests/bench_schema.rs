@@ -197,7 +197,8 @@ fn assert_bench_schema(doc: &Json, what: &str) -> Vec<String> {
 #[test]
 fn live_quick_report_satisfies_the_schema() {
     let report = hotbench::run(true);
-    let doc = json::parse(&report.to_json()).expect("to_json emits valid JSON");
+    let text = report.to_json();
+    let doc = json::parse(&text).expect("to_json emits valid JSON");
     // A freshly generated report always carries the *current* schema version
     // (and therefore, per the validator, the host provenance block).
     assert_eq!(

@@ -32,7 +32,7 @@ const ABSOLUTE_FLOORS: [(&str, f64); 3] = [
 const RELATIVE_FLOOR: f64 = 0.5;
 
 /// The newest `BENCH_<pr>.json` at the repo root (highest PR number), parsed.
-fn newest_evidence() -> (String, Json) {
+fn newest_evidence() -> (String, Json<'static>) {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let mut newest: Option<(u64, String)> = None;
     for entry in std::fs::read_dir(root).expect("repo root readable") {
@@ -55,7 +55,7 @@ fn newest_evidence() -> (String, Json) {
     let (_, name) = newest.expect("at least one BENCH_<pr>.json evidence file");
     let text = std::fs::read_to_string(format!("{root}/{name}")).expect("evidence readable");
     let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: bad JSON: {e}"));
-    (name, doc)
+    (name, doc.into_owned())
 }
 
 /// Ratio name → speedup from a bench report document.
@@ -291,7 +291,8 @@ fn live_ratios_have_not_collapsed_against_checked_in_evidence() {
     let (evidence_name, evidence) = newest_evidence();
     let reference = ratios_of(&evidence);
     let live_report = hotbench::run(true);
-    let live = json::parse(&live_report.to_json()).expect("live report JSON");
+    let live_text = live_report.to_json();
+    let live = json::parse(&live_text).expect("live report JSON");
     let live = ratios_of(&live);
 
     let mut failures = Vec::new();

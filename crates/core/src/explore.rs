@@ -14,6 +14,8 @@
 //! and the cheapest, get a full named [`Report`], so a million-corner space
 //! costs one kernel pass plus at most eleven reports.
 
+use std::fmt::Write;
+
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
 use crate::quantity::Freq;
@@ -177,14 +179,19 @@ impl Exploration {
             ))
             .header(["Corner", "Speedup"]);
         for r in &self.top {
-            t.row([r.input.name.clone(), format!("{:.2}", r.speedup)]);
+            t.row([
+                format_args!("{}", r.input.name),
+                format_args!("{:.2}", r.speedup),
+            ]);
         }
         let mut s = t.render();
         match &self.cheapest {
-            Some(c) => s.push_str(&format!(
-                "cheapest passing corner: {} ({:.2}x)\n",
+            Some(c) => writeln!(
+                s,
+                "cheapest passing corner: {} ({:.2}x)",
                 c.input.name, c.speedup
-            )),
+            )
+            .expect("writing to a String does not fail"),
             None => s.push_str(
                 "space exhausted without a satisfactory solution — redesign or abandon\n",
             ),
@@ -200,9 +207,10 @@ impl Exploration {
 /// and each partition is one [`solve::batch::speedup_batch_indexed`] call
 /// with `f_clock` and `throughput_proc` columns. The passing corners are
 /// ranked by those speedups, which are bit-identical to the ones a full
-/// [`Report`] would carry, and the cheapest is picked from their
-/// coordinates. Only the [`TOP`] ranked corners and the cheapest get a full
-/// named report, so the cost past the gate does not grow with the space. On
+/// [`Report`] would carry: the [`TOP`] best are selected in linear time and
+/// only they are sorted, and the cheapest is picked from the coordinates.
+/// Only the [`TOP`] ranked corners and the cheapest get a full named
+/// report, so the cost past the gate does not grow with the space. On
 /// an invalid corner, the lowest-indexed corner in enumeration order wins
 /// error reporting.
 pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, RatError> {
@@ -256,17 +264,26 @@ pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, Rat
     if let Some((_, e)) = first_err {
         return Err(e);
     }
-    // Passing corners best first; the sort is stable, so ties keep
-    // enumeration order.
+    // Rank order: speedup descending, then enumeration order. Only the
+    // `TOP` best passing corners are sorted; the rest are only counted.
+    let rank = |&a: &usize, &b: &usize| speedups[b].total_cmp(&speedups[a]).then(a.cmp(&b));
     let mut ranked: Vec<usize> = (0..corners.len())
         .filter(|&i| speedups[i] >= min_speedup)
         .collect();
-    ranked.sort_by(|&a, &b| speedups[b].total_cmp(&speedups[a]));
-    // `min_by` keeps the first of equal minima, i.e. the best ranked.
-    let cheapest = ranked.iter().copied().min_by(|&a, &b| {
+    let passing = ranked.len();
+    // Equal costs go to the better-ranked corner.
+    let cheapest = ranked.iter().copied().min_by(|a, b| {
         let key = |i: usize| (corners[i].throughput_proc, corners[i].fclock_hz);
-        key(a).partial_cmp(&key(b)).expect("finite by validation")
+        key(*a)
+            .partial_cmp(&key(*b))
+            .expect("finite by validation")
+            .then_with(|| rank(a, b))
     });
+    if ranked.len() > TOP {
+        ranked.select_nth_unstable_by(TOP - 1, rank);
+        ranked.truncate(TOP);
+    }
+    ranked.sort_unstable_by(rank);
     let report = |i: usize| {
         let mut named = space.base.clone();
         corners[i].apply_into(&mut named);
@@ -275,13 +292,12 @@ pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, Rat
     };
     Ok(Exploration {
         min_speedup,
-        passing: ranked.len(),
+        passing,
         top: ranked
             .iter()
-            .take(TOP)
             .map(|&i| report(i))
             .collect::<Result<_, _>>()?,
-        failing: corners.len() - ranked.len(),
+        failing: corners.len() - passing,
         cheapest: cheapest.map(report).transpose()?,
     })
 }
@@ -393,15 +409,20 @@ mod tests {
         }
     }
 
+    /// A full report per corner, in enumeration order.
+    fn corner_reports(space: &DesignSpace) -> Vec<Report> {
+        let analyze = |c: RatInput| Worksheet::new(c).analyze().unwrap();
+        space.corners().into_iter().map(analyze).collect()
+    }
+
     /// The exploration a full report per passing corner gives: rank the
     /// reports by speedup (stable), take the cheapest with `min_by`.
-    fn explore_reference(space: &DesignSpace, min_speedup: f64) -> Exploration {
-        let corners = space.corners();
-        let total = corners.len();
-        let mut passing: Vec<Report> = corners
-            .into_iter()
-            .map(|c| Worksheet::new(c).analyze().unwrap())
+    fn rank_reference(reports: &[Report], min_speedup: f64) -> Exploration {
+        let total = reports.len();
+        let mut passing: Vec<Report> = reports
+            .iter()
             .filter(|r| r.speedup >= min_speedup)
+            .cloned()
             .collect();
         passing.sort_by(|a, b| b.speedup.total_cmp(&a.speedup));
         let cheapest = passing
@@ -448,10 +469,16 @@ mod tests {
                 throughput_procs,
                 bufferings,
             };
-            for min_speedup in [1.0, 8.0, 12.0, 200.0, 1.0e6] {
+            let reports = corner_reports(&s);
+            let mut speedups: Vec<f64> = reports.iter().map(|r| r.speedup).collect();
+            speedups.sort_by(|a, b| b.total_cmp(a));
+            // Fixed thresholds, then the best speedup and those of the 10th
+            // and 11th best corners, where a tie can straddle the cut.
+            let nth = |n: usize| speedups[n.min(speedups.len() - 1)];
+            for min_speedup in [1.0, 8.0, 12.0, 200.0, 1.0e6, nth(0), nth(TOP - 1), nth(TOP)] {
                 assert_eq!(
                     explore(&s, min_speedup).unwrap(),
-                    explore_reference(&s, min_speedup),
+                    rank_reference(&reports, min_speedup),
                     "seed {seed}, target {min_speedup}"
                 );
             }

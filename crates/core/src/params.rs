@@ -7,8 +7,8 @@
 //! to constructors and rendering.
 //!
 //! A worksheet file is TOML. [`RatInput`] and its five parts read themselves
-//! from a parsed [`toml::Value`] tree through `TryFrom<&toml::Value>`, and
-//! `From<&RatInput> for toml::Value` writes one back, so
+//! from a parsed [`toml::Value`] tree through `TryFrom<&toml::Value<'_>>`,
+//! and `From<&RatInput> for toml::Value<'_>` writes one back, so
 //! `toml::from_str::<RatInput>` and `toml::to_string(&input)` are the whole
 //! worksheet codec. Decoding ignores unknown keys and names the path to a
 //! bad field (`comp: fclock: ...`); quantities also accept suffixed strings
@@ -211,9 +211,9 @@ impl RatInput {
     }
 }
 
-impl TryFrom<&Value> for DatasetParams {
+impl TryFrom<&Value<'_>> for DatasetParams {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         let t = value.table("DatasetParams")?;
         Ok(DatasetParams {
             elements_in: t.field("elements_in")?,
@@ -223,9 +223,9 @@ impl TryFrom<&Value> for DatasetParams {
     }
 }
 
-impl TryFrom<&Value> for CommParams {
+impl TryFrom<&Value<'_>> for CommParams {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         let t = value.table("CommParams")?;
         Ok(CommParams {
             ideal_bandwidth: t.field("ideal_bandwidth")?,
@@ -235,9 +235,9 @@ impl TryFrom<&Value> for CommParams {
     }
 }
 
-impl TryFrom<&Value> for CompParams {
+impl TryFrom<&Value<'_>> for CompParams {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         let t = value.table("CompParams")?;
         Ok(CompParams {
             ops_per_element: t.field("ops_per_element")?,
@@ -247,9 +247,9 @@ impl TryFrom<&Value> for CompParams {
     }
 }
 
-impl TryFrom<&Value> for SoftwareParams {
+impl TryFrom<&Value<'_>> for SoftwareParams {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         let t = value.table("SoftwareParams")?;
         Ok(SoftwareParams {
             t_soft: t.field("t_soft")?,
@@ -258,12 +258,12 @@ impl TryFrom<&Value> for SoftwareParams {
     }
 }
 
-impl TryFrom<&Value> for Buffering {
+impl TryFrom<&Value<'_>> for Buffering {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         let unknown = |tag: &str| Error::new(format!("unknown variant `{tag}` for enum Buffering"));
         match value {
-            Value::Str(s) => match s.as_str() {
+            Value::Str(s) => match s.as_ref() {
                 "Single" => Ok(Buffering::Single),
                 "Double" => Ok(Buffering::Double),
                 tag => Err(unknown(tag)),
@@ -279,9 +279,9 @@ impl TryFrom<&Value> for Buffering {
     }
 }
 
-impl TryFrom<&Value> for RatInput {
+impl TryFrom<&Value<'_>> for RatInput {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         let t = value.table("RatInput")?;
         Ok(RatInput {
             name: t.field("name")?,
@@ -295,15 +295,15 @@ impl TryFrom<&Value> for RatInput {
 }
 
 /// A table from `(key, value)` pairs, in order.
-fn table_of<const N: usize>(entries: [(&str, Value); N]) -> Value {
-    Value::Map(entries.map(|(k, v)| (k.to_owned(), v)).into())
+fn table_of<'a, const N: usize>(entries: [(&'static str, Value<'a>); N]) -> Value<'a> {
+    Value::Map(entries.map(|(k, v)| (k.into(), v)).into())
 }
 
 /// The worksheet as TOML: quantities in their base units (Hz, seconds,
 /// bytes/second), field order as declared. The writer puts the scalars
 /// `name` and `buffering` before the four tables.
-impl From<&RatInput> for Value {
-    fn from(input: &RatInput) -> Self {
+impl<'a> From<&'a RatInput> for Value<'a> {
+    fn from(input: &'a RatInput) -> Self {
         let (d, c, p, s) = (&input.dataset, &input.comm, &input.comp, &input.software);
         table_of([
             ("name", input.name.as_str().into()),

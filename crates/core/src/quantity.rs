@@ -25,7 +25,7 @@
 //! [`Throughput::from_mbps`], [`Throughput::from_mbytes_per_sec`]).
 //! Worksheets hold three of them: [`Freq`], [`Seconds`] and [`Throughput`].
 //! [`crate::params`] writes each as its bare base-unit number; reading one
-//! through its `TryFrom<&toml::Value>` also accepts a suffixed string such
+//! through its `TryFrom<&toml::Value<'_>>` also accepts a suffixed string such
 //! as `"133 MHz"`, `"1 Mbps"`, `"1000 MB/s"`, or `"0.578 s"`.
 //!
 //! The wrappers are `#[repr(transparent)]` over their primitive, so the
@@ -59,7 +59,7 @@ fn split_number_unit(s: &str) -> Result<(f64, &str), String> {
 /// mapping the unit via `scale` (factor from that unit to the base unit).
 /// Rejects non-finite values.
 fn quantity_from_value(
-    value: &Value,
+    value: &Value<'_>,
     what: &str,
     scale: impl Fn(&str) -> Option<f64>,
 ) -> Result<f64, Error> {
@@ -550,23 +550,23 @@ fn throughput_unit(unit: &str) -> Option<f64> {
     }
 }
 
-impl TryFrom<&Value> for Freq {
+impl TryFrom<&Value<'_>> for Freq {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         quantity_from_value(value, "frequency", freq_unit).map(Freq)
     }
 }
 
-impl TryFrom<&Value> for Seconds {
+impl TryFrom<&Value<'_>> for Seconds {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         quantity_from_value(value, "duration", seconds_unit).map(Seconds)
     }
 }
 
-impl TryFrom<&Value> for Throughput {
+impl TryFrom<&Value<'_>> for Throughput {
     type Error = Error;
-    fn try_from(value: &Value) -> Result<Self, Error> {
+    fn try_from(value: &Value<'_>) -> Result<Self, Error> {
         quantity_from_value(value, "bandwidth", throughput_unit).map(Throughput)
     }
 }

@@ -100,7 +100,10 @@ impl SensitivityReport {
             .title("Speedup sensitivity (elasticity d ln speedup / d ln p)")
             .header(["Parameter", "Elasticity"]);
         for e in &self.entries {
-            t.row([e.param.label().to_string(), format!("{:+.3}", e.elasticity)]);
+            t.row([
+                format_args!("{}", e.param.label()),
+                format_args!("{:+.3}", e.elasticity),
+            ]);
         }
         t.render()
     }

@@ -11,7 +11,7 @@ use crate::params::RatInput;
 use crate::quantity::Freq;
 use crate::report::Report;
 use crate::solve::batch::{solve_batch_with, BatchPoints};
-use crate::table::{sci, TextTable};
+use crate::table::{Sci, TextTable};
 
 /// Which scalar input parameter a sweep varies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -145,12 +145,13 @@ impl SweepResult {
             .title(format!("Sweep of {}", self.param.label()))
             .header([self.param.label(), "t_comm", "t_comp", "t_RC", "speedup"]);
         for p in &self.points {
+            let tp = &p.report.throughput;
             t.row([
-                format!("{:.6}", p.value),
-                sci(p.report.throughput.t_comm.seconds()),
-                sci(p.report.throughput.t_comp.seconds()),
-                sci(p.report.throughput.t_rc.seconds()),
-                format!("{:.2}", p.report.speedup),
+                format_args!("{:.6}", p.value),
+                format_args!("{}", Sci(tp.t_comm.seconds())),
+                format_args!("{}", Sci(tp.t_comp.seconds())),
+                format_args!("{}", Sci(tp.t_rc.seconds())),
+                format_args!("{:.2}", p.report.speedup),
             ]);
         }
         t.render()

@@ -10,11 +10,18 @@
 //! and check its shape instead of greping strings. It accepts strict JSON
 //! (no comments, no trailing commas) and keeps object keys in document
 //! order.
+//!
+//! The tree borrows the text it was parsed from: a string or key with no
+//! escape is a slice of the document, and one with escapes is decoded into
+//! a copy allocated once, at the length of its escaped form. A caller that
+//! keeps a tree past its text takes [`Json::into_owned`].
+
+use std::borrow::Cow;
 
 /// A parsed JSON value. Numbers are `f64` (the exporters emit nothing that
 /// needs more); object keys keep document order.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Json<'a> {
     /// `null`
     Null,
     /// `true` / `false`
@@ -22,14 +29,14 @@ pub enum Json {
     /// Any number literal.
     Num(f64),
     /// A string literal, unescaped.
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Json>),
+    Arr(Vec<Json<'a>>),
     /// An object, in document order (duplicate keys are kept as-is).
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, Json<'a>)>),
 }
 
-impl Json {
+impl<'a> Json<'a> {
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -47,7 +54,7 @@ impl Json {
     }
 
     /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&Vec<Json>> {
+    pub fn as_array(&self) -> Option<&Vec<Json<'a>>> {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
@@ -55,7 +62,7 @@ impl Json {
     }
 
     /// The members, if this is an object.
-    pub fn as_object(&self) -> Option<&Vec<(String, Json)>> {
+    pub fn as_object(&self) -> Option<&Vec<(Cow<'a, str>, Json<'a>)>> {
         match self {
             Json::Obj(m) => Some(m),
             _ => None,
@@ -63,11 +70,30 @@ impl Json {
     }
 
     /// Member lookup by key (first match), if this is an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Json<'a>> {
         self.as_object()?
             .iter()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
+    }
+
+    /// The same tree with every borrowed string copied, so it outlives the
+    /// text it was parsed from.
+    pub fn into_owned(self) -> Json<'static> {
+        let owned = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+        match self {
+            Json::Null => Json::Null,
+            Json::Bool(b) => Json::Bool(b),
+            Json::Num(n) => Json::Num(n),
+            Json::Str(s) => Json::Str(owned(s)),
+            Json::Arr(items) => Json::Arr(items.into_iter().map(Json::into_owned).collect()),
+            Json::Obj(members) => Json::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v)| (owned(k), v.into_owned()))
+                    .collect(),
+            ),
+        }
     }
 }
 
@@ -79,8 +105,9 @@ pub const MAX_DEPTH: usize = 128;
 
 /// Parse a complete JSON document. Errors carry the byte offset and a short
 /// description.
-pub fn parse(text: &str) -> Result<Json, String> {
+pub fn parse(text: &str) -> Result<Json<'_>, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -95,13 +122,14 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around the current position.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -130,7 +158,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json<'a>, String> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
@@ -149,7 +177,10 @@ impl Parser<'_> {
 
     /// Parse an array or object one level deeper, refusing to pass
     /// [`MAX_DEPTH`].
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json<'a>, String>,
+    ) -> Result<Json<'a>, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -162,7 +193,7 @@ impl Parser<'_> {
         value
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+    fn literal(&mut self, lit: &str, v: Json<'a>) -> Result<Json<'a>, String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
@@ -171,7 +202,7 @@ impl Parser<'_> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json<'a>, String> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -186,66 +217,115 @@ impl Parser<'_> {
             .map_err(|e| format!("bad number '{s}' at byte {start}: {e}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal: a slice of the text when it holds no escape,
+    /// else a copy decoded into one buffer.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape")?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            // Surrogate pairs don't occur in our exporters'
-                            // output; map lone surrogates to the replacement
-                            // character instead of failing.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
+            // The run up to the next quote or backslash. Both are ASCII, so
+            // the run ends on a character boundary and multi-byte sequences
+            // pass through whole.
+            let len = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let run = self
+                .text
+                .get(self.pos..self.pos + len)
+                .ok_or("invalid UTF-8 in string")?;
+            self.pos += len;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match out {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the run up to the next quote or backslash in one
-                    // slice. Both are ASCII, so the run ends on a character
-                    // boundary and multi-byte sequences pass through whole.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let run =
-                        std::str::from_utf8(&rest[..len]).map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(run);
-                    self.pos += len;
-                }
+                });
             }
+            let out = out.get_or_insert_with(|| String::with_capacity(len + self.escaped_len()));
+            out.push_str(run);
+            self.pos += 1;
+            self.escape(out)?;
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    /// Bytes from the cursor to the end of the string literal it is in (or
+    /// of the text): at least the length of the decoded rest, since no
+    /// escape decodes longer than it is written.
+    fn escaped_len(&self) -> usize {
+        let mut end = self.pos;
+        while let Some(&b) = self.bytes.get(end) {
+            match b {
+                b'"' => break,
+                b'\\' => end += 2,
+                _ => end += 1,
+            }
+        }
+        end.min(self.bytes.len()) - self.pos
+    }
+
+    /// Decode the escape after a backslash onto `out`. A `\u` escape of a
+    /// high surrogate followed by one of a low surrogate is one character
+    /// (RFC 8259 §7); a surrogate without its other half is U+FFFD.
+    fn escape(&mut self, out: &mut String) -> Result<(), String> {
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let code = self.hex4(self.pos + 1)?;
+                self.pos += 4;
+                let low = if (0xD800..0xDC00).contains(&code) {
+                    self.low_surrogate()
+                } else {
+                    None
+                };
+                let code = match low {
+                    Some(low) => {
+                        self.pos += 6;
+                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                    }
+                    None => code,
+                };
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            other => return Err(format!("bad escape {other:?}")),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape, starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        u32::from_str_radix(
+            std::str::from_utf8(hex).map_err(|_| "non-ascii \\u escape")?,
+            16,
+        )
+        .map_err(|e| format!("bad \\u escape: {e}"))
+    }
+
+    /// The low surrogate of a `\uDC00`–`\uDFFF` escape right after the
+    /// cursor's last hex digit, if one is there.
+    fn low_surrogate(&self) -> Option<u32> {
+        let at = self.pos + 1;
+        if self.bytes.get(at..at + 2) != Some(b"\\u") {
+            return None;
+        }
+        self.hex4(at + 2)
+            .ok()
+            .filter(|low| (0xDC00..0xE000).contains(low))
+    }
+
+    fn array(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -268,7 +348,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json<'a>, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -357,6 +437,50 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_pairs_decode_to_one_character() {
+        // Python's `json.dumps` escapes every non-BMP character this way.
+        let doc = parse(r#"{"x": "w\ud83d\ude00"}"#).unwrap();
+        assert_eq!(doc.get("x").and_then(Json::as_str), Some("w\u{1f600}"));
+        assert_eq!(parse(r#""\uD83D\uDE00""#).unwrap(), Json::Str("😀".into()));
+        // A half without its other half is U+FFFD, and what follows it
+        // decodes on its own.
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+            (r#""\ude00\ud83d""#, "\u{fffd}\u{fffd}"),
+            (r#""\ud800\udc00\udbff\udfff""#, "\u{10000}\u{10ffff}"),
+            (r#""\udbff\ue000""#, "\u{fffd}\u{e000}"),
+            (r#""\ud7ff\udc00""#, "\u{d7ff}\u{fffd}"),
+        ] {
+            assert_eq!(parse(text).unwrap(), Json::Str(want.into()), "{text}");
+        }
+        // A malformed escape after a high half fails as it would alone.
+        assert_eq!(
+            parse(r#""\ud83d\u12""#).unwrap_err(),
+            parse(r#""\u12""#).unwrap_err()
+        );
+    }
+
+    #[test]
+    fn escape_free_strings_borrow_the_text() {
+        let text = r#"{"plain": "abc", "escaped": "a\nb"}"#;
+        let doc = parse(text).unwrap();
+        let members = doc.as_object().unwrap();
+        assert!(matches!(members[0].0, Cow::Borrowed("plain")));
+        assert!(matches!(members[0].1, Json::Str(Cow::Borrowed("abc"))));
+        match &members[1].1 {
+            Json::Str(Cow::Owned(s)) => assert_eq!((s.as_str(), s.capacity()), ("a\nb", 4)),
+            other => panic!("an escaped string is a copy: {other:?}"),
+        }
+        let owned: Json<'static> = parse(text).unwrap().into_owned();
+        assert_eq!(owned, doc);
+    }
+
+    #[test]
     fn nesting_is_capped_at_max_depth() {
         let nest = |open: &str, close: &str, depth: usize| {
             format!("{}{}", open.repeat(depth), close.repeat(depth))
@@ -380,7 +504,7 @@ mod tests {
         let text = unit.repeat((1 << 20) / unit.len());
         let body = format!("\"{}\"", text.replace('\n', "\\n"));
         let start = std::time::Instant::now();
-        assert_eq!(parse(&body).unwrap(), Json::Str(text));
+        assert_eq!(parse(&body).unwrap(), Json::Str(text.into()));
         let elapsed = start.elapsed();
         assert!(elapsed.as_secs() < 5, "1 MiB string took {elapsed:?}");
     }

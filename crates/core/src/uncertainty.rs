@@ -121,7 +121,7 @@ impl UncertaintyReport {
             ("p95", self.p95),
             ("max", self.max),
         ] {
-            t.row([name.to_string(), format!("{v:.2}")]);
+            t.row([format_args!("{name}"), format_args!("{v:.2}")]);
         }
         t.render()
     }

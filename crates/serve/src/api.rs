@@ -30,6 +30,8 @@
 //! 405 wrong method, 408 request timeout, 413 oversized body, 503 queue
 //! full / draining.
 
+use std::fmt::Write;
+
 use fixedpoint::QFormat;
 use fpga_sim::SimCache;
 use rat_core::engine::Engine;
@@ -207,14 +209,14 @@ impl ApiError {
     /// The JSON error body: `{"error": ..., "caused_by": [...]}`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"error\": \"");
-        out.push_str(&escape_json(&self.message()));
+        push_escaped(&mut out, &self.message());
         out.push_str("\", \"caused_by\": [");
         for (i, c) in self.causes().iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
             out.push('"');
-            out.push_str(&escape_json(c));
+            push_escaped(&mut out, c);
             out.push('"');
         }
         out.push_str("]}");
@@ -228,21 +230,78 @@ impl From<ModeError> for ApiError {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
+/// Escape a string for embedding in a JSON string literal, allocating once,
+/// at the escaped length.
 pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    let mut out = String::with_capacity(escaped_len(s));
+    push_escaped(&mut out, s);
     out
+}
+
+/// The index of the first byte at or after `from` that a JSON string
+/// literal must escape: a quote, a backslash or a control character. Bytes
+/// of multi-byte characters never match, so a run before the index ends on
+/// a character boundary.
+fn next_escape(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // The high bit of each byte below `n` (`n` <= 0x80). A borrow only runs
+    // upward from a flagged byte, so the lowest flag is always exact.
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGH;
+    let mut i = from;
+    // Eight bytes at a time.
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        let flags = below(w, 0x20)
+            | below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if flags != 0 {
+            return Some(i + flags.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    let tail = bytes[i..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\');
+    tail.map(|k| i + k)
+}
+
+/// How long `s` is once escaped.
+fn escaped_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let (mut len, mut from) = (bytes.len(), 0);
+    while let Some(at) = next_escape(bytes, from) {
+        len += match bytes[at] {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+            _ => 5,
+        };
+        from = at + 1;
+    }
+    len
+}
+
+/// Append `s` to `out`, escaped: runs without an escape are copied whole.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    while let Some(at) = next_escape(bytes, run) {
+        out.push_str(&s[run..at]);
+        match bytes[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
 }
 
 /// A successful analysis response: the mode name plus the rendered report.
@@ -258,18 +317,20 @@ pub struct ApiOk {
 
 impl ApiOk {
     /// The JSON success envelope: `{"mode": ..., "report": ...}`, allocated
-    /// at its exact length, since the response cache keeps it and charges
-    /// its budget `len()`, not capacity.
+    /// once, at its exact length, since the response cache keeps it and
+    /// charges its budget `len()`, not capacity.
     pub fn to_json(&self) -> String {
-        let report = escape_json(&self.report);
-        [
-            "{\"mode\": \"",
-            self.mode,
-            "\", \"report\": \"",
-            &report,
-            "\"}",
-        ]
-        .concat()
+        const HEAD: &str = "{\"mode\": \"";
+        const MID: &str = "\", \"report\": \"";
+        const TAIL: &str = "\"}";
+        let len = HEAD.len() + self.mode.len() + MID.len() + escaped_len(&self.report) + TAIL.len();
+        let mut out = String::with_capacity(len);
+        out.push_str(HEAD);
+        out.push_str(self.mode);
+        out.push_str(MID);
+        push_escaped(&mut out, &self.report);
+        out.push_str(TAIL);
+        out
     }
 }
 
@@ -328,23 +389,32 @@ pub fn solve_report_from_quad(
     target: f64,
     quad: &rat_core::solve::InverseQuad,
 ) -> String {
-    let mut out = format!("Inverse solve for {target}x speedup on '{}':\n", input.name);
-    match &quad.throughput_proc {
-        Ok(v) => out.push_str(&format!("  required throughput_proc: {v:.1} ops/cycle\n")),
-        Err(e) => out.push_str(&format!("  throughput_proc: {e}\n")),
-    }
-    match &quad.fclock {
-        Ok(v) => out.push_str(&format!("  required f_clock:         {:.1} MHz\n", v.mhz())),
-        Err(e) => out.push_str(&format!("  f_clock: {e}\n")),
-    }
-    match &quad.alpha_scale {
-        Ok(v) => out.push_str(&format!("  required alpha scale:     {v:.2}x current\n")),
-        Err(e) => out.push_str(&format!("  alpha: {e}\n")),
-    }
-    match &quad.ceiling {
-        Ok(v) => out.push_str(&format!("  speedup ceiling (comm-bound wall): {v:.1}x\n")),
-        Err(e) => out.push_str(&format!("  ceiling: {e}\n")),
-    }
+    let write = |out: &mut String| -> std::fmt::Result {
+        writeln!(
+            out,
+            "Inverse solve for {target}x speedup on '{}':",
+            input.name
+        )?;
+        match &quad.throughput_proc {
+            Ok(v) => writeln!(out, "  required throughput_proc: {v:.1} ops/cycle"),
+            Err(e) => writeln!(out, "  throughput_proc: {e}"),
+        }?;
+        match &quad.fclock {
+            Ok(v) => writeln!(out, "  required f_clock:         {:.1} MHz", v.mhz()),
+            Err(e) => writeln!(out, "  f_clock: {e}"),
+        }?;
+        match &quad.alpha_scale {
+            Ok(v) => writeln!(out, "  required alpha scale:     {v:.2}x current"),
+            Err(e) => writeln!(out, "  alpha: {e}"),
+        }?;
+        match &quad.ceiling {
+            Ok(v) => writeln!(out, "  speedup ceiling (comm-bound wall): {v:.1}x"),
+            Err(e) => writeln!(out, "  ceiling: {e}"),
+        }
+    };
+    // Five lines of about 50 bytes, one of which holds the name.
+    let mut out = String::with_capacity(256 + input.name.len());
+    write(&mut out).expect("writing to a String does not fail");
     out
 }
 
@@ -654,24 +724,24 @@ fn bad_body(cause: impl Into<String>) -> ApiError {
     ApiError::bad_request("reading request body", cause)
 }
 
-fn require<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, ApiError> {
+fn require<'a, 'j>(doc: &'a Json<'j>, key: &str) -> Result<&'a Json<'j>, ApiError> {
     doc.get(key)
         .ok_or_else(|| bad_body(format!("missing '{key}'")))
 }
 
-fn require_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, ApiError> {
+fn require_str<'a>(doc: &'a Json<'_>, key: &str) -> Result<&'a str, ApiError> {
     require(doc, key)?
         .as_str()
         .ok_or_else(|| bad_body(format!("'{key}' must be a string")))
 }
 
-fn require_f64(doc: &Json, key: &str) -> Result<f64, ApiError> {
+fn require_f64(doc: &Json<'_>, key: &str) -> Result<f64, ApiError> {
     require(doc, key)?
         .as_f64()
         .ok_or_else(|| bad_body(format!("'{key}' must be a number")))
 }
 
-fn optional_f64(doc: &Json, key: &str) -> Result<Option<f64>, ApiError> {
+fn optional_f64(doc: &Json<'_>, key: &str) -> Result<Option<f64>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => v
@@ -698,13 +768,13 @@ fn int_field<T: TryFrom<u64>>(key: &str, v: f64) -> Result<T, ApiError> {
     )))
 }
 
-fn optional_int<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<Option<T>, ApiError> {
+fn optional_int<T: TryFrom<u64>>(doc: &Json<'_>, key: &str) -> Result<Option<T>, ApiError> {
     optional_f64(doc, key)?
         .map(|v| int_field(key, v))
         .transpose()
 }
 
-fn optional_bool(doc: &Json, key: &str) -> Result<bool, ApiError> {
+fn optional_bool(doc: &Json<'_>, key: &str) -> Result<bool, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(false),
         Some(Json::Bool(b)) => Ok(*b),
@@ -712,7 +782,7 @@ fn optional_bool(doc: &Json, key: &str) -> Result<bool, ApiError> {
     }
 }
 
-fn f64_list(v: &Json, key: &str) -> Result<Vec<f64>, ApiError> {
+fn f64_list(v: &Json<'_>, key: &str) -> Result<Vec<f64>, ApiError> {
     v.as_array()
         .ok_or_else(|| bad_body(format!("'{key}' must be an array")))?
         .iter()
@@ -723,14 +793,14 @@ fn f64_list(v: &Json, key: &str) -> Result<Vec<f64>, ApiError> {
         .collect()
 }
 
-fn optional_f64_list(doc: &Json, key: &str) -> Result<Option<Vec<f64>>, ApiError> {
+fn optional_f64_list(doc: &Json<'_>, key: &str) -> Result<Option<Vec<f64>>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => f64_list(v, key).map(Some),
     }
 }
 
-fn optional_str_list(doc: &Json, key: &str) -> Result<Option<Vec<String>>, ApiError> {
+fn optional_str_list(doc: &Json<'_>, key: &str) -> Result<Option<Vec<String>>, ApiError> {
     match doc.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(v) => {
@@ -745,7 +815,7 @@ fn optional_str_list(doc: &Json, key: &str) -> Result<Option<Vec<String>>, ApiEr
     }
 }
 
-fn parse_buffering_list(doc: &Json) -> Result<Option<Vec<Buffering>>, ApiError> {
+fn parse_buffering_list(doc: &Json<'_>) -> Result<Option<Vec<Buffering>>, ApiError> {
     match optional_str_list(doc, "bufferings")? {
         None => Ok(None),
         Some(names) => {
@@ -1038,7 +1108,8 @@ mod tests {
         assert_eq!(escape_json("\u{1}"), "\\u0001");
         // Round-trips through the strict reader.
         let s = "line1\nline2\t\"quoted\"";
-        let doc = json::parse(&format!("{{\"x\": \"{}\"}}", escape_json(s))).unwrap();
+        let body = format!("{{\"x\": \"{}\"}}", escape_json(s));
+        let doc = json::parse(&body).unwrap();
         assert_eq!(doc.get("x").and_then(Json::as_str), Some(s));
     }
 

@@ -57,6 +57,10 @@ pub enum ReadError {
 pub struct Connection {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// The read timeout last set on `stream`. A `setsockopt` costs as much
+    /// as parsing a small request, so it is made only when a read needs a
+    /// different deadline from this one.
+    read_timeout: Option<Duration>,
 }
 
 impl Connection {
@@ -65,6 +69,7 @@ impl Connection {
         Connection {
             stream,
             buf: Vec::new(),
+            read_timeout: None,
         }
     }
 
@@ -84,6 +89,11 @@ impl Connection {
     /// On success, the returned [`Instant`] is when the request's first
     /// byte was seen, the honest start point for latency accounting on a
     /// connection that may have idled between requests.
+    ///
+    /// Each deadline is set just before a read that needs it, and only if
+    /// the socket holds a different one, so a kept-alive client whose
+    /// requests each arrive in one segment costs no `setsockopt` after the
+    /// first: the socket stays at `wait`.
     pub fn read_request(
         &mut self,
         wait: Duration,
@@ -121,8 +131,8 @@ impl Connection {
         }
         let started = Instant::now();
 
-        // Phase B: the request is underway; the per-request deadline governs.
-        self.set_timeout(request_timeout)?;
+        // Phase B: the request is underway; the per-request deadline
+        // governs every read from here on.
 
         // Scan (and grow) the buffer until the blank line ending the headers.
         let head_end = loop {
@@ -134,6 +144,7 @@ impl Connection {
                     limit: MAX_HEAD_BYTES,
                 }));
             }
+            self.set_timeout(request_timeout)?;
             let mut chunk = [0u8; 4096];
             match read_restarting(&mut self.stream, &mut chunk) {
                 Ok(0) => {
@@ -200,6 +211,7 @@ impl Connection {
         let mut read = body.len();
         body.resize(content_length, 0);
         while read < content_length {
+            self.set_timeout(request_timeout)?;
             match read_restarting(&mut self.stream, &mut body[read..]) {
                 Ok(0) => {
                     return Err(bad(
@@ -230,13 +242,19 @@ impl Connection {
         ))
     }
 
+    /// Give the socket read timeout `t`, unless it already has it.
     fn set_timeout(&mut self, t: Duration) -> Result<(), ReadError> {
+        if self.read_timeout == Some(t) {
+            return Ok(());
+        }
         self.stream.set_read_timeout(Some(t)).map_err(|e| {
             ReadError::Protocol(ApiError::bad_request(
                 "configuring connection",
                 e.to_string(),
             ))
-        })
+        })?;
+        self.read_timeout = Some(t);
+        Ok(())
     }
 }
 
@@ -432,6 +450,51 @@ mod tests {
             Err(ReadError::Protocol(e)) => assert_eq!(e.status(), 408),
             other => panic!("fresh-connection silence should be 408, got {other:?}"),
         }
+        client.join().unwrap();
+    }
+
+    #[test]
+    fn buffered_requests_keep_the_idle_timeout_and_a_stall_still_times_out() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let requests = 8;
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            let mut reply = [0u8; 256];
+            // One request per segment, each sent once the last is answered.
+            for _ in 0..requests {
+                s.write_all(b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\none")
+                    .unwrap();
+                let _ = s.read(&mut reply).unwrap();
+            }
+            // Then a head whose body stalls past the request deadline.
+            s.write_all(b"POST /b HTTP/1.1\r\nContent-Length: 10\r\n\r\nhalf")
+                .unwrap();
+            std::thread::sleep(Duration::from_millis(400));
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let mut conn = Connection::new(stream);
+        let (idle, request) = (Duration::from_secs(5), Duration::from_millis(150));
+        for i in 0..requests {
+            let (req, _) = conn
+                .read_request(idle, request, MAX_BODY_BYTES, i > 0)
+                .unwrap();
+            assert_eq!(req.body, "one");
+            assert_eq!(
+                conn.stream.read_timeout().unwrap(),
+                Some(idle),
+                "request {i}"
+            );
+            write_response(conn.stream(), 200, "text/plain", "ok", true).unwrap();
+        }
+        match conn.read_request(idle, request, MAX_BODY_BYTES, true) {
+            Err(ReadError::Protocol(e)) => assert_eq!(e.status(), 408),
+            other => panic!("a stalled body should be 408, got {other:?}"),
+        }
+        // The stalled read ran under the request deadline (the kernel
+        // rounds what it stores to its tick).
+        assert_eq!(conn.read_timeout, Some(request));
+        assert_ne!(conn.stream.read_timeout().unwrap(), Some(idle));
         client.join().unwrap();
     }
 

@@ -284,6 +284,59 @@ fn server_reports_match_cold_cli_stdout_for_every_mode() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_name_past_the_bmp_sent_in_ascii_escapes_answers_as_the_cli_does() {
+    // Python's `json.dumps` sends every non-ASCII character as a `\u`
+    // escape, and one past the BMP as a surrogate pair.
+    let mut input = pdf1d();
+    input.name = "pdf 😀".into();
+    let text = ws_toml(&input);
+    let ascii: String = escape_json(&text)
+        .chars()
+        .map(|c| match c {
+            c if c.is_ascii() => c.to_string(),
+            c => c
+                .encode_utf16(&mut [0; 2])
+                .iter()
+                .map(|unit| format!("\\u{unit:04x}"))
+                .collect(),
+        })
+        .collect();
+    assert!(ascii.contains("pdf \\ud83d\\ude00"), "{ascii}");
+
+    let dir = std::env::temp_dir().join(format!("rat-serve-bmp-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ws_path = dir.join("ws.toml");
+    std::fs::write(&ws_path, &text).unwrap();
+    let ws = ws_path.to_string_lossy().into_owned();
+    let handle = start(1);
+    for (args, path, fields) in [
+        (vec!["solve", &ws, "8"], "/v1/solve", ", \"target\": 8"),
+        (
+            vec!["explore", &ws, "5", "--fclocks", "100e6,150e6"],
+            "/v1/explore",
+            ", \"min_speedup\": 5, \"fclocks\": [100e6, 150e6]",
+        ),
+    ] {
+        let out = Command::new(rat_binary())
+            .args(&args)
+            .output()
+            .expect("spawning the rat binary (build it with `cargo build -p rat-cli`)");
+        assert!(out.status.success(), "rat {args:?}");
+        let body = format!("{{\"worksheet_toml\": \"{ascii}\"{fields}}}");
+        let (status, resp) = post(handle.addr(), path, &body);
+        assert_eq!(status, 200, "{path}: {resp}");
+        let report = report_of(&resp);
+        assert!(report.contains("pdf 😀"), "{report}");
+        assert_eq!(
+            String::from_utf8(out.stdout).unwrap(),
+            format!("{report}\n")
+        );
+    }
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// DESIGN.md §14: the HTTP status for each CLI exit code.
 const EXIT_TO_STATUS: [(i32, u16); 5] = [(2, 400), (3, 400), (4, 422), (5, 500), (6, 507)];
 

@@ -128,9 +128,11 @@ stage.speedup.misses 3
 
 /// Parse and schema-check one profile: returns the `traceEvents` array after
 /// validating the envelope and each event's required typed fields.
-fn load_valid_profile(path: &std::path::Path) -> Vec<Json> {
+fn load_valid_profile(path: &std::path::Path) -> Vec<Json<'static>> {
     let text = std::fs::read_to_string(path).expect("profile file written");
-    let root = json::parse(&text).expect("profile is well-formed JSON");
+    let root = json::parse(&text)
+        .expect("profile is well-formed JSON")
+        .into_owned();
     let obj = root.as_object().expect("top level is an object");
     assert!(
         obj.iter().any(|(k, _)| k == "displayTimeUnit"),
