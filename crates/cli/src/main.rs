@@ -269,13 +269,6 @@ fn preflight_cache_env() -> Result<(), CliError> {
 /// the tree summary on stderr (`--metrics`; stdout stays byte-identical to
 /// an uninstrumented run) and/or the chrome-trace JSON file (`--profile`).
 fn emit_telemetry(metrics: bool, profile: Option<&str>) -> Result<(), CliError> {
-    // Bridge simulator-cache statistics into the typed metrics at drain
-    // time: the cache keeps its own counters (it predates telemetry and is
-    // also used without it), so they are copied rather than double-counted.
-    let cache = fpga_sim::SimCache::global().stats();
-    telemetry::add(telemetry::Metric::CacheHits, cache.hits);
-    telemetry::add(telemetry::Metric::CacheMisses, cache.misses);
-    telemetry::add(telemetry::Metric::ShardContention, cache.shard_contention);
     let profile_data = telemetry::global().drain();
     if metrics {
         eprint!("{}", profile_data.render_tree());

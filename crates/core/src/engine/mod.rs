@@ -12,10 +12,10 @@
 //!    ordered by job index (not completion), and randomized jobs draw from
 //!    per-job RNG streams ([`job_rng`]) derived from `(root_seed, index)` —
 //!    never from a stream consumed in scheduling order.
-//! 2. **Memoized simulation.** Jobs that execute the platform simulator do so
-//!    through `fpga_sim`'s process-wide `SimCache`: a content hash of the
-//!    full run spec keys a cache, so repeated sweep points and re-rendered
-//!    artifacts cost a hash lookup instead of a discrete-event simulation.
+//! 2. **Memoized simulation.** No rat-core analysis simulates. `reproduce`'s
+//!    table jobs and `rat serve`'s `/v1/simulate` run the simulator through
+//!    `fpga_sim`'s process-wide, bounded `SimCache`, keyed by a content hash
+//!    of the full run spec, so a repeated run costs a hash lookup.
 //!    `rat --no-cache` switches that cache off for the whole process.
 
 mod config;

@@ -62,6 +62,7 @@
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]
 
 pub mod breakeven;
+pub mod clock;
 pub mod comparison;
 pub mod engine;
 pub mod error;

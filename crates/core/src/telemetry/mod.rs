@@ -10,9 +10,9 @@
 //!   [`Telemetry::scoped_prefix`] (the engine does this, so `engine.job` spans
 //!   nest under the analysis phase that spawned them).
 //! - **Typed counters and gauges** ([`Metric`]): a closed enum — simulator
-//!   events processed, fast-forward periods skipped, cache hits/misses,
-//!   Monte-Carlo samples, queue high-water marks — backed by one atomic each,
-//!   so recording never allocates and never locks.
+//!   events processed, fast-forward periods skipped, response-cache
+//!   hits/misses, Monte-Carlo samples, queue high-water marks — backed by
+//!   one atomic each, so recording never allocates and never locks.
 //! - **Two exporters**: a human-readable tree summary
 //!   ([`Profile::render_tree`], deterministic in content ordering so snapshot
 //!   tests are stable modulo timestamps) and Chrome `trace_event` JSON
@@ -111,14 +111,6 @@ pub enum Metric {
     /// (`solve::batch`), including each single `Worksheet::analyze` (a batch
     /// of one) and each target of an inverse-solve batch.
     BatchPoints,
-    /// Simulator-cache hits (bridged from [`CacheStats`] at drain).
-    ///
-    /// [`CacheStats`]: https://docs.rs/fpga-sim
-    CacheHits,
-    /// Simulator-cache misses (bridged at drain).
-    CacheMisses,
-    /// Times a simulator-cache shard lock was contended (bridged at drain).
-    ShardContention,
     /// Analytic-stage hits — a batch point that reused a stage output
     /// computed once for the whole batch — summed over every stage
     /// (`solve::stages`).
@@ -166,7 +158,7 @@ pub enum Metric {
 
 impl Metric {
     /// Every metric, in rendering order.
-    pub const ALL: [Metric; 30] = [
+    pub const ALL: [Metric; 27] = [
         Metric::EngineJobs,
         Metric::EngineBatches,
         Metric::SimRuns,
@@ -176,9 +168,6 @@ impl Metric {
         Metric::QueueHighWater,
         Metric::McSamples,
         Metric::BatchPoints,
-        Metric::CacheHits,
-        Metric::CacheMisses,
-        Metric::ShardContention,
         Metric::StageHits,
         Metric::StageMisses,
         Metric::StageCommHits,
@@ -211,9 +200,6 @@ impl Metric {
             Metric::QueueHighWater => "sim.queue_high_water",
             Metric::McSamples => "mc.samples",
             Metric::BatchPoints => "batch.points",
-            Metric::CacheHits => "cache.hits",
-            Metric::CacheMisses => "cache.misses",
-            Metric::ShardContention => "cache.shard_contention",
             Metric::StageHits => "stage.hits",
             Metric::StageMisses => "stage.misses",
             Metric::StageCommHits => "stage.comm.hits",

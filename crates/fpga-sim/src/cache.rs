@@ -1,9 +1,7 @@
 //! Memoization of platform executions.
 //!
-//! The analysis engine re-simulates the same `(platform, kernel, workload,
-//! clock)` point constantly: a sweep and a sensitivity probe share their
-//! baseline, a Monte-Carlo draw can repeat a degenerate range, and
-//! `reproduce all` renders several tables off one case-study design. A
+//! `reproduce`'s tables render several artifacts off one case-study design,
+//! and `rat serve` may be asked for one `/v1/simulate` point many times. A
 //! [`SimCache`] keyed by [`crate::digest::run_key`] makes each distinct run
 //! cost one simulation.
 //!
@@ -13,28 +11,27 @@
 //! explicitly asks to see a schedule, which goes through
 //! [`crate::platform::Platform::execute`] uncached.
 //!
-//! The store is sharded [`SHARD_COUNT`] ways: a key selects its shard from
-//! the low bits of the 128-bit run key (uniform by construction — the key is
-//! a BLAKE-style digest), and each shard has its own `RwLock`. Concurrent
-//! lookups of distinct keys proceed without serializing on one global mutex,
-//! and the [`CacheStats::shard_contention`] counter records how often a
-//! try-lock still collided.
+//! The store is sharded [`SHARD_COUNT`] ways by the low bits of the 128-bit
+//! run key, uniform by construction. Each shard is a `Mutex` over a
+//! [`rat_core::clock::Clock`] of at most [`SHARD_CAP`] summaries, so a
+//! stream of new points stops growing the cache once it is full, and
+//! [`CacheStats::shard_contention`] counts the try-locks that collided.
 //!
 //! By default the cache lives in memory only, so tests stay hermetic and a
 //! simulator change can never be masked by stale results on disk. The CLI
 //! opts into persistence with [`SimCache::persist_at`] (or the
 //! `RAT_SIM_CACHE` environment variable). Persistence is write-behind: a
-//! dirty counter batches inserts and snapshots the cache to a TSV file every
-//! [`FLUSH_INTERVAL`] inserts, on [`SimCache::flush`], and on drop — always
-//! via an atomic temp-file rename, so a concurrent reader never sees a torn
-//! file.
+//! dirty counter batches inserts and snapshots the resident set to a TSV
+//! file every [`FLUSH_INTERVAL`] inserts, on [`SimCache::flush`], and on
+//! drop — always via an atomic temp-file rename, so a concurrent reader
+//! never sees a torn file.
 
 use crate::platform::Measurement;
 use crate::time::SimTime;
-use std::collections::HashMap;
+use rat_core::clock::Clock;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// The scalar results of one platform execution — [`Measurement`] minus the
 /// per-event trace.
@@ -115,18 +112,17 @@ impl CacheStats {
     }
 }
 
-/// Number of independently locked shards in a [`SimCache`]. Sixteen is wide
-/// enough that even an 8-worker engine rarely collides on a shard (the
-/// birthday bound at 8 simultaneous lookups over 16 shards is ~87% of *some*
-/// collision, but each is transient), while keeping the per-cache footprint
-/// at 16 empty `HashMap`s. Must be a power of two so the shard index is a
-/// mask of the key's low bits.
+/// Number of independently locked shards in a [`SimCache`]: wide enough
+/// that 8 workers rarely collide on one (each collision is transient), and
+/// a power of two so the shard index is a mask of the key's low bits.
 pub const SHARD_COUNT: usize = 16;
 
-/// Inserts between write-behind snapshots of a persistent cache. A large
-/// sweep previously rewrote the whole TSV once per insert — O(n²) bytes for n
-/// entries; batching bounds the rewrite count at `n / FLUSH_INTERVAL` plus
-/// the final flush on drop.
+/// Most summaries one shard holds: 8,192 in a cache, far above the 3 runs
+/// `reproduce all` looks up, and 2.8 MiB of heap once full (DESIGN.md §13).
+pub const SHARD_CAP: usize = 512;
+
+/// Inserts between write-behind snapshots of a persistent cache: n inserts
+/// rewrite the TSV about `n / FLUSH_INTERVAL` times, not n.
 pub const FLUSH_INTERVAL: u64 = 64;
 
 /// The shard a key belongs to: low bits of the 128-bit digest, which are
@@ -136,29 +132,33 @@ fn shard_of(key: u128) -> usize {
 }
 
 /// A concurrent, content-addressed store of simulation results, sharded
-/// [`SHARD_COUNT`] ways.
+/// [`SHARD_COUNT`] ways and bounded at [`SHARD_CAP`] entries a shard.
 pub struct SimCache {
-    shards: [RwLock<HashMap<u128, SimSummary>>; SHARD_COUNT],
+    shards: [Mutex<Clock<SimSummary>>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
     shard_contention: AtomicU64,
-    /// Inserts not yet reflected in the on-disk snapshot.
+    /// Inserts not yet reflected in the on-disk snapshot; only a persistent
+    /// cache counts them.
     dirty: AtomicU64,
     enabled: AtomicBool,
-    disk: Mutex<Option<PathBuf>>,
+    /// The snapshot path, set once by [`SimCache::persist_at`]; its mutex
+    /// serializes flushers.
+    disk: OnceLock<Mutex<PathBuf>>,
 }
 
 impl SimCache {
     /// An empty, enabled, in-memory cache.
     pub fn new() -> Self {
         SimCache {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            // Every summary weighs 1, so a shard's budget is its entry cap.
+            shards: std::array::from_fn(|_| Mutex::new(Clock::new(SHARD_CAP, |_| 1))),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             shard_contention: AtomicU64::new(0),
             dirty: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
-            disk: Mutex::new(None),
+            disk: OnceLock::new(),
         }
     }
 
@@ -190,44 +190,28 @@ impl SimCache {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Persist the cache at `path`: load any entries a previous process left
-    /// there, and write-behind snapshot the cache back every
-    /// [`FLUSH_INTERVAL`] inserts and on [`flush`](Self::flush)/drop (atomic
-    /// temp-file + rename, so a concurrent reader never sees a torn file).
-    /// Unreadable or malformed existing files are ignored — the cache is an
-    /// accelerator, never a correctness dependency.
+    /// Persist the cache at `path`, the first path it is given: load what a
+    /// previous process left there (CLOCK keeps at most the cap), and
+    /// snapshot the resident set back every [`FLUSH_INTERVAL`] inserts and
+    /// on [`flush`](Self::flush)/drop. Unreadable or malformed files are
+    /// ignored — the cache is an accelerator, never a correctness dependency.
     pub fn persist_at(&self, path: PathBuf) {
-        if let Some(loaded) = read_tsv(&path) {
-            for (k, v) in loaded {
-                self.write_shard(k).entry(k).or_insert(v);
-            }
+        for (k, v) in read_tsv(&path).unwrap_or_default() {
+            self.shard(k).put(k, v);
         }
-        *self.disk.lock().expect("cache mutex poisoned") = Some(path);
+        let _ = self.disk.set(Mutex::new(path));
     }
 
-    /// Read-lock a key's shard, counting a contended try-lock.
-    fn read_shard(&self, key: u128) -> std::sync::RwLockReadGuard<'_, HashMap<u128, SimSummary>> {
+    /// Lock a key's shard, counting a contended try-lock.
+    fn shard(&self, key: u128) -> MutexGuard<'_, Clock<SimSummary>> {
         let shard = &self.shards[shard_of(key)];
-        match shard.try_read() {
+        match shard.try_lock() {
             Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
+            Err(TryLockError::WouldBlock) => {
                 self.shard_contention.fetch_add(1, Ordering::Relaxed);
-                shard.read().expect("cache shard poisoned")
+                shard.lock().expect("cache shard poisoned")
             }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
-        }
-    }
-
-    /// Write-lock a key's shard, counting a contended try-lock.
-    fn write_shard(&self, key: u128) -> std::sync::RwLockWriteGuard<'_, HashMap<u128, SimSummary>> {
-        let shard = &self.shards[shard_of(key)];
-        match shard.try_write() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.shard_contention.fetch_add(1, Ordering::Relaxed);
-                shard.write().expect("cache shard poisoned")
-            }
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
+            Err(TryLockError::Poisoned(_)) => panic!("cache shard poisoned"),
         }
     }
 
@@ -237,17 +221,12 @@ impl SimCache {
         if !self.is_enabled() {
             return None;
         }
-        let found = self.read_shard(key).get(&key).copied();
+        let found = self.shard(key).get(key).copied();
         match found {
-            Some(s) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(s)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
+        };
+        found
     }
 
     /// Store a result. No-op when disabled. Persistent caches batch the disk
@@ -257,10 +236,12 @@ impl SimCache {
         if !self.is_enabled() {
             return;
         }
-        self.write_shard(key).insert(key, summary);
+        self.shard(key).put(key, summary);
         // One increment per insert; the flusher swaps the counter back to
         // zero, so racing inserts at most flush once each past the threshold.
-        if self.dirty.fetch_add(1, Ordering::Relaxed) + 1 >= FLUSH_INTERVAL {
+        if self.disk.get().is_some()
+            && self.dirty.fetch_add(1, Ordering::Relaxed) + 1 >= FLUSH_INTERVAL
+        {
             self.flush();
         }
     }
@@ -269,21 +250,21 @@ impl SimCache {
     /// for in-memory caches or when nothing is dirty. Failure to write is a
     /// lost optimization, not an error.
     pub fn flush(&self) {
-        // The disk mutex serializes concurrent flushers; dirty is swapped to
-        // zero under it so each batch is written exactly once.
-        let disk = self.disk.lock().expect("cache mutex poisoned");
-        let Some(path) = disk.as_ref() else {
+        let Some(disk) = self.disk.get() else {
             return;
         };
+        // The disk mutex serializes concurrent flushers; dirty is swapped to
+        // zero under it so each batch is written exactly once.
+        let path = disk.lock().expect("cache mutex poisoned");
         if self.dirty.swap(0, Ordering::Relaxed) == 0 {
             return;
         }
         let mut rows: Vec<(u128, SimSummary)> = Vec::new();
         for shard in &self.shards {
-            let map = shard.read().expect("cache shard poisoned");
-            rows.extend(map.iter().map(|(k, v)| (*k, *v)));
+            let clock = shard.lock().expect("cache shard poisoned");
+            rows.extend(clock.iter().map(|(k, v)| (k, *v)));
         }
-        let _ = write_tsv(path, &rows);
+        let _ = write_tsv(&path, &rows);
     }
 
     /// Current counters.
@@ -291,7 +272,7 @@ impl SimCache {
         let entries = self
             .shards
             .iter()
-            .map(|s| s.read().expect("cache shard poisoned").len() as u64)
+            .map(|s| s.lock().expect("cache shard poisoned").len() as u64)
             .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -307,16 +288,6 @@ impl SimCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.shard_contention.store(0, Ordering::Relaxed);
-    }
-
-    /// Drop all stored entries and zero the counters. Pending (unflushed)
-    /// inserts are discarded along with the entries.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().expect("cache shard poisoned").clear();
-        }
-        self.dirty.store(0, Ordering::Relaxed);
-        self.reset_stats();
     }
 }
 
@@ -626,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reset() {
+    fn reset_stats_zeroes_the_counters_and_keeps_the_entries() {
         let cache = SimCache::new();
         cache.insert(1, sample_summary(10));
         cache.lookup(1);
@@ -634,7 +605,69 @@ mod tests {
         cache.reset_stats();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
+    }
+
+    #[test]
+    fn in_memory_inserts_never_head_for_the_disk() {
+        // An in-memory cache has no snapshot to batch toward: were inserts
+        // counted, every one past the interval would take the flush path.
+        let cache = SimCache::new();
+        for k in 0..200u64 {
+            cache.insert(u128::from(k), sample_summary(k + 1));
+        }
+        assert_eq!(cache.dirty.load(Ordering::Relaxed), 0);
+        assert_eq!(cache.stats().entries, 200);
+    }
+
+    const CAP: u64 = (SHARD_COUNT * SHARD_CAP) as u64;
+
+    #[test]
+    fn concurrent_inserts_never_take_the_cache_past_its_cap() {
+        let cache = std::sync::Arc::new(SimCache::new());
+        let threads: Vec<_> = (0..4u64)
+            .map(|t| {
+                let cache = std::sync::Arc::clone(&cache);
+                std::thread::spawn(move || {
+                    for i in 0..CAP {
+                        let key = (u128::from(t) << 64) | u128::from(i);
+                        cache.insert(key, sample_summary(i + 1));
+                        let entries = cache.stats().entries;
+                        assert!(entries <= CAP, "thread {t}, insert {i}: {entries} > {CAP}");
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        // Low bits spread the 4 x CAP keys evenly, so every shard filled.
+        assert_eq!(cache.stats().entries, CAP);
+    }
+
+    #[test]
+    fn an_oversized_tsv_loads_and_flushes_at_most_the_cap() {
+        let dir = std::env::temp_dir().join(format!("rat-sim-cache-cap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cache.tsv");
+        let rows: Vec<(u128, SimSummary)> = (0..2 * CAP)
+            .map(|k| (u128::from(k), sample_summary(k + 1)))
+            .collect();
+        write_tsv(&path, &rows).unwrap();
+
+        let cache = SimCache::new();
+        cache.persist_at(path.clone());
+        assert_eq!(cache.stats().entries, CAP);
+        cache.insert(u128::from(2 * CAP), sample_summary(1));
+        cache.flush();
+        let flushed = read_tsv(&path).unwrap();
+        assert_eq!(flushed.len() as u64, CAP);
+        // The snapshot is the resident set, the newest insert included.
+        for (k, v) in flushed {
+            assert_eq!(cache.lookup(k), Some(v));
+        }
+        assert_eq!(cache.lookup(u128::from(2 * CAP)), Some(sample_summary(1)));
+
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir(&dir);
     }
 }

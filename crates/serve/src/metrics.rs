@@ -315,6 +315,10 @@ mod tests {
         assert!(text.contains("latency_us_count 2"), "{text}");
         assert!(text.contains("cache_hits 7"), "{text}");
         assert!(text.contains("cache_shard_contention 1"), "{text}");
+        // The simulator cache's counters appear once, from its own stats.
+        for gone in ["hits", "misses", "shard_contention"] {
+            assert!(!text.contains(&format!("pipeline_cache_{gone}")), "{text}");
+        }
         assert!(text.contains("pipeline_mc_samples 0"), "{text}");
         // The stage-graph counters are part of the schema even when idle:
         // dashboards scrape them unconditionally.

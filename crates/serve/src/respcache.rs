@@ -15,20 +15,18 @@
 //! alias onto the canonical entry's body, filled in after the canonical key
 //! is known.
 //!
-//! Eviction is CLOCK (second chance) under a per-shard byte budget, in both
-//! tiers: a hit marks its entry, and an insert that overflows the budget
-//! walks the shard's queue from the front, sending each marked entry to the
-//! back unmarked and evicting the first unmarked one. Both steps are O(1)
-//! amortized. Flights live in a map of their own beside the ready bodies, so
-//! eviction never sees one — a leader must always find its own marker to
-//! complete. If a leader fails (error response) or panics, its guard's
-//! `Drop` clears the flight and wakes all waiters to retry, so a poisoned
-//! request cannot wedge the cache.
+//! Both tiers evict by CLOCK ([`rat_core::clock::Clock`]) under a per-shard
+//! budget of body bytes. Flights live in a map of their own beside the
+//! ready bodies, so eviction never sees one — a leader must always find its
+//! own marker to complete. If a leader fails (error response) or panics,
+//! its guard's `Drop` clears the flight and wakes all waiters to retry, so
+//! a poisoned request cannot wedge the cache.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
+use rat_core::clock::Clock;
 use rat_core::telemetry::{self, Metric};
 
 const SHARD_COUNT: usize = 16;
@@ -46,59 +44,8 @@ enum FlightState {
     Failed,
 }
 
-/// One shard's ready bodies under CLOCK eviction.
-#[derive(Default)]
-struct Ready {
-    /// Each body with its used mark, set by a hit since the last sweep.
-    map: HashMap<u128, (Arc<String>, bool)>,
-    /// Every key of `map` exactly once, in sweep order.
-    queue: VecDeque<u128>,
-    /// Sum of the stored bodies' `len()`.
-    bytes: usize,
-}
-
-impl Ready {
-    fn get(&mut self, key: u128) -> Option<Arc<String>> {
-        let (body, used) = self.map.get_mut(&key)?;
-        *used = true;
-        Some(Arc::clone(body))
-    }
-
-    /// Store `body` (or mark the entry already under `key` used), then
-    /// evict until the shard fits `budget`. A body over `budget` on its own
-    /// is not stored.
-    fn put(&mut self, key: u128, body: &Arc<String>, budget: usize) {
-        if body.len() > budget {
-            return;
-        }
-        match self.map.entry(key) {
-            Entry::Occupied(mut e) => e.get_mut().1 = true,
-            Entry::Vacant(e) => {
-                e.insert((Arc::clone(body), false));
-                self.queue.push_back(key);
-                self.bytes += body.len();
-            }
-        }
-        while self.bytes > budget {
-            let key = self
-                .queue
-                .pop_front()
-                .expect("stored bytes belong to queued keys");
-            let Entry::Occupied(mut entry) = self.map.entry(key) else {
-                unreachable!("queued key is stored");
-            };
-            if std::mem::take(&mut entry.get_mut().1) {
-                self.queue.push_back(key);
-            } else {
-                self.bytes -= entry.remove().0.len();
-            }
-        }
-    }
-}
-
-#[derive(Default)]
 struct Shard {
-    ready: Ready,
+    ready: Clock<Arc<String>>,
     flights: HashMap<u128, Arc<Flight>>,
 }
 
@@ -122,7 +69,7 @@ pub struct FlightGuard {
 
 impl FlightGuard {
     /// Publish the rendered body: waiters wake with it, and it becomes a
-    /// Ready entry (unless it alone exceeds the shard budget, in which case
+    /// ready entry (unless it alone exceeds the shard budget, in which case
     /// waiters still get it but nothing is stored).
     pub fn complete(mut self, body: Arc<String>) {
         self.completed = true;
@@ -134,7 +81,7 @@ impl FlightGuard {
 
         let mut sh = self.cache.shard(self.key);
         if sh.flights.remove(&self.key).is_some() {
-            sh.ready.put(self.key, &body, self.cache.shard_budget);
+            sh.ready.put(self.key, body);
         }
     }
 }
@@ -159,7 +106,7 @@ fn shard_of(key: u128) -> usize {
 }
 
 /// Point-in-time occupancy, for `/metrics` rendering and tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResponseCacheStats {
     /// Ready entries across both tiers.
     pub entries: usize,
@@ -170,8 +117,7 @@ pub struct ResponseCacheStats {
 /// The serving layer's rendered-response cache. One per server.
 pub struct ResponseCache {
     shards: [Mutex<Shard>; SHARD_COUNT],
-    raw_shards: [Mutex<Ready>; SHARD_COUNT],
-    shard_budget: usize,
+    raw_shards: [Mutex<Clock<Arc<String>>>; SHARD_COUNT],
 }
 
 impl ResponseCache {
@@ -180,10 +126,16 @@ impl ResponseCache {
     /// tier. Each tier charges every body it holds its full `len()`; a body
     /// both tiers hold is one allocation, kept alive until both drop it.
     pub fn new(total_budget_bytes: usize) -> Arc<Self> {
+        let budget = (total_budget_bytes / SHARD_COUNT).max(1);
+        let ready = || Clock::new(budget, |body: &Arc<String>| body.len());
         Arc::new(ResponseCache {
-            shards: std::array::from_fn(|_| Mutex::new(Shard::default())),
-            raw_shards: std::array::from_fn(|_| Mutex::new(Ready::default())),
-            shard_budget: (total_budget_bytes / SHARD_COUNT).max(1),
+            shards: std::array::from_fn(|_| {
+                Mutex::new(Shard {
+                    ready: ready(),
+                    flights: HashMap::new(),
+                })
+            }),
+            raw_shards: std::array::from_fn(|_| Mutex::new(ready())),
         })
     }
 
@@ -193,7 +145,7 @@ impl ResponseCache {
             .expect("response cache shard poisoned")
     }
 
-    fn raw_shard(&self, raw_key: u128) -> MutexGuard<'_, Ready> {
+    fn raw_shard(&self, raw_key: u128) -> MutexGuard<'_, Clock<Arc<String>>> {
         self.raw_shards[shard_of(raw_key)]
             .lock()
             .expect("raw response shard poisoned")
@@ -201,7 +153,7 @@ impl ResponseCache {
 
     /// Byte-exact fast tier: a hit skips request parsing entirely.
     pub fn lookup_raw(&self, raw_key: u128) -> Option<Arc<String>> {
-        let hit = self.raw_shard(raw_key).get(raw_key);
+        let hit = self.raw_shard(raw_key).get(raw_key).cloned();
         if hit.is_some() {
             telemetry::add(Metric::ResponseCacheHits, 1);
         }
@@ -210,8 +162,7 @@ impl ResponseCache {
 
     /// Alias the byte-exact request onto a body the canonical tier settled.
     pub fn alias_raw(&self, raw_key: u128, body: &Arc<String>) {
-        self.raw_shard(raw_key)
-            .put(raw_key, body, self.shard_budget);
+        self.raw_shard(raw_key).put(raw_key, Arc::clone(body));
     }
 
     /// Resolve a canonical key: a ready hit, a wait on someone else's
@@ -221,7 +172,7 @@ impl ResponseCache {
         loop {
             let flight = {
                 let mut sh = self.shard(key);
-                if let Some(body) = sh.ready.get(key) {
+                if let Some(body) = sh.ready.get(key).cloned() {
                     telemetry::add(Metric::ResponseCacheHits, 1);
                     return Lookup::Hit(body);
                 }
@@ -264,13 +215,10 @@ impl ResponseCache {
 
     /// Occupancy across both tiers.
     pub fn stats(&self) -> ResponseCacheStats {
-        let mut stats = ResponseCacheStats {
-            entries: 0,
-            bytes: 0,
-        };
-        let mut add = |ready: &Ready| {
-            stats.entries += ready.map.len();
-            stats.bytes += ready.bytes;
+        let mut stats = ResponseCacheStats::default();
+        let mut add = |ready: &Clock<Arc<String>>| {
+            stats.entries += ready.len();
+            stats.bytes += ready.weight();
         };
         for sh in &self.shards {
             add(&sh.lock().expect("response cache shard poisoned").ready);
@@ -395,37 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn a_hit_entry_gets_a_second_chance() {
-        let mut ready = Ready::default();
-        let budget = 90;
-        for key in [1, 2, 3] {
-            ready.put(key, &body(&"x".repeat(30)), budget);
-        }
-        assert!(ready.get(1).is_some());
-        ready.put(4, &body(&"x".repeat(30)), budget);
-        assert!(ready.map.contains_key(&1), "the hit entry survives");
-        assert!(
-            !ready.map.contains_key(&2),
-            "the oldest unmarked entry goes"
-        );
-        assert_eq!(ready.queue, [3, 4, 1], "the survivor went to the back");
-        assert!(!ready.map[&1].1, "and lost its mark on the way");
-    }
-
-    /// Check one ready set's invariants; returns its `(entries, bytes)`.
-    fn check_ready(ready: &Ready, budget: usize) -> (usize, usize) {
-        let stored: usize = ready.map.values().map(|(b, _)| b.len()).sum();
-        assert_eq!(ready.bytes, stored, "bytes must be the stored bodies' sum");
-        assert!(ready.bytes <= budget, "{} > {budget}", ready.bytes);
-        let mut queued: Vec<u128> = ready.queue.iter().copied().collect();
-        let mut keys: Vec<u128> = ready.map.keys().copied().collect();
-        queued.sort_unstable();
-        keys.sort_unstable();
-        assert_eq!(queued, keys, "the queue must hold each stored key once");
-        (ready.map.len(), ready.bytes)
-    }
-
-    #[test]
     fn ready_sets_keep_their_invariants_under_random_traffic() {
         // SplitMix64, so the sequence is fixed by the seed.
         let mut state = 0x5eed_u64;
@@ -458,18 +375,22 @@ mod tests {
                     Lookup::Hit(b) => assert!(b.len() <= budget),
                 },
             }
+            // The map's own invariants are `rat_core::clock`'s tests; here,
+            // no flight leaks, every shard fits its budget, and the stats
+            // are the shards' sum.
             let mut total = (0, 0);
-            let mut add = |(entries, bytes)| {
-                total.0 += entries;
-                total.1 += bytes;
+            let mut add = |ready: &Clock<Arc<String>>| {
+                assert!(ready.weight() <= budget, "step {step}");
+                total.0 += ready.len();
+                total.1 += ready.weight();
             };
             for sh in &cache.shards {
                 let sh = sh.lock().unwrap();
                 assert!(sh.flights.is_empty(), "step {step}: a flight leaked");
-                add(check_ready(&sh.ready, budget));
+                add(&sh.ready);
             }
             for sh in &cache.raw_shards {
-                add(check_ready(&sh.lock().unwrap(), budget));
+                add(&sh.lock().unwrap());
             }
             let stats = cache.stats();
             assert_eq!((stats.entries, stats.bytes), total, "step {step}");
