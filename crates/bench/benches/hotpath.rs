@@ -92,7 +92,8 @@ fn bench_uncertainty_paths(c: &mut Criterion) {
                             for (param, dist) in &dists {
                                 candidate = param.apply(&candidate, dist.sample(&mut rng));
                             }
-                            rat_core::solve::speedup_only(&candidate)
+                            candidate.validate()?;
+                            Ok::<_, rat_core::RatError>(rat_core::throughput::speedup(&candidate))
                         })
                         .unwrap();
                     speedups.sort_by(f64::total_cmp);
@@ -128,7 +129,8 @@ fn bench_batch_kernel(c: &mut Criterion) {
                     .map(|&v| {
                         scratch.copy_params_from(&input);
                         SweepParam::Fclock.apply_into(&mut scratch, v);
-                        rat_core::solve::speedup_only(&scratch).unwrap()
+                        scratch.validate().unwrap();
+                        rat_core::throughput::speedup(&scratch)
                     })
                     .collect();
                 black_box(out)

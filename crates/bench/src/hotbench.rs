@@ -342,7 +342,8 @@ fn uncertainty_scalar_chunked_baseline(
                 for (param, dist) in &dists {
                     param.apply_into(&mut scratch, dist.sample(&mut rng));
                 }
-                out.push(rat_core::solve::speedup_only(&scratch)?);
+                scratch.validate()?;
+                out.push(rat_core::throughput::speedup(&scratch));
             }
             Ok::<_, rat_core::RatError>(out)
         })
@@ -385,7 +386,8 @@ fn uncertainty_cloning_baseline(
             for (param, dist) in &dists {
                 candidate = param.apply(&candidate, dist.sample(&mut rng));
             }
-            rat_core::solve::speedup_only(&candidate)
+            candidate.validate()?;
+            Ok::<_, rat_core::RatError>(rat_core::throughput::speedup(&candidate))
         })
         .expect("bench ranges are valid");
     speedups.sort_by(f64::total_cmp);
@@ -505,7 +507,8 @@ pub fn run(quick: bool) -> BenchReport {
         for &v in &kernel_points {
             scratch.copy_params_from(&input);
             SweepParam::Fclock.apply_into(&mut scratch, v);
-            acc += rat_core::solve::speedup_only(&scratch).unwrap();
+            scratch.validate().unwrap();
+            acc += rat_core::throughput::speedup(&scratch);
         }
         acc
     });

@@ -178,6 +178,63 @@ fn buffers_past_u32_block_rams_are_infeasible_not_wrapped() {
 }
 
 #[test]
+fn byte_counts_past_u64_max_exit_3_naming_both_fields() {
+    // 2^32 elements of 2^32 bytes once wrapped the write term's byte count
+    // to 0 in release (exit 0 with t_comm the read term alone) and panicked
+    // in debug.
+    let dir = std::env::temp_dir().join(format!("rat-cli-bytes-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = std::fs::read_to_string(worksheet("pdf1d"))
+        .unwrap()
+        .replace("bytes_per_element = 4", "bytes_per_element = 4294967296");
+    for (field, from) in [
+        ("elements_in", "elements_in = 512"),
+        ("elements_out", "elements_out = 1"),
+    ] {
+        let path = dir.join(format!("{field}.toml"));
+        let to = format!("{field} = 4294967296");
+        std::fs::write(&path, text.replace(from, &to)).unwrap();
+        let path = path.to_string_lossy();
+        for args in [
+            vec!["analyze", &*path],
+            vec!["sweep", &*path, "fclock", "1e8", "2e8"],
+            vec!["streaming", &*path],
+        ] {
+            let (stdout, stderr, code) = run_rat_env(&args, &[]);
+            assert_eq!(code, 3, "rat {args:?}: stdout: {stdout}\nstderr: {stderr}");
+            assert!(
+                stderr.contains(&format!("{field} * bytes_per_element")),
+                "rat {args:?}: {stderr}"
+            );
+            assert!(stdout.is_empty(), "rat {args:?}: {stdout}");
+        }
+    }
+}
+
+#[test]
+fn swept_counts_that_are_not_finite_or_round_below_one_exit_3() {
+    // Each of these was once evaluated at a count of 1 (or u64::MAX for
+    // `inf` iterations) and printed a row with exit 0.
+    let ws = worksheet("pdf1d");
+    for (param, value, rule) in [
+        ("elements-in", "nan", "elements_in must be at least 1"),
+        ("elements-in", "-3", "elements_in must be at least 1"),
+        ("elements-in", "0.4", "elements_in must be at least 1"),
+        ("iterations", "inf", "iterations must be at least 1"),
+    ] {
+        let args = ["sweep", &ws, param, value, "512"];
+        let (stdout, stderr, code) = run_rat_env(&args, &[]);
+        assert_eq!(code, 3, "rat {args:?}: {stderr}");
+        assert!(stderr.contains(rule), "rat {args:?}: {stderr}");
+        assert!(stdout.is_empty(), "rat {args:?}: {stdout}");
+    }
+    // 0.5 rounds to one element, as it always did.
+    let (stdout, stderr, code) = run_rat_env(&["sweep", &ws, "elements-in", "0.5"], &[]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("0.500000"), "{stdout}");
+}
+
+#[test]
 fn simulation_failure_exits_5_with_cause_chain() {
     // A zero clock is user input the simulator rejects; the CLI must report
     // what it was doing (context) plus the simulator's reason (cause).

@@ -32,7 +32,7 @@
 
 use crate::engine::{Engine, PointCost};
 use crate::error::RatError;
-use crate::params::RatInput;
+use crate::params::{Buffering, RatInput};
 use crate::quantity::Seconds;
 use crate::table::{sci, TextTable};
 use crate::throughput;
@@ -104,11 +104,12 @@ pub fn analyze(input: &RatInput, devices: u32) -> Result<MultiFpgaPrediction, Ra
     if devices == 0 {
         return Err(RatError::param("device count must be at least 1"));
     }
+    let s = &input.software;
     let t_comm = throughput::t_comm(input);
     let t_comp_each = throughput::t_comp(input) / f64::from(devices);
-    let t_rc = input.software.iterations as f64 * t_comm.max(t_comp_each);
-    let speedup = input.software.t_soft / t_rc;
-    let single = input.software.t_soft / throughput::t_rc_double(input);
+    let t_rc = throughput::rc_seconds(t_comm, t_comp_each, s.iterations, Buffering::Double);
+    let speedup = s.t_soft / t_rc;
+    let single = s.t_soft / throughput::t_rc_double(input);
     Ok(MultiFpgaPrediction {
         devices,
         t_comp_each,

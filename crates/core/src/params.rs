@@ -123,8 +123,9 @@ impl RatInput {
     /// Validate every parameter, returning the first violation.
     ///
     /// Checks positivity/finiteness of rates and times, `alpha` in `(0, 1]`,
-    /// and at least one iteration. Dimensioned fields report a field-named
-    /// [`RatError::InvalidQuantity`]; dimensionless ones report
+    /// at least one iteration, and that [`RatInput::input_bytes`] and
+    /// [`RatInput::output_bytes`] fit a `u64`. Dimensioned fields report a
+    /// field-named [`RatError::InvalidQuantity`]; dimensionless ones report
     /// [`RatError::InvalidParameter`]. `elements_out` may be zero (results may
     /// accumulate on-chip), but `elements_in` must be positive — a design that
     /// consumes no data computes nothing RAT can reason about.
@@ -135,6 +136,14 @@ impl RatInput {
         }
         if d.bytes_per_element == 0 {
             return Err(RatError::param("bytes_per_element must be at least 1"));
+        }
+        let bpe = d.bytes_per_element;
+        for (side, n) in [("in", d.elements_in), ("out", d.elements_out)] {
+            if n.checked_mul(bpe).is_none() {
+                return Err(RatError::param(format!(
+                    "elements_{side} * bytes_per_element = {n} * {bpe} bytes overflows a u64"
+                )));
+            }
         }
         let c = &self.comm;
         let bw = c.ideal_bandwidth.bytes_per_sec();

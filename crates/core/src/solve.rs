@@ -190,23 +190,12 @@ fn required_alpha_scale_with(
 pub fn max_speedup(input: &RatInput) -> Result<f64, RatError> {
     let _span = crate::telemetry::span("solve.ceiling");
     input.validate()?;
-    Ok(max_speedup_with(input, throughput::t_comm(input)))
+    Ok(ceiling_of(input, throughput::t_comm(input)))
 }
 
-/// [`max_speedup`]'s expression given an already-validated input's `t_comm`.
-fn max_speedup_with(input: &RatInput, comm: Seconds) -> f64 {
-    input.software.t_soft / (input.software.iterations as f64 * comm)
-}
-
-/// Validate `input` and return its predicted speedup — nothing else.
-///
-/// This is the scalar fast path for hot loops (Monte-Carlo sampling, corner
-/// enumeration, dense sweeps) that would otherwise build and immediately
-/// discard a full `Report` per point: the same `validate()` gate and the same
-/// Eq. (7) arithmetic as the report pipeline, with no allocation at all.
-pub fn speedup_only(input: &RatInput) -> Result<f64, RatError> {
-    input.validate()?;
-    Ok(throughput::speedup(input))
+/// [`throughput::ceiling`] for a validated input whose `t_comm` is known.
+fn ceiling_of(input: &RatInput, comm: Seconds) -> f64 {
+    throughput::ceiling(comm, input.software.iterations, input.software.t_soft)
 }
 
 /// The four inverse answers a `solve` request renders: required
@@ -237,7 +226,7 @@ pub fn inverse_quad(input: &RatInput, target_speedup: f64) -> InverseQuad {
         alpha_scale: required_alpha_scale(input, target_speedup),
         ceiling: input
             .validate()
-            .map(|()| max_speedup_with(input, throughput::t_comm(input))),
+            .map(|()| ceiling_of(input, throughput::t_comm(input))),
     }
 }
 
@@ -257,7 +246,7 @@ pub fn inverse_quad_batch(input: &RatInput, targets: &[f64]) -> Vec<InverseQuad>
     }
     let comm = throughput::t_comm(input);
     let comp = throughput::t_comp(input);
-    let ceiling = max_speedup_with(input, comm);
+    let ceiling = ceiling_of(input, comm);
     targets
         .iter()
         .map(|&t| InverseQuad {
@@ -406,20 +395,6 @@ mod tests {
         assert!(required_throughput_proc(&input, 0.0).is_err());
         assert!(required_fclock(&input, -2.0).is_err());
         assert!(required_alpha_scale(&input, f64::NAN).is_err());
-    }
-
-    #[test]
-    fn speedup_only_matches_the_report_pipeline() {
-        let input = pdf1d_example();
-        let fast = speedup_only(&input).unwrap();
-        let full = crate::worksheet::Worksheet::new(input.clone())
-            .analyze()
-            .unwrap();
-        assert_eq!(fast, full.speedup, "scalar path must be bit-identical");
-        // And it validates: an out-of-domain alpha errors, not NaNs.
-        let mut bad = input;
-        bad.comm.alpha_write = 1.5;
-        assert!(speedup_only(&bad).is_err());
     }
 
     /// Assert a batched quad equals the scalar quad bit-for-bit on values

@@ -2,32 +2,27 @@
 //!
 //! Every hot analysis — a dense sweep, a Monte-Carlo uncertainty run, corner
 //! enumeration — evaluates Eqs. (1)–(11) at thousands of design points that
-//! differ from a shared base input in only a few scalar parameters. The
-//! scalar fast path ([`crate::solve::speedup_only`]) already strips the
-//! per-point cost to a validate + a handful of float ops, but it still pays
-//! per-point call overhead and gives the compiler a single point at a time.
+//! differ from a shared base input in only a few scalar parameters.
 //! [`BatchPoints`] stores the *varied* parameters as columns
 //! (structure-of-arrays) over one base [`RatInput`], and [`speedup_batch`],
-//! [`predict_batch`] and [`solve_batch`] evaluate all points in tight loops
-//! over those columns: Eq. (7) alone, speedup and computation utilization
-//! at the base buffering, or the full report.
+//! [`predict_batch`] and [`solve_batch`] evaluate all points in loops over
+//! those columns: Eq. (7) alone, speedup and computation utilization at the
+//! base buffering, or the full report. What batching buys is one validation
+//! scan per column instead of a `validate()` per point, and loops wide
+//! enough for the explicit AVX2 lanes in `batch/simd.rs`.
 //!
 //! ## Bit-identity contract
 //!
-//! The kernels replicate the scalar expression chain operation for
-//! operation — `bytes as f64 / (alpha * bw)`, `t_write + t_read`,
-//! `elements as f64 * ops / (hz * tp)`, `iters as f64 * (t_comm + t_comp)`
-//! (or `.max`), `t_soft / t_rc` — in the exact order the typed-quantity
-//! operators execute them, so `speedup_batch(&points)[i]` is bit-identical
-//! to `speedup_only(&points.materialize(i))` (pinned by the differential
-//! suite in `tests/batch_differential.rs`). Rust never reassociates float
-//! arithmetic, so a straight-line transcription is sufficient; what batching
-//! buys is amortized validation, hoisted constants (the buffering `match`,
-//! `bytes_per_element`, bandwidth, `t_soft`), and loops wide enough for the
-//! explicit AVX2 lanes in `batch/simd.rs`, which perform the same IEEE-754
-//! operations per lane and are therefore covered by the same contract (the
-//! differential suite runs with SIMD forced on and off; `RAT_FORCE_SCALAR=1`
-//! pins the scalar fallback at runtime).
+//! The scalar lane reads each point's terms from the decoded columns into
+//! the same equation functions the per-input chain reads a [`RatInput`]
+//! into ([`throughput::transfer_seconds`], `compute_seconds`, `predict`,
+//! `ceiling`), so `speedup_batch(&points)[i]` is bit-identical to
+//! `throughput::speedup(&points.materialize(i))` and `solve_batch` to the
+//! per-input chain (pinned by `tests/batch_differential.rs` and
+//! `tests/stage_differential.rs`). The AVX2 lanes transliterate that chain
+//! with the same IEEE-754 operations per lane, in the same order, and are
+//! checked against the scalar lane (the differential suites run with SIMD
+//! on and off; `RAT_FORCE_SCALAR=1` pins the scalar lane at runtime).
 //!
 //! ## Error contract
 //!
@@ -44,12 +39,12 @@ mod simd;
 use crate::engine::{Engine, PointCost};
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
-use crate::quantity::Seconds;
+use crate::quantity::{Bytes, Elements, Freq};
 use crate::report::Report;
 use crate::solve::stages::{self, BatchStagePlan};
-use crate::sweep::SweepParam;
+use crate::sweep::{self, SweepParam};
 use crate::telemetry::{self, Metric};
-use crate::throughput::ThroughputPrediction;
+use crate::throughput::{self, ThroughputPrediction};
 
 /// The historical fixed chunk size, kept as the canonical *seam unit*: the
 /// differential suites pin bit-identity across `CHUNK`-aligned boundaries,
@@ -238,72 +233,44 @@ impl BatchStagePlan {
 /// column writes it — the base value stands at every point) or **varied**
 /// (a dense column of per-point values).
 ///
-/// The split is what lets both kernels skip broadcast work entirely: the old
-/// decoder materialized `vec![base; n]` for every untouched field, and at
-/// SIMD speeds those allocations cost more than the math. A uniform field is
-/// one scalar (one splat register on the AVX2 path); a varied field written
-/// by direct-copy columns **borrows** the last such column with no copy.
-enum ColF<'p> {
-    Uniform(f64),
-    Varied(Cow<'p, [f64]>),
+/// A uniform field is one scalar (one splat register on the AVX2 path), so
+/// no lane broadcasts an untouched field. A varied `f64` field written by
+/// direct-copy columns **borrows** the last such column with no copy; a
+/// count field owns its rounded values ([`sweep::count`]).
+enum Col<'p, T: Clone> {
+    Uniform(T),
+    Varied(Cow<'p, [T]>),
 }
 
-impl ColF<'_> {
-    /// The value at point `i` — bit-identical to indexing the broadcast
-    /// column the old decoder built, since a uniform field held the same
-    /// base value at every index.
+impl<T: Copy> Col<'_, T> {
+    /// The value at point `i`.
     #[inline(always)]
-    fn at(&self, i: usize) -> f64 {
+    fn at(&self, i: usize) -> T {
         match self {
-            ColF::Uniform(v) => *v,
-            ColF::Varied(vals) => vals[i],
+            Col::Uniform(v) => *v,
+            Col::Varied(vals) => vals[i],
         }
     }
 
     /// The dense column when the field varies.
-    fn varied(&self) -> Option<&[f64]> {
+    fn varied(&self) -> Option<&[T]> {
         match self {
-            ColF::Uniform(_) => None,
-            ColF::Varied(vals) => Some(vals),
+            Col::Uniform(_) => None,
+            Col::Varied(vals) => Some(vals),
         }
     }
 }
 
-/// [`ColF`] for the integer fields (`elements_in`, `iterations`), which
-/// transform their column values (round, clamp to `>= 1`) and so always own
-/// their storage when varied.
-enum ColU {
-    Uniform(u64),
-    Varied(Vec<u64>),
-}
-
-impl ColU {
-    #[inline(always)]
-    fn at(&self, i: usize) -> u64 {
-        match self {
-            ColU::Uniform(v) => *v,
-            ColU::Varied(vals) => vals[i],
-        }
-    }
-
-    fn varied(&self) -> Option<&[u64]> {
-        match self {
-            ColU::Uniform(_) => None,
-            ColU::Varied(vals) => Some(vals),
-        }
-    }
-}
-
-/// The mutable parameter fields, decoded to one [`ColF`]/[`ColU`] view each.
+/// The mutable parameter fields, decoded to one [`Col`] view each.
 struct Decoded<'p> {
     n: usize,
-    elements_in: ColU,
-    alpha_write: ColF<'p>,
-    alpha_read: ColF<'p>,
-    ops_per_element: ColF<'p>,
-    throughput_proc: ColF<'p>,
-    fclock_hz: ColF<'p>,
-    iterations: ColU,
+    elements_in: Col<'p, u64>,
+    alpha_write: Col<'p, f64>,
+    alpha_read: Col<'p, f64>,
+    ops_per_element: Col<'p, f64>,
+    throughput_proc: Col<'p, f64>,
+    fclock_hz: Col<'p, f64>,
+    iterations: Col<'p, u64>,
 }
 
 /// Decode the columns: a field is `Varied` exactly when some column writes
@@ -321,10 +288,10 @@ fn decode<'p>(points: &'p BatchPoints<'_>) -> Decoded<'p> {
     };
     // A direct-copy column overwrites its field at every point, so the last
     // one *is* the decoded field, borrowed with no copy.
-    let direct = |want: SweepParam, base_val: f64| -> ColF<'p> {
+    let direct = |want: SweepParam, base_val: f64| -> Col<'p, f64> {
         match last_direct(want) {
-            Some(col) => ColF::Varied(Cow::Borrowed(col)),
-            None => ColF::Uniform(base_val),
+            Some(col) => Col::Varied(Cow::Borrowed(col)),
+            None => Col::Uniform(base_val),
         }
     };
     let fclock_hz = direct(SweepParam::Fclock, base.comp.fclock.hz());
@@ -356,27 +323,27 @@ fn decode<'p>(points: &'p BatchPoints<'_>) -> Decoded<'p> {
                 _ => {}
             }
         }
-        (ColF::Varied(Cow::Owned(aw)), ColF::Varied(Cow::Owned(ar)))
+        (Col::Varied(Cow::Owned(aw)), Col::Varied(Cow::Owned(ar)))
     } else {
         (
             direct(SweepParam::AlphaWrite, base.comm.alpha_write),
             direct(SweepParam::AlphaRead, base.comm.alpha_read),
         )
     };
-    let decode_u64 = |want: SweepParam, base_val: u64| -> ColU {
+    let decode_u64 = |want: SweepParam, base_val: u64| -> Col<'p, u64> {
         let written = points.columns.iter().any(|(p, _)| *p == want);
         if !written {
-            return ColU::Uniform(base_val);
+            return Col::Uniform(base_val);
         }
         let mut vals = vec![base_val; n];
         for (param, col) in &points.columns {
             if *param == want {
                 for (dst, &v) in vals.iter_mut().zip(&col[..]) {
-                    *dst = v.round().max(1.0) as u64;
+                    *dst = sweep::count(v);
                 }
             }
         }
-        ColU::Varied(vals)
+        Col::Varied(Cow::Owned(vals))
     };
     let elements_in = decode_u64(SweepParam::ElementsIn, base.dataset.elements_in);
     let iterations = decode_u64(SweepParam::Iterations, base.software.iterations);
@@ -453,25 +420,30 @@ fn first_invalid_alpha(vals: &[f64]) -> Option<usize> {
 /// message is byte-identical to the scalar path's.
 fn first_error(points: &BatchPoints, d: &Decoded) -> Option<(usize, RatError)> {
     let base = points.base;
+    let bpe = base.dataset.bytes_per_element;
     let bw = base.comm.ideal_bandwidth.bytes_per_sec();
     let t_soft = base.software.t_soft.seconds();
+    // `validate()`'s two rules on `elements_in`: at least 1, and a byte
+    // count that fits a u64.
+    let elements_ok = |e: u64| (e >= 1) & e.checked_mul(bpe).is_some();
     // Non-short-circuiting `&` so the column scans compile branch-free: the
     // autovectorizer turns the three compares into wide predicates, where
     // `&&` would force a branch per point and serialize the scan.
     let alpha_ok = |a: f64| a.is_finite() & (a > 0.0) & (a <= 1.0);
     let rate_ok = |r: f64| r.is_finite() & (r > 0.0);
-    let uniform_f = |col: &ColF, ok: &dyn Fn(f64) -> bool| match col {
-        ColF::Uniform(v) => ok(*v),
-        ColF::Varied(_) => true, // scanned below
+    let uniform_f = |col: &Col<f64>, ok: &dyn Fn(f64) -> bool| match col {
+        Col::Uniform(v) => ok(*v),
+        Col::Varied(_) => true, // scanned below
     };
-    let uniform_ok = base.dataset.bytes_per_element >= 1
+    let uniform_ok = bpe >= 1
+        && base.dataset.elements_out.checked_mul(bpe).is_some()
         && bw.is_finite()
         && bw > 0.0
         && t_soft.is_finite()
         && t_soft > 0.0
         && match &d.elements_in {
-            ColU::Uniform(e) => *e >= 1,
-            ColU::Varied(_) => true,
+            Col::Uniform(e) => elements_ok(*e),
+            Col::Varied(_) => true,
         }
         && uniform_f(&d.alpha_write, &alpha_ok)
         && uniform_f(&d.alpha_read, &alpha_ok)
@@ -479,8 +451,8 @@ fn first_error(points: &BatchPoints, d: &Decoded) -> Option<(usize, RatError)> {
         && uniform_f(&d.throughput_proc, &rate_ok)
         && uniform_f(&d.fclock_hz, &rate_ok)
         && match &d.iterations {
-            ColU::Uniform(it) => *it >= 1,
-            ColU::Varied(_) => true,
+            Col::Uniform(it) => *it >= 1,
+            Col::Varied(_) => true,
         };
     // The first index where any column's check fails is exactly the first
     // index the per-point conjunction would flag.
@@ -491,7 +463,7 @@ fn first_error(points: &BatchPoints, d: &Decoded) -> Option<(usize, RatError)> {
         }
     };
     if let Some(e) = d.elements_in.varied() {
-        note(first_invalid(e, |e| e >= 1));
+        note(first_invalid(e, elements_ok));
     }
     if let Some(a) = d.alpha_write.varied() {
         note(first_invalid_alpha(a));
@@ -528,107 +500,63 @@ fn first_error(points: &BatchPoints, d: &Decoded) -> Option<(usize, RatError)> {
     None
 }
 
-/// The per-point per-iteration time terms, in scalar expression order.
-#[inline(always)]
-fn point_terms(base: &RatInput, d: &Decoded, i: usize, bw: f64, bytes_out: u64) -> (f64, f64, f64) {
-    let bytes_in = d.elements_in.at(i) * base.dataset.bytes_per_element;
-    let t_write = bytes_in as f64 / (d.alpha_write.at(i) * bw);
-    let t_read = bytes_out as f64 / (d.alpha_read.at(i) * bw);
-    let t_comp = d.elements_in.at(i) as f64 * d.ops_per_element.at(i)
-        / (d.fclock_hz.at(i) * d.throughput_proc.at(i));
-    (t_write, t_read, t_comp)
+impl Decoded<'_> {
+    /// Point `i`'s prediction under `buffering`: its Eqs. (2)–(4) terms,
+    /// read from the columns into the kernels the per-input chain uses,
+    /// through the one Eqs. (5)–(11) assembly.
+    #[inline(always)]
+    fn predict(&self, base: &RatInput, i: usize, buffering: Buffering) -> ThroughputPrediction {
+        let elements = self.elements_in.at(i);
+        let bw = base.comm.ideal_bandwidth;
+        let bytes_in = Elements::new(elements) * Bytes::new(base.dataset.bytes_per_element);
+        throughput::predict(
+            throughput::transfer_seconds(bytes_in, self.alpha_write.at(i), bw),
+            throughput::transfer_seconds(base.output_bytes(), self.alpha_read.at(i), bw),
+            throughput::compute_seconds(
+                elements,
+                self.ops_per_element.at(i),
+                Freq::from_hz(self.fclock_hz.at(i)),
+                self.throughput_proc.at(i),
+            ),
+            self.iterations.at(i),
+            base.software.t_soft,
+            buffering,
+        )
+    }
 }
 
-fn eval_speedups(base: &RatInput, d: &Decoded, plan: &BatchStagePlan) -> Vec<f64> {
+fn eval_speedups(base: &RatInput, d: &Decoded) -> Vec<f64> {
     let mut out = vec![0.0_f64; d.n];
     // Runtime dispatch, mirroring the ChaCha8 bulk-draw pattern: the AVX2
     // kernel evaluates four lanes per iteration with per-lane IEEE-identical
     // operations (see `batch/simd.rs` for the bit-identity argument), the
-    // scalar loop below is the always-compiled fallback and handles the
+    // scalar lane below is the always-compiled fallback and handles the
     // sub-vector tail. `RAT_FORCE_SCALAR=1` pins everything to the scalar
-    // path.
+    // lane.
     #[cfg(target_arch = "x86_64")]
     if crate::simd::avx2_enabled() && d.n >= 4 {
         // SAFETY: AVX2 support was verified at runtime by `avx2_enabled`.
-        let done = unsafe { simd::eval_speedups_avx2(base, d, plan, &mut out) };
-        eval_speedups_scalar(base, d, plan, done, &mut out);
+        let done = unsafe { simd::eval_speedups_avx2(base, d, &mut out) };
+        eval_speedups_scalar(base, d, done, &mut out);
         return out;
     }
-    eval_speedups_scalar(base, d, plan, 0, &mut out);
+    eval_speedups_scalar(base, d, 0, &mut out);
     out
 }
 
-/// The scalar speedup kernel over points `lo..out.len()`, writing each
-/// result at its own index. This is the reference the SIMD lanes must match
-/// bit for bit, and the tail loop behind them.
-fn eval_speedups_scalar(
-    base: &RatInput,
-    d: &Decoded,
-    plan: &BatchStagePlan,
-    lo: usize,
-    out: &mut [f64],
-) {
-    let bw = base.comm.ideal_bandwidth.bytes_per_sec();
-    let bytes_out = base.dataset.elements_out * base.dataset.bytes_per_element;
-    let t_soft = base.software.t_soft.seconds();
-    // When no column writes a communication-stage input, the comm terms are
-    // the same at every point: compute them once from the base (a uniform
-    // field holds exactly the base value, so this is bit-identical to the
-    // per-point expressions) and drop two divides from the inner loop. This
-    // is the batched face of the comm-stage skip.
-    if !plan.comm_varies {
-        let bytes_in = base.dataset.elements_in * base.dataset.bytes_per_element;
-        let t_write = bytes_in as f64 / (base.comm.alpha_write * bw);
-        let t_read = bytes_out as f64 / (base.comm.alpha_read * bw);
-        let t_comm = t_write + t_read;
-        // A comm-uniform plan means no column writes `elements_in` (it is a
-        // comm-stage input), so the per-point factor is one hoisted scalar.
-        let elems = base.dataset.elements_in as f64;
-        match base.buffering {
-            Buffering::Single => {
-                for (i, s) in out.iter_mut().enumerate().skip(lo) {
-                    let t_comp = elems * d.ops_per_element.at(i)
-                        / (d.fclock_hz.at(i) * d.throughput_proc.at(i));
-                    let t_rc = d.iterations.at(i) as f64 * (t_comm + t_comp);
-                    *s = t_soft / t_rc;
-                }
-            }
-            Buffering::Double => {
-                for (i, s) in out.iter_mut().enumerate().skip(lo) {
-                    let t_comp = elems * d.ops_per_element.at(i)
-                        / (d.fclock_hz.at(i) * d.throughput_proc.at(i));
-                    let t_rc = d.iterations.at(i) as f64 * t_comm.max(t_comp);
-                    *s = t_soft / t_rc;
-                }
-            }
-        }
-        return;
-    }
-    // The buffering discipline is a base property (no SweepParam varies it),
-    // so the Eq. (5) / Eq. (6) choice hoists out of the loop entirely.
-    match base.buffering {
-        Buffering::Single => {
-            for (i, s) in out.iter_mut().enumerate().skip(lo) {
-                let (t_write, t_read, t_comp) = point_terms(base, d, i, bw, bytes_out);
-                let t_comm = t_write + t_read;
-                let t_rc = d.iterations.at(i) as f64 * (t_comm + t_comp);
-                *s = t_soft / t_rc;
-            }
-        }
-        Buffering::Double => {
-            for (i, s) in out.iter_mut().enumerate().skip(lo) {
-                let (t_write, t_read, t_comp) = point_terms(base, d, i, bw, bytes_out);
-                let t_comm = t_write + t_read;
-                let t_rc = d.iterations.at(i) as f64 * t_comm.max(t_comp);
-                *s = t_soft / t_rc;
-            }
-        }
+/// The scalar speedup lane over points `lo..out.len()`, writing each result
+/// at its own index: Eq. (7) of each point's prediction at the base
+/// buffering. This is the reference the SIMD lanes must match bit for bit,
+/// and the tail loop behind them.
+fn eval_speedups_scalar(base: &RatInput, d: &Decoded, lo: usize, out: &mut [f64]) {
+    for (i, s) in out.iter_mut().enumerate().skip(lo) {
+        *s = d.predict(base, i, base.buffering).speedup;
     }
 }
 
 /// Evaluate Eq. (7) for every point: `out[i]` is bit-identical to
-/// `speedup_only(&points.materialize(i))`. On an invalid point, the
-/// lowest-indexed point's exact scalar error is returned.
+/// `throughput::speedup(&points.materialize(i))`. On an invalid point, the
+/// lowest-indexed point's exact `validate()` error is returned.
 pub fn speedup_batch(points: &BatchPoints) -> Result<Vec<f64>, RatError> {
     speedup_batch_indexed(points).map_err(|(_, e)| e)
 }
@@ -638,33 +566,34 @@ pub fn speedup_batch(points: &BatchPoints) -> Result<Vec<f64>, RatError> {
 /// index to keep error attribution deterministic.
 pub fn speedup_batch_indexed(points: &BatchPoints) -> Result<Vec<f64>, (usize, RatError)> {
     let d = checked_decode(points)?;
-    Ok(eval_speedups(points.base, &d, &points.stage_plan()))
+    Ok(eval_speedups(points.base, &d))
 }
 
 /// Evaluate the **full worksheet** for every point: `out[i]` is bit-identical
-/// to `Worksheet::new(points.materialize(i)).analyze_monolithic()` — the
-/// prediction at the point's buffering, the alternate-buffering prediction,
-/// and the communication-bound ceiling. The numeric pipeline runs as column
-/// loops; only the final `Report` assembly materializes per-point inputs.
-/// `Worksheet::analyze` is this function on a batch of one.
+/// to the per-input chain on `points.materialize(i)` —
+/// [`ThroughputPrediction::analyze`] at the point's buffering and at the
+/// other one, and [`crate::solve::max_speedup`]. The numeric pipeline runs
+/// as column loops; only the final `Report` assembly materializes per-point
+/// inputs. `Worksheet::analyze` is this function on a batch of one.
 pub fn solve_batch(points: &BatchPoints) -> Result<Vec<Report>, RatError> {
     let d = checked_decode(points).map_err(|(_, e)| e)?;
     let base = points.base;
-    let t_soft = base.software.t_soft.seconds();
+    let alternate_buffering = match base.buffering {
+        Buffering::Single => Buffering::Double,
+        Buffering::Double => Buffering::Single,
+    };
     Ok((0..points.len)
         .map(|i| {
-            let terms = PointTerms::at(base, &d, i);
-            let single = terms.prediction(Buffering::Single, t_soft);
-            let double = terms.prediction(Buffering::Double, t_soft);
-            let (throughput, alternate) = match base.buffering {
-                Buffering::Single => (single, double),
-                Buffering::Double => (double, single),
-            };
+            let prediction = d.predict(base, i, base.buffering);
             Report {
-                speedup: throughput.speedup,
-                throughput,
-                alternate,
-                max_speedup: t_soft / (terms.iters * terms.t_comm),
+                speedup: prediction.speedup,
+                throughput: prediction,
+                alternate: d.predict(base, i, alternate_buffering),
+                max_speedup: throughput::ceiling(
+                    prediction.t_comm,
+                    d.iterations.at(i),
+                    base.software.t_soft,
+                ),
                 input: points.materialize(i),
             }
         })
@@ -690,10 +619,9 @@ pub struct Score {
 pub fn predict_batch(points: &BatchPoints) -> Result<Vec<Score>, RatError> {
     let d = checked_decode(points).map_err(|(_, e)| e)?;
     let base = points.base;
-    let t_soft = base.software.t_soft.seconds();
     Ok((0..points.len)
         .map(|i| {
-            let p = PointTerms::at(base, &d, i).prediction(base.buffering, t_soft);
+            let p = d.predict(base, i, base.buffering);
             Score {
                 speedup: p.speedup,
                 util_comp: p.util_comp,
@@ -750,74 +678,17 @@ fn checked_decode<'p>(points: &'p BatchPoints<'_>) -> Result<Decoded<'p>, (usize
     Ok(d)
 }
 
-/// One point's per-iteration times and iteration count, shared by the
-/// predictions under both bufferings.
-#[derive(Clone, Copy)]
-struct PointTerms {
-    t_write: f64,
-    t_read: f64,
-    t_comm: f64,
-    t_comp: f64,
-    iters: f64,
-}
-
-impl PointTerms {
-    fn at(base: &RatInput, d: &Decoded, i: usize) -> Self {
-        let bw = base.comm.ideal_bandwidth.bytes_per_sec();
-        let bytes_out = base.dataset.elements_out * base.dataset.bytes_per_element;
-        let (t_write, t_read, t_comp) = point_terms(base, d, i, bw, bytes_out);
-        PointTerms {
-            t_write,
-            t_read,
-            t_comm: t_write + t_read,
-            t_comp,
-            iters: d.iterations.at(i) as f64,
-        }
-    }
-
-    /// Assemble the [`ThroughputPrediction`] under `buffering`, in the
-    /// exact expression order of `ThroughputPrediction::analyze`.
-    fn prediction(&self, buffering: Buffering, t_soft: f64) -> ThroughputPrediction {
-        let PointTerms {
-            t_write,
-            t_read,
-            t_comm,
-            t_comp,
-            iters,
-        } = *self;
-        let (t_rc, util_comp, util_comm) = match buffering {
-            Buffering::Single => (
-                iters * (t_comm + t_comp),
-                t_comp / (t_comm + t_comp),
-                t_comm / (t_comm + t_comp),
-            ),
-            Buffering::Double => (
-                iters * t_comm.max(t_comp),
-                t_comp / t_comm.max(t_comp),
-                t_comm / t_comm.max(t_comp),
-            ),
-        };
-        ThroughputPrediction {
-            t_write: Seconds::new(t_write),
-            t_read: Seconds::new(t_read),
-            t_comm: Seconds::new(t_comm),
-            t_comp: Seconds::new(t_comp),
-            t_rc: Seconds::new(t_rc),
-            speedup: t_soft / t_rc,
-            util_comm,
-            util_comp,
-            buffering,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crate::params::pdf1d_example;
-    use crate::solve::speedup_only;
-    use crate::worksheet::Worksheet;
+
+    /// The per-input chain's speedup: `validate()`, then Eq. (7).
+    fn scalar_speedup(input: &RatInput) -> Result<f64, RatError> {
+        input.validate()?;
+        Ok(throughput::speedup(input))
+    }
 
     const ALL_PARAMS: [SweepParam; 8] = [
         SweepParam::Fclock,
@@ -841,7 +712,7 @@ mod tests {
                 points.push_column(param, values);
                 let batch = speedup_batch(&points).expect("all points valid");
                 for (i, &got) in batch.iter().enumerate() {
-                    let want = speedup_only(&points.materialize(i)).expect("scalar path agrees");
+                    let want = scalar_speedup(&points.materialize(i)).expect("scalar path agrees");
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
@@ -867,7 +738,7 @@ mod tests {
         );
         let batch = speedup_batch(&points).expect("valid");
         for (i, &got) in batch.iter().enumerate() {
-            let want = speedup_only(&points.materialize(i)).expect("valid");
+            let want = scalar_speedup(&points.materialize(i)).expect("valid");
             assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
         }
     }
@@ -880,7 +751,7 @@ mod tests {
         points.push_column(SweepParam::AlphaWrite, vec![0.5, 0.6, 1.5, 0.7, -1.0]);
         let (index, err) = speedup_batch_indexed(&points).expect_err("point 2 invalid");
         assert_eq!(index, 2);
-        let scalar_err = speedup_only(&points.materialize(2)).expect_err("scalar rejects too");
+        let scalar_err = scalar_speedup(&points.materialize(2)).expect_err("scalar rejects too");
         assert_eq!(err.to_string(), scalar_err.to_string());
     }
 
@@ -893,9 +764,20 @@ mod tests {
             points.push_column(SweepParam::Fclock, values);
             let reports = solve_batch(&points).expect("valid");
             for (i, got) in reports.iter().enumerate() {
-                let want = Worksheet::new(points.materialize(i))
-                    .analyze_monolithic()
-                    .expect("worksheet agrees");
+                let input = points.materialize(i);
+                let throughput = ThroughputPrediction::analyze(&input).expect("valid");
+                let other = match buffering {
+                    Buffering::Single => Buffering::Double,
+                    Buffering::Double => Buffering::Single,
+                };
+                let want = Report {
+                    speedup: throughput.speedup,
+                    throughput,
+                    alternate: ThroughputPrediction::analyze(&input.with_buffering(other))
+                        .expect("valid"),
+                    max_speedup: crate::solve::max_speedup(&input).expect("valid"),
+                    input,
+                };
                 assert_eq!(got, &want, "{buffering:?} point {i}");
             }
         }
@@ -919,8 +801,8 @@ mod tests {
         let mut bad = BatchPoints::new(&base, n);
         bad.push_column(SweepParam::Fclock, &fclock[..]);
         bad.push_column(SweepParam::AlphaRead, bad_alpha);
-        let first = speedup_only(&bad.materialize(700)).expect_err("invalid");
-        let later = speedup_only(&bad.materialize(900)).expect_err("invalid");
+        let first = scalar_speedup(&bad.materialize(700)).expect_err("invalid");
+        let later = scalar_speedup(&bad.materialize(900)).expect_err("invalid");
         assert_ne!(first.to_string(), later.to_string());
 
         for jobs in [1, 2, 8] {

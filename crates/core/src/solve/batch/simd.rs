@@ -3,13 +3,14 @@
 //! Four design points evaluate per iteration as one `f64x4` vector each for
 //! `t_comp`, `t_comm`, `t_rc`, and the final speedup. The kernel is selected
 //! at runtime ([`crate::simd::avx2_enabled`]) exactly like the ChaCha8 bulk
-//! path in `vendor/rand_chacha`; the scalar loop in `batch.rs` stays the
+//! path in `vendor/rand_chacha`; the scalar lane in `batch.rs` stays the
 //! always-compiled fallback and evaluates the sub-vector tail.
 //!
 //! ## Bit-identity argument
 //!
-//! Every output must equal the scalar chain bit for bit, so the vector code
-//! is a transliteration, not a re-derivation:
+//! Every output must equal the scalar lane bit for bit, so the vector code
+//! is a transliteration of `throughput::predict`'s speedup, not a
+//! re-derivation:
 //!
 //! - **Same operations, same order.** Each lane performs the identical
 //!   IEEE-754 double-precision `mul`/`div`/`add` sequence as the scalar
@@ -28,9 +29,8 @@
 //!   can only arise here from `inf/inf` after extreme inputs overflow, but
 //!   the kernel must not diverge even then.)
 
-use super::{ColF, ColU, Decoded};
+use super::{Col, Decoded};
 use crate::params::{Buffering, RatInput};
-use crate::solve::stages::BatchStagePlan;
 use std::arch::x86_64::{
     __m256d, _mm256_add_pd, _mm256_and_pd, _mm256_blendv_pd, _mm256_cmp_pd, _mm256_div_pd,
     _mm256_loadu_pd, _mm256_max_pd, _mm256_movemask_pd, _mm256_mul_pd, _mm256_set1_pd,
@@ -49,13 +49,13 @@ struct FLanes<'a> {
 
 impl<'a> FLanes<'a> {
     #[target_feature(enable = "avx2")]
-    unsafe fn new(col: &'a ColF<'_>) -> Self {
+    unsafe fn new(col: &'a Col<'_, f64>) -> Self {
         match col {
-            ColF::Uniform(v) => FLanes {
+            Col::Uniform(v) => FLanes {
                 splat: _mm256_set1_pd(*v),
                 values: None,
             },
-            ColF::Varied(vals) => FLanes {
+            Col::Varied(vals) => FLanes {
                 splat: _mm256_set1_pd(0.0),
                 values: Some(vals),
             },
@@ -82,13 +82,13 @@ struct ULanes<'a> {
 
 impl<'a> ULanes<'a> {
     #[target_feature(enable = "avx2")]
-    unsafe fn new(col: &'a ColU) -> Self {
+    unsafe fn new(col: &'a Col<'_, u64>) -> Self {
         match col {
-            ColU::Uniform(v) => ULanes {
+            Col::Uniform(v) => ULanes {
                 splat: _mm256_set1_pd(*v as f64),
                 values: None,
             },
-            ColU::Varied(vals) => ULanes {
+            Col::Varied(vals) => ULanes {
                 splat: _mm256_set1_pd(0.0),
                 values: Some(vals),
             },
@@ -180,17 +180,17 @@ unsafe fn vmax(a: __m256d, b: __m256d) -> __m256d {
 
 /// Evaluate speedups for as many leading whole vectors as possible, writing
 /// `out[i]` for `i < returned`, and return how many points were covered (a
-/// multiple of 4). The caller finishes `returned..n` on the scalar kernel.
+/// multiple of 4). The caller finishes `returned..n` on the scalar lane.
 ///
 /// # Safety
 /// AVX2 must be supported at runtime.
-pub(super) unsafe fn eval_speedups_avx2(
-    base: &RatInput,
-    d: &Decoded,
-    plan: &BatchStagePlan,
-    out: &mut [f64],
-) -> usize {
-    match (plan.comm_varies, base.buffering) {
+pub(super) unsafe fn eval_speedups_avx2(base: &RatInput, d: &Decoded, out: &mut [f64]) -> usize {
+    // Unless a column writes a field the comm term reads, the term is the
+    // same at every point and the kernel hoists it out of its loop.
+    let comm_varies = d.elements_in.varied().is_some()
+        || d.alpha_write.varied().is_some()
+        || d.alpha_read.varied().is_some();
+    match (comm_varies, base.buffering) {
         (false, Buffering::Single) => kernel::<false, false>(base, d, out),
         (false, Buffering::Double) => kernel::<false, true>(base, d, out),
         (true, Buffering::Single) => kernel::<true, false>(base, d, out),
@@ -226,9 +226,13 @@ unsafe fn kernel<const COMM_VARIES: bool, const DOUBLE: bool>(
     let t_soft_v = _mm256_set1_pd(t_soft);
     let bytes_out_v = _mm256_set1_pd(bytes_out as f64);
     // The comm-uniform kernel hoists the whole comm term, in exactly the
-    // scalar kernel's expressions; uniform-elements batches with varied
-    // alphas hoist just the byte count.
-    let bytes_in_u = base.dataset.elements_in * bpe;
+    // scalar lane's expressions; uniform-elements batches with varied
+    // alphas hoist just the byte count. Only a uniform `elements_in` (the
+    // base's, validated) has one.
+    let bytes_in_u = match d.elements_in {
+        Col::Uniform(e) => e * bpe,
+        Col::Varied(_) => 0,
+    };
     let t_write_u = bytes_in_u as f64 / (base.comm.alpha_write * bw);
     let t_read_u = bytes_out as f64 / (base.comm.alpha_read * bw);
     let t_comm_uv = _mm256_set1_pd(t_write_u + t_read_u);
@@ -335,8 +339,8 @@ mod tests {
     }
 
     /// Environment-independent bit-identity: drive the AVX2 kernel and the
-    /// scalar kernel directly (no runtime dispatch involved) over every
-    /// plan/buffering combination, including awkward tails.
+    /// scalar lane directly (no runtime dispatch involved) over every
+    /// comm-hoist/buffering combination, including awkward tails.
     #[test]
     fn avx2_kernel_matches_scalar_kernel_bit_for_bit() {
         if !std::arch::is_x86_feature_detected!("avx2") {
@@ -360,14 +364,13 @@ mod tests {
                             .collect();
                         points.push_column(param, values);
                     }
-                    let plan = points.stage_plan();
                     let d = decode(&points);
                     let mut scalar = vec![0.0_f64; n];
-                    eval_speedups_scalar(&base, &d, &plan, 0, &mut scalar);
+                    eval_speedups_scalar(&base, &d, 0, &mut scalar);
                     let mut vector = vec![0.0_f64; n];
                     // SAFETY: AVX2 presence checked above.
-                    let done = unsafe { super::eval_speedups_avx2(&base, &d, &plan, &mut vector) };
-                    eval_speedups_scalar(&base, &d, &plan, done, &mut vector);
+                    let done = unsafe { super::eval_speedups_avx2(&base, &d, &mut vector) };
+                    eval_speedups_scalar(&base, &d, done, &mut vector);
                     assert_eq!(done, n & !3);
                     for i in 0..n {
                         assert_eq!(
@@ -403,14 +406,13 @@ mod tests {
                 .map(|k| 1e-300 * (k + 1) as f64)
                 .collect::<Vec<f64>>(),
         );
-        let plan = points.stage_plan();
         let d = decode(&points);
         let mut scalar = vec![0.0_f64; n];
-        eval_speedups_scalar(&base, &d, &plan, 0, &mut scalar);
+        eval_speedups_scalar(&base, &d, 0, &mut scalar);
         let mut vector = vec![0.0_f64; n];
         // SAFETY: AVX2 presence checked above.
-        let done = unsafe { super::eval_speedups_avx2(&base, &d, &plan, &mut vector) };
-        eval_speedups_scalar(&base, &d, &plan, done, &mut vector);
+        let done = unsafe { super::eval_speedups_avx2(&base, &d, &mut vector) };
+        eval_speedups_scalar(&base, &d, done, &mut vector);
         for i in 0..n {
             assert_eq!(vector[i].to_bits(), scalar[i].to_bits(), "point {i}");
         }

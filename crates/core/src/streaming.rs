@@ -151,7 +151,8 @@ pub fn analyze(input: &RatInput, duplex: ChannelDuplex) -> Result<StreamingPredi
     } else {
         StreamBottleneck::Compute
     };
-    let total_elements = (input.dataset.elements_in * input.software.iterations) as f64;
+    // Converted before multiplying: the u64 product can overflow.
+    let total_elements = input.dataset.elements_in as f64 * input.software.iterations as f64;
     let t_stream = Seconds::new(total_elements / sustained_rate);
     Ok(StreamingPrediction {
         input_rate,
@@ -236,6 +237,21 @@ mod tests {
     fn render_names_the_bottleneck() {
         let s = analyze(&pdf1d_example(), ChannelDuplex::Half).unwrap();
         assert!(s.render().contains("compute"));
+    }
+
+    #[test]
+    fn a_dataset_past_u64_max_elements_streams_in_finite_time() {
+        let mut input = pdf1d_example();
+        input.dataset.elements_in = 1 << 32;
+        input.software.iterations = 1 << 32;
+        let s = analyze(&input, ChannelDuplex::Half).unwrap();
+        assert!(
+            s.t_stream.is_finite() && s.t_stream > Seconds::ZERO,
+            "{}",
+            s.t_stream
+        );
+        assert_eq!(s.t_stream.seconds(), 2f64.powi(64) / s.sustained_rate);
+        assert!(s.speedup.is_finite() && s.speedup > 0.0, "{}", s.speedup);
     }
 
     #[test]

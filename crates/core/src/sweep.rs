@@ -31,11 +31,24 @@ pub enum SweepParam {
     ThroughputProc,
     /// Operations per element.
     OpsPerElement,
-    /// Elements per input block (values are rounded to integers).
+    /// Elements per input block (values round to the nearest count; one
+    /// that is not finite or rounds below 1 fails validation).
     ElementsIn,
-    /// Number of iterations (values are rounded to integers; the total
-    /// dataset `elements_in * iterations` changes accordingly).
+    /// Number of iterations (rounded like `ElementsIn`; the total dataset
+    /// `elements_in * iterations` changes accordingly).
     Iterations,
+}
+
+/// The count a swept or sampled value stands for, in both
+/// [`SweepParam::apply_into`] and the batch decoder: the nearest integer, or
+/// 0 (which [`RatInput::validate`] rejects) for a value that is not finite
+/// or rounds below 1. `as` saturates at `u64::MAX` and takes negatives to 0.
+pub(crate) fn count(value: f64) -> u64 {
+    if value.is_finite() {
+        value.round() as u64
+    } else {
+        0
+    }
 }
 
 impl SweepParam {
@@ -79,8 +92,8 @@ impl SweepParam {
             }
             SweepParam::ThroughputProc => input.comp.throughput_proc = value,
             SweepParam::OpsPerElement => input.comp.ops_per_element = value,
-            SweepParam::ElementsIn => input.dataset.elements_in = value.round().max(1.0) as u64,
-            SweepParam::Iterations => input.software.iterations = value.round().max(1.0) as u64,
+            SweepParam::ElementsIn => input.dataset.elements_in = count(value),
+            SweepParam::Iterations => input.software.iterations = count(value),
         }
     }
 

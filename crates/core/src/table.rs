@@ -56,11 +56,6 @@ impl TextTable {
         self.row([format_args!("-- {label} --")])
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Write `cells` into the buffer and return their index range.
     fn push_cells<D: Display>(&mut self, cells: impl IntoIterator<Item = D>) -> Range<usize> {
         let first = self.ends.len();

@@ -5,7 +5,7 @@
 //! [Perfetto](https://ui.perfetto.dev). Timestamps and durations are
 //! microseconds with nanosecond precision (three decimals). Everything is
 //! hand-rolled JSON: the repo has no serde_json, and the format is flat
-//! enough that a small escaper suffices.
+//! enough that the one string escaper ([`super::json::escape`]) suffices.
 //!
 //! Two producers share this module: [`super::Profile::to_chrome_json`]
 //! (host-side wall-clock spans, `pid` 1) and the simulator's trace bridge
@@ -14,6 +14,7 @@
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
+use super::json::escape;
 use super::{ArgValue, Profile};
 
 /// `pid` used for host wall-clock spans.
@@ -38,23 +39,6 @@ pub struct ChromeEvent {
     pub dur_us: f64,
     /// Extra `args` entries (`key` → already-primitive value).
     pub args: Vec<(String, ArgValue)>,
-}
-
-/// Escape a string for inclusion in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn arg_json(v: &ArgValue) -> String {
@@ -149,12 +133,44 @@ pub fn render_profile(profile: &Profile) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::json::{self, Json};
     use crate::telemetry::{Metric, Telemetry};
 
     #[test]
     fn escaping_covers_specials() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+        let special = "a\"b\\c\nd\u{1}";
+        let event = ChromeEvent {
+            name: special.to_string(),
+            cat: special.to_string(),
+            pid: PID_HOST,
+            tid: 0,
+            ts_us: 0.0,
+            dur_us: 1.0,
+            args: vec![(special.to_string(), ArgValue::Str(special.to_string()))],
+        };
+        let trace = render_events(&[event], &[(special, 3)]);
+        let escaped = "a\\\"b\\\\c\\nd\\u0001";
+        assert!(
+            trace.contains(&format!("\"name\": \"{escaped}\"")),
+            "{trace}"
+        );
+        assert!(
+            trace.contains(&format!("\"cat\": \"{escaped}\"")),
+            "{trace}"
+        );
+        assert!(
+            trace.contains(&format!("\"{escaped}\": \"{escaped}\"")),
+            "{trace}"
+        );
+        assert!(trace.contains(&format!("\"{escaped}\": 3")), "{trace}");
+        // The strict reader takes the trace back to the original text.
+        let doc = json::parse(&trace).unwrap();
+        let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
+        assert_eq!(events[0].get("name").and_then(Json::as_str), Some(special));
+        let args = events[0].get("args").unwrap();
+        assert_eq!(args.get(special).and_then(Json::as_str), Some(special));
+        let metrics = doc.get("metrics").unwrap();
+        assert_eq!(metrics.get(special).and_then(Json::as_f64), Some(3.0));
     }
 
     #[test]

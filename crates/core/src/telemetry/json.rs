@@ -15,6 +15,9 @@
 //! escape is a slice of the document, and one with escapes is decoded into
 //! a copy allocated once, at the length of its escaped form. A caller that
 //! keeps a tree past its text takes [`Json::into_owned`].
+//!
+//! The one string escaper, [`escape`], lives here too: the Chrome exporter
+//! and `rat serve`'s bodies both write through it.
 
 use std::borrow::Cow;
 
@@ -102,6 +105,82 @@ impl<'a> Json<'a> {
 /// the recursive drop of the tree it builds). Request bodies nest three
 /// levels at most.
 pub const MAX_DEPTH: usize = 128;
+
+/// Escape a string for embedding in a JSON string literal, allocating once,
+/// at the escaped length. `"`, `\\`, `\n`, `\r` and `\t` escape by name,
+/// every other byte below 0x20 as lowercase `\u00xx`; everything else,
+/// multi-byte characters included, is copied as it is.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(escaped_len(s));
+    push_escaped(&mut out, s);
+    out
+}
+
+/// The index of the first byte at or after `from` that a JSON string
+/// literal must escape: a quote, a backslash or a control character. Bytes
+/// of multi-byte characters never match, so a run before the index ends on
+/// a character boundary.
+fn next_escape(bytes: &[u8], from: usize) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    // The high bit of each byte below `n` (`n` <= 0x80). A borrow only runs
+    // upward from a flagged byte, so the lowest flag is always exact.
+    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGH;
+    let mut i = from;
+    // Eight bytes at a time.
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let w = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
+        let flags = below(w, 0x20)
+            | below(w ^ (ONES * u64::from(b'"')), 1)
+            | below(w ^ (ONES * u64::from(b'\\')), 1);
+        if flags != 0 {
+            return Some(i + flags.trailing_zeros() as usize / 8);
+        }
+        i += 8;
+    }
+    let tail = bytes[i..]
+        .iter()
+        .position(|&b| b < 0x20 || b == b'"' || b == b'\\');
+    tail.map(|k| i + k)
+}
+
+/// How long `s` is once escaped.
+pub fn escaped_len(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let (mut len, mut from) = (bytes.len(), 0);
+    while let Some(at) = next_escape(bytes, from) {
+        len += match bytes[at] {
+            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
+            _ => 5,
+        };
+        from = at + 1;
+    }
+    len
+}
+
+/// Append `s` to `out`, escaped: runs without an escape are copied whole.
+pub fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    while let Some(at) = next_escape(bytes, run) {
+        out.push_str(&s[run..at]);
+        match bytes[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
+}
 
 /// Parse a complete JSON document. Errors carry the byte offset and a short
 /// description.
@@ -380,6 +459,23 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_handles_quotes_newlines_and_controls() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        assert_eq!(escape("\r\t\u{1f}\u{7f}é"), "\\r\\t\\u001f\u{7f}é");
+        // Long enough for the eight-byte scan, with the escape in its tail.
+        let long = format!("{}\u{8}", "x".repeat(17));
+        assert_eq!(escape(&long), format!("{}\\u0008", "x".repeat(17)));
+        assert_eq!(escaped_len(&long), escape(&long).len());
+        assert_eq!(escape(&long).capacity(), escape(&long).len());
+        // Round-trips through the strict reader.
+        let s = "line1\nline2\t\"quoted\"";
+        let body = format!("{{\"x\": \"{}\"}}", escape(s));
+        let doc = parse(&body).unwrap();
+        assert_eq!(doc.get("x").and_then(Json::as_str), Some(s));
+    }
 
     #[test]
     fn parses_scalars_and_containers() {

@@ -1,4 +1,5 @@
-//! The RAT throughput test: Equations (1) through (7).
+//! The RAT throughput test: Equations (1) through (7), and the assembly of
+//! Eqs. (5)–(11) every analysis shares.
 //!
 //! Predicted performance is two terms — CPU↔FPGA communication time and FPGA
 //! computation time — combined per the buffering discipline, then held against
@@ -8,10 +9,16 @@
 //! Every function here returns a typed [`Seconds`] (or a dimensionless `f64`
 //! for ratios), so a caller cannot confuse a per-iteration time with a cycle
 //! count or a rate.
+//!
+//! Eqs. (2)–(4) are written once as kernels over quantities, and
+//! Eqs. (5)–(11) plus the comm-bound ceiling once over one point's terms
+//! (`rc_seconds`, `predict`, `ceiling`). The per-input functions below read
+//! [`RatInput`] fields into them; [`crate::solve::batch`] reads decoded
+//! columns into the same ones.
 
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
-use crate::quantity::{Bytes, Seconds, Throughput};
+use crate::quantity::{Bytes, Freq, Seconds, Throughput};
 use crate::utilization;
 
 /// The transfer-time kernel shared by Equations (1)–(3):
@@ -21,6 +28,7 @@ use crate::utilization;
 /// arithmetic. The analytic worksheet ([`t_write`]/[`t_read`]) and the cycle
 /// simulator's interconnect model both call it, so the two can never diverge
 /// (`tests/comm_time_dedup.rs` pins this).
+#[inline]
 pub fn transfer_seconds(bytes: Bytes, efficiency: f64, ideal_bandwidth: Throughput) -> Seconds {
     bytes / (efficiency * ideal_bandwidth)
 }
@@ -50,30 +58,56 @@ pub fn t_comm(input: &RatInput) -> Seconds {
     t_write(input) + t_read(input)
 }
 
+/// The computation-time kernel of Equation (4):
+/// `t = elements * ops_per_element / (f_clock * throughput_proc)`.
+#[inline]
+pub(crate) fn compute_seconds(elements: u64, ops: f64, fclock: Freq, tp: f64) -> Seconds {
+    elements as f64 * ops / (fclock * tp)
+}
+
 /// Equation (4): computation time per iteration.
 ///
 /// `t_comp = N_elements,in * N_ops/elt / (f_clock * throughput_proc)`
 pub fn t_comp(input: &RatInput) -> Seconds {
-    input.dataset.elements_in as f64 * input.comp.ops_per_element
-        / (input.comp.fclock * input.comp.throughput_proc)
+    let (elements, c) = (input.dataset.elements_in, &input.comp);
+    compute_seconds(elements, c.ops_per_element, c.fclock, c.throughput_proc)
+}
+
+/// Equation (5) or (6): the RC time of `iterations` iterations, serialized
+/// (single buffering) or overlapped (double buffering, steady state).
+#[inline]
+pub(crate) fn rc_seconds(
+    t_comm: Seconds,
+    t_comp: Seconds,
+    iterations: u64,
+    buffering: Buffering,
+) -> Seconds {
+    let iterations = iterations as f64;
+    match buffering {
+        Buffering::Single => iterations * (t_comm + t_comp),
+        Buffering::Double => iterations * t_comm.max(t_comp),
+    }
+}
+
+/// [`rc_seconds`] on `input`'s own terms.
+fn t_rc_under(input: &RatInput, buffering: Buffering) -> Seconds {
+    let iterations = input.software.iterations;
+    rc_seconds(t_comm(input), t_comp(input), iterations, buffering)
 }
 
 /// Equation (5): single-buffered RC execution time.
 pub fn t_rc_single(input: &RatInput) -> Seconds {
-    input.software.iterations as f64 * (t_comm(input) + t_comp(input))
+    t_rc_under(input, Buffering::Single)
 }
 
 /// Equation (6): double-buffered RC execution time (steady-state overlap).
 pub fn t_rc_double(input: &RatInput) -> Seconds {
-    input.software.iterations as f64 * t_comm(input).max(t_comp(input))
+    t_rc_under(input, Buffering::Double)
 }
 
 /// RC execution time under the input's buffering assumption.
 pub fn t_rc(input: &RatInput) -> Seconds {
-    match input.buffering {
-        Buffering::Single => t_rc_single(input),
-        Buffering::Double => t_rc_double(input),
-    }
+    t_rc_under(input, input.buffering)
 }
 
 /// Equation (7): predicted speedup over the software baseline (dimensionless).
@@ -105,32 +139,17 @@ pub struct ThroughputPrediction {
 }
 
 impl ThroughputPrediction {
-    /// Run the complete throughput test on a validated input.
+    /// Validate `input` and run the complete throughput test on it.
     pub fn analyze(input: &RatInput) -> Result<Self, RatError> {
         input.validate()?;
-        let comm = t_comm(input);
-        let comp = t_comp(input);
-        let (util_comp, util_comm) = match input.buffering {
-            Buffering::Single => (
-                utilization::util_comp_single(comm, comp),
-                utilization::util_comm_single(comm, comp),
-            ),
-            Buffering::Double => (
-                utilization::util_comp_double(comm, comp),
-                utilization::util_comm_double(comm, comp),
-            ),
-        };
-        Ok(Self {
-            t_write: t_write(input),
-            t_read: t_read(input),
-            t_comm: comm,
-            t_comp: comp,
-            t_rc: t_rc(input),
-            speedup: speedup(input),
-            util_comm,
-            util_comp,
-            buffering: input.buffering,
-        })
+        Ok(predict(
+            t_write(input),
+            t_read(input),
+            t_comp(input),
+            input.software.iterations,
+            input.software.t_soft,
+            input.buffering,
+        ))
     }
 
     /// Whether the design is communication-bound (`t_comm > t_comp`). For a
@@ -140,6 +159,50 @@ impl ThroughputPrediction {
     pub fn comm_bound(&self) -> bool {
         self.t_comm > self.t_comp
     }
+}
+
+/// Equations (5)–(11) for one design point from its per-iteration terms
+/// (Eqs. 2–4), iteration count and software baseline. Inlined, a caller
+/// that reads only some fields pays only for those.
+#[inline]
+pub(crate) fn predict(
+    t_write: Seconds,
+    t_read: Seconds,
+    t_comp: Seconds,
+    iterations: u64,
+    t_soft: Seconds,
+    buffering: Buffering,
+) -> ThroughputPrediction {
+    let t_comm = t_write + t_read;
+    let t_rc = rc_seconds(t_comm, t_comp, iterations, buffering);
+    let (util_comp, util_comm) = match buffering {
+        Buffering::Single => (
+            utilization::util_comp_single(t_comm, t_comp),
+            utilization::util_comm_single(t_comm, t_comp),
+        ),
+        Buffering::Double => (
+            utilization::util_comp_double(t_comm, t_comp),
+            utilization::util_comm_double(t_comm, t_comp),
+        ),
+    };
+    ThroughputPrediction {
+        t_write,
+        t_read,
+        t_comm,
+        t_comp,
+        t_rc,
+        speedup: t_soft / t_rc,
+        util_comm,
+        util_comp,
+        buffering,
+    }
+}
+
+/// The speedup ceiling as computation becomes infinitely fast: the
+/// communication-bound limit `t_soft / (N_iter * t_comm)`.
+#[inline]
+pub(crate) fn ceiling(t_comm: Seconds, iterations: u64, t_soft: Seconds) -> f64 {
+    t_soft / (iterations as f64 * t_comm)
 }
 
 #[cfg(test)]

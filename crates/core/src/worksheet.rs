@@ -6,12 +6,10 @@
 //! parameters in, a [`Report`] out.
 
 use crate::error::RatError;
-use crate::params::{Buffering, RatInput};
+use crate::params::RatInput;
 use crate::quantity::Freq;
 use crate::report::Report;
-use crate::solve;
 use crate::solve::batch::{solve_batch, BatchPoints};
-use crate::throughput::ThroughputPrediction;
 
 /// A RAT worksheet: wraps an input and produces the full analysis.
 #[derive(Debug, Clone)]
@@ -34,31 +32,13 @@ impl Worksheet {
     ///
     /// This is [`solve_batch`] on a batch of one, so a single analysis and
     /// every sweep run the same column kernel. Errors are `validate()`'s own,
-    /// and the report is bit-identical to [`Worksheet::analyze_monolithic`]
-    /// — the differential suite pins both.
+    /// and the report is bit-identical to the per-input chain:
+    /// [`ThroughputPrediction::analyze`](crate::throughput::ThroughputPrediction::analyze)
+    /// under both bufferings plus [`crate::solve::max_speedup`], as the
+    /// differential suite pins.
     pub fn analyze(&self) -> Result<Report, RatError> {
         let mut reports = solve_batch(&BatchPoints::new(&self.input, 1))?;
         Ok(reports.pop().expect("a batch of one yields one report"))
-    }
-
-    /// The original per-equation chain, kept as the differential reference:
-    /// computes every equation through
-    /// [`ThroughputPrediction::analyze`] and [`solve::max_speedup`].
-    pub fn analyze_monolithic(&self) -> Result<Report, RatError> {
-        let throughput = ThroughputPrediction::analyze(&self.input)?;
-        let other_mode = match self.input.buffering {
-            Buffering::Single => Buffering::Double,
-            Buffering::Double => Buffering::Single,
-        };
-        let alternate = ThroughputPrediction::analyze(&self.input.with_buffering(other_mode))?;
-        let max_speedup = solve::max_speedup(&self.input)?;
-        Ok(Report {
-            speedup: throughput.speedup,
-            throughput,
-            alternate,
-            max_speedup,
-            input: self.input.clone(),
-        })
     }
 
     /// Analyze the same design across several clock frequencies — the paper's
@@ -75,7 +55,9 @@ impl Worksheet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::pdf1d_example;
+    use crate::params::{pdf1d_example, Buffering};
+    use crate::solve;
+    use crate::throughput::ThroughputPrediction;
 
     #[test]
     fn analyze_produces_consistent_report() {
@@ -105,11 +87,20 @@ mod tests {
 
     #[test]
     fn staged_analyze_matches_monolithic_bit_for_bit() {
-        for buffering in [Buffering::Single, Buffering::Double] {
-            let ws = Worksheet::new(pdf1d_example().with_buffering(buffering));
-            let staged = ws.analyze().unwrap();
-            let mono = ws.analyze_monolithic().unwrap();
-            assert_eq!(staged, mono);
+        // The per-input chain, one equation function at a time.
+        for (buffering, other) in [
+            (Buffering::Single, Buffering::Double),
+            (Buffering::Double, Buffering::Single),
+        ] {
+            let input = pdf1d_example().with_buffering(buffering);
+            let report = Worksheet::new(input.clone()).analyze().unwrap();
+            let throughput = ThroughputPrediction::analyze(&input).unwrap();
+            assert_eq!(report.throughput, throughput);
+            assert_eq!(report.speedup, throughput.speedup);
+            let alternate = ThroughputPrediction::analyze(&input.with_buffering(other)).unwrap();
+            assert_eq!(report.alternate, alternate);
+            assert_eq!(report.max_speedup, solve::max_speedup(&input).unwrap());
+            assert_eq!(report.input, input);
         }
     }
 

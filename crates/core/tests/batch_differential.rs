@@ -16,12 +16,19 @@ use rat_core::params::{
 };
 use rat_core::quantity::{Freq, Seconds, Throughput};
 use rat_core::solve::batch::{
-    predict_batch, predict_batch_with, solve_batch, speedup_batch, BatchPoints, Score, CHUNK,
+    predict_batch, predict_batch_with, solve_batch, speedup_batch, speedup_batch_indexed,
+    BatchPoints, Score, CHUNK,
 };
 use rat_core::sweep::{sweep_with, SweepParam};
-use rat_core::throughput::ThroughputPrediction;
+use rat_core::throughput::{self, ThroughputPrediction};
 use rat_core::uncertainty::{propagate_with, ParamRange};
-use rat_core::{solve, Worksheet};
+use rat_core::{RatError, Worksheet};
+
+/// The per-input chain's speedup: `validate()`, then Eq. (7).
+fn scalar_speedup(input: &RatInput) -> Result<f64, RatError> {
+    input.validate()?;
+    Ok(throughput::speedup(input))
+}
 
 /// Strategy: a valid worksheet input across wide parameter ranges.
 fn worksheet() -> impl Strategy<Value = RatInput> {
@@ -105,8 +112,8 @@ fn clamp_for(param: SweepParam, input: &RatInput, values: Vec<f64>) -> Vec<f64> 
 }
 
 proptest! {
-    /// `speedup_batch` returns exactly the bits `speedup_only` produces on
-    /// the materialized per-point inputs, for every parameter variant.
+    /// `speedup_batch` returns exactly the bits the per-input chain produces
+    /// on the materialized per-point inputs, for every parameter variant.
     #[test]
     fn batch_speedups_are_bit_identical_to_scalar(
         input in worksheet(),
@@ -117,7 +124,7 @@ proptest! {
         batch.push_column(param, values.clone());
         let batched = speedup_batch(&batch).unwrap();
         for (i, &v) in values.iter().enumerate() {
-            let scalar = solve::speedup_only(&param.apply(&input, v)).unwrap();
+            let scalar = scalar_speedup(&param.apply(&input, v)).unwrap();
             prop_assert_eq!(
                 batched[i].to_bits(), scalar.to_bits(),
                 "{:?} at value {} (index {})", param, v, i
@@ -150,7 +157,7 @@ proptest! {
         let batched = speedup_batch(&batch).unwrap();
         for i in 0..va.len() {
             let stepped = pb.apply(&pa.apply(&input, va[i]), vb[i]);
-            let scalar = solve::speedup_only(&stepped).unwrap();
+            let scalar = scalar_speedup(&stepped).unwrap();
             prop_assert_eq!(
                 batched[i].to_bits(), scalar.to_bits(),
                 "{:?}+{:?} at index {}", pa, pb, i
@@ -280,7 +287,7 @@ fn sweep_is_bitwise_stable_across_chunk_seams_and_threads() {
         assert_eq!(baseline.points.len(), n);
         // Scalar ground truth at the seam indices and a mid point.
         for &i in &[0, n / 2, n - 1] {
-            let scalar = solve::speedup_only(&SweepParam::Fclock.apply(&input, values[i])).unwrap();
+            let scalar = scalar_speedup(&SweepParam::Fclock.apply(&input, values[i])).unwrap();
             assert_eq!(
                 baseline.points[i].report.speedup.to_bits(),
                 scalar.to_bits(),
@@ -347,4 +354,131 @@ fn predictions_are_bitwise_stable_across_chunk_seams_and_threads() {
             }
         }
     }
+}
+
+/// The batch's verdict on `batch` against the per-input chain's: the first
+/// point whose materialized input fails `validate()`, with its text, or
+/// every point's speedup bits.
+fn assert_batch_matches_per_point(batch: &BatchPoints, ctx: &str) {
+    let want = (0..batch.len())
+        .map(|i| scalar_speedup(&batch.materialize(i)).map_err(|e| (i, e.to_string())))
+        .collect::<Result<Vec<f64>, _>>();
+    match (speedup_batch_indexed(batch), want) {
+        (Ok(got), Ok(want)) => {
+            let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{ctx}");
+        }
+        (Err((index, err)), Err((want_index, want_text))) => {
+            assert_eq!(
+                (index, err.to_string()),
+                (want_index, want_text.clone()),
+                "{ctx}"
+            );
+            let full = solve_batch(batch).expect_err("solve_batch rejects it too");
+            assert_eq!(full.to_string(), want_text, "{ctx}");
+        }
+        (got, want) => panic!("verdicts diverge, {ctx}: {got:?} vs {want:?}"),
+    }
+}
+
+/// A count column holding a value that is not finite, negative or rounds
+/// below 1 errs at that point with `validate()`'s own text; 0.5 rounds to 1
+/// and is valid. Lengths and positions cross the AVX2 width and the 64-point
+/// scan block.
+#[test]
+fn count_columns_error_like_validate_on_the_materialized_point() {
+    let odd = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -3.0,
+        -0.4,
+        0.0,
+        0.49,
+        0.5,
+    ];
+    for buffering in [Buffering::Single, Buffering::Double] {
+        let input = pdf1d().with_buffering(buffering);
+        for param in [SweepParam::ElementsIn, SweepParam::Iterations] {
+            for n in [1usize, 4, 7, 70] {
+                for at in [0, n / 2, n - 1] {
+                    for v in odd {
+                        let mut values: Vec<f64> = (0..n).map(|k| 100.0 + k as f64).collect();
+                        values[at] = v;
+                        let mut batch = BatchPoints::new(&input, n);
+                        batch.push_column(param, values);
+                        let ctx = format!("{param:?} {buffering:?} n={n} value {v} at {at}");
+                        assert_batch_matches_per_point(&batch, &ctx);
+                        let verdict = speedup_batch_indexed(&batch).map(drop).map_err(|e| e.0);
+                        let want = if v == 0.5 { Ok(()) } else { Err(at) };
+                        assert_eq!(verdict, want, "{ctx}");
+                    }
+                }
+            }
+        }
+        // The same values stacked under a second column.
+        let values = odd.to_vec();
+        let fclock: Vec<f64> = (0..odd.len()).map(|k| 1.0e8 + 1.0e6 * k as f64).collect();
+        let mut batch = BatchPoints::new(&input, odd.len());
+        batch.push_column(SweepParam::Fclock, fclock);
+        batch.push_column(SweepParam::Iterations, values);
+        assert_batch_matches_per_point(&batch, &format!("stacked {buffering:?}"));
+    }
+}
+
+/// A varied `elements_in` column whose byte count crosses `u64::MAX` at
+/// index k errs at k with `validate()`'s text, naming both fields; a base
+/// whose own byte counts overflow errs at point 0.
+#[test]
+fn a_byte_count_past_u64_max_errs_at_its_point_with_the_validate_text() {
+    let mut input = pdf1d();
+    input.dataset.bytes_per_element = 1 << 32;
+    let below = ((1u64 << 32) - 1) as f64;
+    for k in [0usize, 1, 3, 4, 5, 64, 69] {
+        let mut values = vec![below; 70];
+        values[k] = (1u64 << 32) as f64;
+        // A later point that overflows too must not win.
+        values[69] = 1.0e30;
+        let mut batch = BatchPoints::new(&input, values.len());
+        batch.push_column(SweepParam::ElementsIn, values);
+        let (index, err) = speedup_batch_indexed(&batch).expect_err("the byte count overflows");
+        assert_eq!(index, k);
+        let want = batch
+            .materialize(k)
+            .validate()
+            .expect_err("validate rejects it");
+        assert_eq!(err.to_string(), want.to_string());
+        assert!(
+            err.to_string().contains("elements_in * bytes_per_element"),
+            "{err}"
+        );
+        assert_batch_matches_per_point(&batch, &format!("bound at {k}"));
+    }
+    // The base itself: one field at a time past the bound, with a column
+    // that does not write it.
+    for field in ["elements_in", "elements_out"] {
+        let mut base = input.clone();
+        match field {
+            "elements_in" => base.dataset.elements_in = 1 << 32,
+            _ => base.dataset.elements_out = 1 << 32,
+        }
+        let mut batch = BatchPoints::new(&base, 6);
+        batch.push_column(SweepParam::Fclock, vec![1.0e8; 6]);
+        let (index, err) = speedup_batch_indexed(&batch).expect_err("the base overflows");
+        assert_eq!(index, 0, "{field}");
+        assert!(
+            err.to_string()
+                .contains(&format!("{field} * bytes_per_element")),
+            "{err}"
+        );
+        assert_batch_matches_per_point(&batch, field);
+    }
+    // A column that writes `elements_in` replaces an overflowing base value,
+    // so every point is valid.
+    let mut base = input.clone();
+    base.dataset.elements_in = 1 << 32;
+    let mut batch = BatchPoints::new(&base, 9);
+    batch.push_column(SweepParam::ElementsIn, vec![below; 9]);
+    assert!(speedup_batch(&batch).is_ok());
+    assert_batch_matches_per_point(&batch, "base replaced");
 }

@@ -1,14 +1,15 @@
-//! Differential tests pinning the single-point and batched solve paths to
-//! the monolithic chain.
+//! Differential tests pinning the batch lane to the per-input typed chain.
 //!
-//! `Worksheet::analyze` is `solve_batch` on a batch of one; its contract is
-//! **bit-identity** with `Worksheet::analyze_monolithic` (the per-equation
-//! reference) and verbatim error parity with it. These tests enforce the
-//! contract: property tests drive random worksheets through both paths and
-//! compare `f64::to_bits`, and break one `RatInput::validate` rule at a time
-//! to compare error text; deterministic tests walk chunk seams across
-//! 1/2/8-thread engines; and stage-plan tests pin which stages a single-axis
-//! sweep or a one-field edit leaves clean.
+//! `Worksheet::analyze` is `solve_batch` on a batch of one, which reads each
+//! point from decoded columns. The per-input chain reads the same equation
+//! functions from `RatInput` fields: [`monolithic`] assembles a report from
+//! `ThroughputPrediction::analyze` under both bufferings plus
+//! `solve::max_speedup`. The contract is **bit-identity** between the two
+//! and verbatim error parity. Property tests drive random worksheets through
+//! both and compare `f64::to_bits`, and break one `RatInput::validate` rule
+//! at a time to compare error text; deterministic tests walk chunk seams
+//! across 1/2/8-thread engines; and stage-plan tests pin which stages a
+//! single-axis sweep or a one-field edit leaves clean.
 
 use proptest::prelude::*;
 use rat_core::engine::{Engine, EngineConfig};
@@ -16,10 +17,30 @@ use rat_core::params::{
     Buffering, CommParams, CompParams, DatasetParams, RatInput, SoftwareParams,
 };
 use rat_core::quantity::{Freq, Seconds, Throughput};
+use rat_core::report::Report;
 use rat_core::solve::batch::{solve_batch, BatchPoints, CHUNK};
 use rat_core::solve::stages::{BatchStagePlan, Stage};
 use rat_core::sweep::{sweep_with, SweepParam};
-use rat_core::Worksheet;
+use rat_core::throughput::ThroughputPrediction;
+use rat_core::{solve, RatError, Worksheet};
+
+/// The per-input chain in one function: the prediction at the input's
+/// buffering and at the other one, and the communication-bound ceiling,
+/// each through its own public entry point.
+fn monolithic(input: &RatInput) -> Result<Report, RatError> {
+    let throughput = ThroughputPrediction::analyze(input)?;
+    let other = match input.buffering {
+        Buffering::Single => Buffering::Double,
+        Buffering::Double => Buffering::Single,
+    };
+    Ok(Report {
+        speedup: throughput.speedup,
+        throughput,
+        alternate: ThroughputPrediction::analyze(&input.with_buffering(other))?,
+        max_speedup: solve::max_speedup(input)?,
+        input: input.clone(),
+    })
+}
 
 /// Strategy: a valid worksheet input across wide parameter ranges.
 fn worksheet() -> impl Strategy<Value = RatInput> {
@@ -104,13 +125,12 @@ fn break_rule(input: &RatInput, rule: &str, bad: f64, above_one: f64) -> RatInpu
 }
 
 proptest! {
-    /// The single-point `analyze` returns exactly the bits the monolithic
+    /// The single-point `analyze` returns exactly the bits the per-input
     /// chain produces.
     #[test]
     fn staged_analyze_is_bit_identical_to_monolithic(input in worksheet()) {
-        let ws = Worksheet::new(input);
-        let reference = ws.analyze_monolithic().unwrap();
-        let staged = ws.analyze().unwrap();
+        let reference = monolithic(&input).unwrap();
+        let staged = Worksheet::new(input).analyze().unwrap();
         prop_assert_eq!(
             staged.throughput.t_rc.seconds().to_bits(),
             reference.throughput.t_rc.seconds().to_bits(),
@@ -126,7 +146,7 @@ proptest! {
     }
 
     /// With any one validate rule broken, `analyze` fails with the very
-    /// error the monolithic chain returns — `validate()`'s own, which the
+    /// error the per-input chain returns — `validate()`'s own, which the
     /// CLI's exit-3 and serve's HTTP-400 chains render verbatim.
     #[test]
     fn analyze_errors_match_monolithic_for_every_validate_rule(
@@ -143,17 +163,16 @@ proptest! {
         for rule in VALIDATE_RULES {
             let broken = break_rule(&input, rule, bad, above_one);
             let want = broken.validate().expect_err("the mutation breaks a rule");
-            let ws = Worksheet::new(broken);
-            let staged = ws.analyze().expect_err("analyze rejects the input");
-            let mono = ws.analyze_monolithic().expect_err("monolithic rejects it");
+            let mono = monolithic(&broken).expect_err("monolithic rejects it");
+            let staged = Worksheet::new(broken).analyze().expect_err("analyze rejects the input");
             prop_assert_eq!(staged.to_string(), mono.to_string(), "{}", rule);
             prop_assert_eq!(&staged, &mono, "{}", rule);
             prop_assert_eq!(&staged, &want, "{}", rule);
         }
     }
 
-    /// The staged batch kernels (including the comm-uniform fast path taken
-    /// by single-axis compute sweeps) match the monolithic chain per point.
+    /// `solve_batch` over a single-axis compute sweep matches the per-input
+    /// chain per point.
     #[test]
     fn staged_batch_is_bit_identical_to_monolithic(
         input in worksheet(),
@@ -163,15 +182,13 @@ proptest! {
         batch.push_column(SweepParam::Fclock, fclocks.as_slice());
         let reports = solve_batch(&batch).unwrap();
         for (i, &f) in fclocks.iter().enumerate() {
-            let scalar = Worksheet::new(SweepParam::Fclock.apply(&input, f))
-                .analyze_monolithic()
-                .unwrap();
+            let scalar = monolithic(&SweepParam::Fclock.apply(&input, f)).unwrap();
             prop_assert_eq!(&reports[i], &scalar, "fclock {} (index {})", f, i);
         }
     }
 
-    /// A varied-comm column disables the comm-uniform fast path; the general
-    /// kernel must also match the monolithic chain bit for bit.
+    /// A varied-comm column: `solve_batch` must also match the per-input
+    /// chain bit for bit.
     #[test]
     fn staged_batch_with_varied_comm_matches_monolithic(
         input in worksheet(),
@@ -181,9 +198,7 @@ proptest! {
         batch.push_column(SweepParam::AlphaWrite, alphas.as_slice());
         let reports = solve_batch(&batch).unwrap();
         for (i, &a) in alphas.iter().enumerate() {
-            let scalar = Worksheet::new(SweepParam::AlphaWrite.apply(&input, a))
-                .analyze_monolithic()
-                .unwrap();
+            let scalar = monolithic(&SweepParam::AlphaWrite.apply(&input, a)).unwrap();
             prop_assert_eq!(&reports[i], &scalar, "alpha_write {} (index {})", a, i);
         }
     }
@@ -224,8 +239,8 @@ fn pdf1d() -> RatInput {
     }
 }
 
-/// Staged sweeps stay bit-identical to the per-point monolithic chain at
-/// every chunk seam and thread count.
+/// Staged sweeps stay bit-identical to the per-input chain at every chunk
+/// seam and thread count.
 #[test]
 fn staged_sweep_matches_monolithic_across_seams_and_threads() {
     let input = pdf1d();
@@ -237,9 +252,7 @@ fn staged_sweep_matches_monolithic_across_seams_and_threads() {
             let swept = sweep_with(&engine, &input, SweepParam::Fclock, &values).unwrap();
             assert_eq!(swept.points.len(), n);
             for (i, p) in swept.points.iter().enumerate() {
-                let scalar = Worksheet::new(SweepParam::Fclock.apply(&input, values[i]))
-                    .analyze_monolithic()
-                    .unwrap();
+                let scalar = monolithic(&SweepParam::Fclock.apply(&input, values[i])).unwrap();
                 assert_eq!(
                     p.report,
                     scalar,

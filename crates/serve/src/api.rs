@@ -39,7 +39,7 @@ use rat_core::explore::{explore, DesignSpace};
 use rat_core::optimize::{optimize, OptimizeConfig, OptimizeSpace};
 use rat_core::params::{Buffering, RatInput};
 use rat_core::sweep::SweepParam;
-use rat_core::telemetry::json::{self, Json};
+use rat_core::telemetry::json::{self, escaped_len, push_escaped, Json};
 use rat_core::uncertainty::ParamRange;
 use rat_core::RatError;
 
@@ -230,79 +230,8 @@ impl From<ModeError> for ApiError {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal, allocating once,
-/// at the escaped length.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(escaped_len(s));
-    push_escaped(&mut out, s);
-    out
-}
-
-/// The index of the first byte at or after `from` that a JSON string
-/// literal must escape: a quote, a backslash or a control character. Bytes
-/// of multi-byte characters never match, so a run before the index ends on
-/// a character boundary.
-fn next_escape(bytes: &[u8], from: usize) -> Option<usize> {
-    const ONES: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
-    // The high bit of each byte below `n` (`n` <= 0x80). A borrow only runs
-    // upward from a flagged byte, so the lowest flag is always exact.
-    let below = |w: u64, n: u8| w.wrapping_sub(ONES * u64::from(n)) & !w & HIGH;
-    let mut i = from;
-    // Eight bytes at a time.
-    while let Some(chunk) = bytes.get(i..i + 8) {
-        let w = u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk"));
-        let flags = below(w, 0x20)
-            | below(w ^ (ONES * u64::from(b'"')), 1)
-            | below(w ^ (ONES * u64::from(b'\\')), 1);
-        if flags != 0 {
-            return Some(i + flags.trailing_zeros() as usize / 8);
-        }
-        i += 8;
-    }
-    let tail = bytes[i..]
-        .iter()
-        .position(|&b| b < 0x20 || b == b'"' || b == b'\\');
-    tail.map(|k| i + k)
-}
-
-/// How long `s` is once escaped.
-fn escaped_len(s: &str) -> usize {
-    let bytes = s.as_bytes();
-    let (mut len, mut from) = (bytes.len(), 0);
-    while let Some(at) = next_escape(bytes, from) {
-        len += match bytes[at] {
-            b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 1,
-            _ => 5,
-        };
-        from = at + 1;
-    }
-    len
-}
-
-/// Append `s` to `out`, escaped: runs without an escape are copied whole.
-fn push_escaped(out: &mut String, s: &str) {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let bytes = s.as_bytes();
-    let mut run = 0;
-    while let Some(at) = next_escape(bytes, run) {
-        out.push_str(&s[run..at]);
-        match bytes[at] {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            b => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(b >> 4)]));
-                out.push(char::from(HEX[usize::from(b & 0xf)]));
-            }
-        }
-        run = at + 1;
-    }
-    out.push_str(&s[run..]);
-}
+/// The one JSON string escaper, under the name load generators import.
+pub use rat_core::telemetry::json::escape as escape_json;
 
 /// A successful analysis response: the mode name plus the rendered report.
 /// The `report` string is byte-identical to what the CLI prints (minus the

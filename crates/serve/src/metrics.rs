@@ -236,11 +236,6 @@ impl ServerMetrics {
         }
         out
     }
-
-    /// Snapshot of the latency histogram (for bench reporting).
-    pub fn latency_snapshot(&self) -> Histogram {
-        self.latency.lock().expect("latency lock").clone()
-    }
 }
 
 #[cfg(test)]

@@ -373,6 +373,54 @@ fn inverted_ranges_and_slow_clocks_answer_without_killing_a_worker() {
     handle.shutdown();
 }
 
+/// Worksheets and sweeps the input rules reject: a per-iteration byte count
+/// past `u64::MAX` (once wrapped to a confident wrong row, 200) and a swept
+/// count that rounds below 1 (once evaluated at one element, 200). Each is a
+/// 400 whose text names the field, as the CLI's exit 3 does.
+#[test]
+fn overflowing_byte_counts_and_counts_below_one_answer_400_naming_the_field() {
+    let handle = start();
+    let addr = handle.addr();
+    let mut huge = rat_apps::pdf::pdf1d::rat_input(150.0e6);
+    huge.dataset.elements_in = 1 << 32;
+    huge.dataset.bytes_per_element = 1 << 32;
+    let huge = escape_json(&toml::to_string(&huge).unwrap());
+    for (path, rest) in [
+        ("/v1/solve", "\"target\": 8.0"),
+        ("/v1/sweep", "\"param\": \"fclock\", \"values\": [1e8, 2e8]"),
+    ] {
+        let (status, body) = post(
+            addr,
+            path,
+            &format!("{{\"worksheet_toml\": \"{huge}\", {rest}}}"),
+        );
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(
+            body.contains("elements_in * bytes_per_element"),
+            "{path}: the 400 should name both fields: {body}"
+        );
+        still_alive(&handle, &format!("{path} past u64::MAX bytes"));
+    }
+
+    let ws = escape_json(&toml::to_string(&rat_apps::pdf::pdf1d::rat_input(150.0e6)).unwrap());
+    for values in ["[-3]", "[-3, 0, 512]"] {
+        let (status, body) = post(
+            addr,
+            "/v1/sweep",
+            &format!(
+                "{{\"worksheet_toml\": \"{ws}\", \"param\": \"elements-in\", \"values\": {values}}}"
+            ),
+        );
+        assert_eq!(status, 400, "{values}: {body}");
+        assert!(
+            body.contains("elements_in must be at least 1"),
+            "{values}: the 400 should name the field: {body}"
+        );
+        still_alive(&handle, &format!("elements-in sweep {values}"));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn full_queue_answers_503_busy_and_recovers() {
     // One worker, one queue slot, short request timeout: occupy the worker
