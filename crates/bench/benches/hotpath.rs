@@ -90,7 +90,7 @@ fn bench_uncertainty_paths(c: &mut Criterion) {
                             let mut rng = rat_core::engine::job_rng(7, j as u64);
                             let mut candidate = input.clone();
                             for (param, dist) in &dists {
-                                candidate = param.apply(&candidate, dist.sample(&mut rng));
+                                candidate = param.apply(&candidate, dist.sample(&mut rng))?;
                             }
                             candidate.validate()?;
                             Ok::<_, rat_core::RatError>(rat_core::throughput::speedup(&candidate))
@@ -128,7 +128,7 @@ fn bench_batch_kernel(c: &mut Criterion) {
                     .iter()
                     .map(|&v| {
                         scratch.copy_params_from(&input);
-                        SweepParam::Fclock.apply_into(&mut scratch, v);
+                        SweepParam::Fclock.apply_into(&mut scratch, v).unwrap();
                         scratch.validate().unwrap();
                         rat_core::throughput::speedup(&scratch)
                     })

@@ -340,7 +340,7 @@ fn uncertainty_scalar_chunked_baseline(
                 let mut rng = job_rng(seed, j as u64);
                 scratch.copy_params_from(input);
                 for (param, dist) in &dists {
-                    param.apply_into(&mut scratch, dist.sample(&mut rng));
+                    param.apply_into(&mut scratch, dist.sample(&mut rng))?;
                 }
                 scratch.validate()?;
                 out.push(rat_core::throughput::speedup(&scratch));
@@ -384,7 +384,7 @@ fn uncertainty_cloning_baseline(
             let mut rng = job_rng(seed, j as u64);
             let mut candidate = input.clone();
             for (param, dist) in &dists {
-                candidate = param.apply(&candidate, dist.sample(&mut rng));
+                candidate = param.apply(&candidate, dist.sample(&mut rng))?;
             }
             candidate.validate()?;
             Ok::<_, rat_core::RatError>(rat_core::throughput::speedup(&candidate))
@@ -506,7 +506,7 @@ pub fn run(quick: bool) -> BenchReport {
         let mut acc = 0.0;
         for &v in &kernel_points {
             scratch.copy_params_from(&input);
-            SweepParam::Fclock.apply_into(&mut scratch, v);
+            SweepParam::Fclock.apply_into(&mut scratch, v).unwrap();
             scratch.validate().unwrap();
             acc += rat_core::throughput::speedup(&scratch);
         }

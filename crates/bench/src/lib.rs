@@ -11,8 +11,7 @@
 //! EXPERIMENTS.md log. [`all_artifacts_with`] renders the thirteen artifacts
 //! as independent jobs on an analysis [`Engine`]; simulator-backed tables
 //! share measurements through the [`fpga_sim::cache`] memoization layer, so a
-//! second `reproduce all` in the same process (or against a persisted cache)
-//! re-simulates nothing.
+//! second `reproduce all` in the same process re-simulates nothing.
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(unused_crate_dependencies))]

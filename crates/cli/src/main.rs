@@ -51,7 +51,7 @@ use rat_serve::api::{self, ApiError, ApiRequest, ModeError, OptimizeSpec};
 /// | 3 | invalid worksheet parameter, quantity, or TOML |
 /// | 4 | infeasible solve (no parameter value reaches the target) |
 /// | 5 | simulator failure |
-/// | 6 | I/O failure (worksheet file or simulator cache) |
+/// | 6 | I/O failure (worksheet file, stdout, `--profile` output) |
 #[derive(Debug)]
 enum CliError {
     /// The command line itself is wrong.
@@ -75,15 +75,6 @@ enum CliError {
     /// attempted) renders as the `error:` line with the [`RatError`] on the
     /// `caused by:` chain; the [`RatError`] decides the exit code.
     Mode(ModeError),
-    /// The `RAT_SIM_CACHE` persistence path cannot be opened for writing.
-    /// Surfaced up front (before any simulation) instead of silently losing
-    /// cache writes at the end of the run.
-    CacheEnv {
-        /// The path `RAT_SIM_CACHE` named.
-        path: String,
-        /// Underlying filesystem error, rendered via the source chain.
-        source: std::io::Error,
-    },
     /// Writing the output to stdout failed. A `BrokenPipe` (the reader
     /// stopped early, as in `rat ... | head`) ends the run quietly, exit 0.
     Stdout(std::io::Error),
@@ -103,9 +94,8 @@ impl CliError {
                 RatError::InvalidParameter(_) | RatError::InvalidQuantity { .. } => 3,
                 RatError::Infeasible(_) => 4,
                 RatError::Simulation(_) => 5,
-                RatError::CacheIo(_) => 6,
             },
-            CliError::Io { .. } | CliError::CacheEnv { .. } | CliError::Stdout(_) => 6,
+            CliError::Io { .. } | CliError::Stdout(_) => 6,
         }
     }
 }
@@ -117,9 +107,6 @@ impl std::fmt::Display for CliError {
             CliError::Io { path, .. } => write!(f, "reading {path}"),
             CliError::Parse { path, message } => write!(f, "parsing {path}: {message}"),
             CliError::Mode(m) => write!(f, "{m}"),
-            CliError::CacheEnv { path, .. } => {
-                write!(f, "opening simulator cache (RAT_SIM_CACHE) at {path}")
-            }
             CliError::Stdout(_) => write!(f, "writing to stdout"),
         }
     }
@@ -128,9 +115,7 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Io { source, .. }
-            | CliError::CacheEnv { source, .. }
-            | CliError::Stdout(source) => Some(source),
+            CliError::Io { source, .. } | CliError::Stdout(source) => Some(source),
             CliError::Mode(m) => std::error::Error::source(m),
             _ => None,
         }
@@ -165,13 +150,6 @@ fn main() -> ExitCode {
             return ExitCode::from(err.exit_code());
         }
     };
-    if let Err(err) = preflight_cache_env() {
-        report_error(&err);
-        return ExitCode::from(err.exit_code());
-    }
-    if flags.no_cache {
-        fpga_sim::SimCache::global().set_enabled(false);
-    }
     let telemetry_on = flags.metrics || flags.profile.is_some();
     if telemetry_on {
         telemetry::global().enable();
@@ -208,12 +186,10 @@ fn main() -> ExitCode {
             // Preserve the dispatch failure's code if there was one;
             // otherwise the telemetry I/O failure becomes the exit code.
             if code == ExitCode::SUCCESS {
-                flush_global_cache();
                 return ExitCode::from(err.exit_code());
             }
         }
     }
-    flush_global_cache();
     code
 }
 
@@ -224,13 +200,6 @@ fn write_stdout(text: &str) -> Result<(), CliError> {
     writeln!(out, "{text}")
         .and_then(|()| out.flush())
         .map_err(CliError::Stdout)
-}
-
-/// Write the global simulator cache's batched inserts to disk. The global
-/// cache lives in a `OnceLock` and is never dropped, so the write-behind
-/// persistence needs this explicit flush before the process exits.
-fn flush_global_cache() {
-    fpga_sim::SimCache::global().flush();
 }
 
 /// Render an error (and its full `caused by:` source chain) on stderr.
@@ -244,25 +213,6 @@ fn report_error(err: &CliError) {
     if matches!(err, CliError::Usage(_)) {
         eprintln!("run `rat help` for usage");
     }
-}
-
-/// Fail fast if `RAT_SIM_CACHE` names a persistence path that cannot be
-/// opened for appending: `SimCache::insert` deliberately ignores write
-/// failures mid-run (losing cache persistence must never corrupt results),
-/// so an unusable path is reported here, before any simulation runs.
-fn preflight_cache_env() -> Result<(), CliError> {
-    let Ok(path) = std::env::var("RAT_SIM_CACHE") else {
-        return Ok(());
-    };
-    if path.is_empty() || path == "off" || path == "0" {
-        return Ok(());
-    }
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .map(drop)
-        .map_err(|source| CliError::CacheEnv { path, source })
 }
 
 /// Drain the global telemetry collector and emit what the flags asked for:
@@ -304,8 +254,6 @@ fn report_engine_stats(engine: &Engine) {
 struct GlobalFlags {
     /// Engine configuration (`--jobs`).
     config: EngineConfig,
-    /// Disable the memoized simulator cache (`--no-cache`).
-    no_cache: bool,
     /// Print the telemetry tree summary on stderr (`--metrics`).
     metrics: bool,
     /// Write a chrome-trace JSON profile to this path (`--profile <path>`).
@@ -314,13 +262,12 @@ struct GlobalFlags {
     rest: Vec<String>,
 }
 
-/// Strip the global `--jobs N` / `--jobs=N` / `--no-cache` / `--metrics` /
+/// Strip the global `--jobs N` / `--jobs=N` / `--metrics` /
 /// `--profile <path.json>` flags from the argument list, returning them plus
 /// the remaining (command) arguments.
 fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
     let mut flags = GlobalFlags {
         config: EngineConfig::default(),
-        no_cache: false,
         metrics: false,
         profile: None,
         rest: Vec::new(),
@@ -331,8 +278,6 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
             flags.config = flags.config.with_jobs(flag_value(&mut it, a)?);
         } else if let Some(n) = a.strip_prefix("--jobs=") {
             flags.config = flags.config.with_jobs(parse_arg("--jobs value", n)?);
-        } else if a == "--no-cache" {
-            flags.no_cache = true;
         } else if a == "--metrics" {
             flags.metrics = true;
         } else if a == "--profile" {
@@ -356,10 +301,6 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
 #[cfg(test)]
 fn run(args: &[String]) -> Result<String, CliError> {
     let flags = parse_global_flags(args)?;
-    preflight_cache_env()?;
-    if flags.no_cache {
-        fpga_sim::SimCache::global().set_enabled(false);
-    }
     dispatch(&Engine::new(flags.config), &flags.rest)
 }
 
@@ -798,7 +739,6 @@ USAGE:
 GLOBAL OPTIONS (any command):
   --jobs N     run analysis jobs on N threads (0 = auto; results are
                bit-identical at every thread count)
-  --no-cache   disable the memoized simulator-run cache
   --metrics    print a wall-clock span tree + typed counters on stderr
   --profile P  write a Chrome trace_event JSON profile to P
                (load in chrome://tracing or https://ui.perfetto.dev)
@@ -1331,20 +1271,6 @@ mod tests {
         assert!(run(&["--jobs".into()]).is_err());
         assert!(run(&["--jobs".into(), "many".into(), "help".into()]).is_err());
         assert!(run(&["--jobs=lots".into(), "help".into()]).is_err());
-    }
-
-    #[test]
-    fn no_cache_flag_is_stripped() {
-        // --no-cache disables the global cache; re-enable afterwards so other
-        // tests in this process still exercise the memoized path.
-        let out = run(&[
-            "--no-cache".into(),
-            "reproduce".into(),
-            "table2".into(),
-            "--fast".into(),
-        ]);
-        fpga_sim::SimCache::global().set_enabled(true);
-        assert!(out.unwrap().contains("Table 2"));
     }
 
     #[test]

@@ -235,6 +235,42 @@ fn swept_counts_that_are_not_finite_or_round_below_one_exit_3() {
 }
 
 #[test]
+fn swept_and_sampled_counts_past_u64_max_exit_3_naming_the_value() {
+    // Each was once evaluated at u64::MAX iterations (exit 0), or failed
+    // naming 18446744073709551615 elements instead of the value given.
+    let ws = worksheet("pdf1d");
+    for (args, rule) in [
+        (
+            vec!["sweep", &*ws, "iterations", "1e30"],
+            "iterations = 1e30 does not fit a u64 count",
+        ),
+        (
+            vec!["sweep", &*ws, "elements-in", "1e30"],
+            "elements_in = 1e30 does not fit a u64 count",
+        ),
+        (
+            vec!["uncertainty", &*ws, "iterations", "1e19", "1e30"],
+            "does not fit a u64 count",
+        ),
+    ] {
+        let (stdout, stderr, code) = run_rat_env(&args, &[]);
+        assert_eq!(code, 3, "rat {args:?}: {stderr}");
+        assert!(stderr.contains(rule), "rat {args:?}: {stderr}");
+        assert!(
+            stderr.contains(args[2].replace('-', "_").as_str()),
+            "{stderr}"
+        );
+        assert!(!stderr.contains("18446744073709551615"), "{stderr}");
+        assert!(stdout.is_empty(), "rat {args:?}: {stdout}");
+    }
+    // The largest f64 below 2^64 is still a count.
+    let (stdout, stderr, code) =
+        run_rat_env(&["sweep", &ws, "iterations", "18446744073709549568"], &[]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("18446744073709549568.000000"), "{stdout}");
+}
+
+#[test]
 fn simulation_failure_exits_5_with_cause_chain() {
     // A zero clock is user input the simulator rejects; the CLI must report
     // what it was doing (context) plus the simulator's reason (cause).
@@ -298,19 +334,30 @@ fn closed_stdout_is_a_quiet_success() {
 }
 
 #[test]
-fn unwritable_cache_path_exits_6_with_cause_chain() {
-    // RAT_SIM_CACHE pointing into a nonexistent directory must fail up
-    // front (exit 6), not silently lose cache writes at the end of the run.
-    let (_, stderr, code) = run_rat_env(
-        &["analyze", &worksheet("pdf1d")],
+fn the_cache_path_variable_is_ignored() {
+    // The simulator cache lives in memory only, so a path that cannot be
+    // written neither fails the run (it once exited 6) nor changes stdout.
+    let args = ["reproduce", "all", "--fast"];
+    let (plain, stderr, code) = run_rat_env(&args, &[]);
+    assert_eq!(code, 0, "stderr: {stderr}");
+    let (stdout, stderr, code) = run_rat_env(
+        &args,
         &[("RAT_SIM_CACHE", "/nonexistent-rat-dir/cache.tsv")],
     );
-    assert_eq!(code, 6, "stderr: {stderr}");
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert_eq!(stdout, plain);
     assert!(
-        stderr.contains("error: opening simulator cache (RAT_SIM_CACHE)"),
+        stderr.contains("sim cache: 0 hit(s), 3 miss(es)"),
         "{stderr}"
     );
-    assert!(stderr.contains("caused by:"), "{stderr}");
+}
+
+#[test]
+fn the_removed_cache_flag_is_a_usage_error() {
+    let (stdout, stderr, code) = run_rat_env(&["--no-cache", "analyze", &worksheet("pdf1d")], &[]);
+    assert_eq!(code, 2, "stderr: {stderr}");
+    assert!(stderr.contains("unknown command '--no-cache'"), "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
 }
 
 #[test]

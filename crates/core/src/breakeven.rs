@@ -264,7 +264,8 @@ mod tests {
         let sweep = analyze_sweep(&input, SweepParam::Fclock, &values, &cost()).unwrap();
         assert_eq!(sweep.points.len(), values.len());
         for (p, &v) in sweep.points.iter().zip(&values) {
-            let scalar = BreakEven::analyze(&SweepParam::Fclock.apply(&input, v), &cost()).unwrap();
+            let scalar =
+                BreakEven::analyze(&SweepParam::Fclock.apply(&input, v).unwrap(), &cost()).unwrap();
             assert_eq!(p.value, v);
             assert_eq!(p.verdict, scalar, "at fclock {v}");
         }
@@ -278,6 +279,7 @@ mod tests {
             analyze_sweep(&input, SweepParam::AlphaWrite, &[0.5, 2.0, 3.0], &cost()).unwrap_err();
         let scalar = SweepParam::AlphaWrite
             .apply(&input, 2.0)
+            .unwrap()
             .validate()
             .unwrap_err();
         assert_eq!(err.to_string(), scalar.to_string());

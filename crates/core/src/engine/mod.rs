@@ -16,7 +16,6 @@
 //!    table jobs and `rat serve`'s `/v1/simulate` run the simulator through
 //!    `fpga_sim`'s process-wide, bounded `SimCache`, keyed by a content hash
 //!    of the full run spec, so a repeated run costs a hash lookup.
-//!    `rat --no-cache` switches that cache off for the whole process.
 
 mod config;
 mod counters;
@@ -159,30 +158,27 @@ impl Engine {
     {
         let started = Instant::now();
         let counters = &self.counters;
-        // Capture the caller's span path once so `engine.job` spans recorded
-        // on pool worker threads nest under the phase that spawned the batch
-        // (sweep, uncertainty, ...) instead of floating at top level.
         let collect = telemetry::enabled();
-        // The job kind is the phase that spawned the batch (sweep,
-        // uncertainty, ...) — the innermost span open *before* the batch span
-        // itself is pushed.
-        let kind = telemetry::global()
-            .current_path_prefix()
-            .trim_end_matches('/')
-            .rsplit('/')
-            .next()
-            .filter(|s| !s.is_empty())
-            .unwrap_or("adhoc")
-            .to_string();
-        let batch_span = if collect {
-            Some(telemetry::span_args(
-                "engine.batch",
-                vec![("jobs", ArgValue::U64(n as u64))],
-            ))
+        // Read the caller's span path once, and only when spans are
+        // recorded. The job kind is the phase that spawned the batch (sweep,
+        // uncertainty, ...): the innermost span open before the batch span.
+        // `engine.job` spans recorded on pool threads nest under the batch
+        // span instead of floating at top level.
+        let (kind, parent, batch_span) = if collect {
+            let prefix = telemetry::global().current_path_prefix();
+            let kind = prefix
+                .trim_end_matches('/')
+                .rsplit('/')
+                .next()
+                .filter(|s| !s.is_empty())
+                .unwrap_or("adhoc")
+                .to_string();
+            let span =
+                telemetry::span_args("engine.batch", vec![("jobs", ArgValue::U64(n as u64))]);
+            (kind, prefix + "engine.batch/", Some(span))
         } else {
-            None
+            (String::new(), String::new(), None)
         };
-        let parent = telemetry::global().current_path_prefix();
         let timed = |i: usize| {
             let job_started = Instant::now();
             // Re-root only on detached pool threads: when a job runs inline

@@ -1,10 +1,10 @@
 //! Error types for RAT analyses.
 //!
 //! [`RatError`] is the single taxonomy for every fallible step of the model
-//! pipeline — worksheet validation, quantity parsing, inverse solves,
-//! simulator runs, and artifact I/O. Each variant corresponds to one class of
-//! failure so callers (notably the CLI) can map classes to distinct exit
-//! codes; see DESIGN.md §10 for the mapping.
+//! pipeline — worksheet validation, quantity parsing, inverse solves and
+//! simulator runs. Each variant corresponds to one class of failure so
+//! callers (notably the CLI) can map classes to distinct exit codes; see
+//! DESIGN.md §10 for the mapping.
 
 use std::fmt;
 
@@ -29,8 +29,6 @@ pub enum RatError {
     /// The cycle simulator diverged or rejected its inputs (bad clock,
     /// mismatched batch count, non-finite makespan).
     Simulation(String),
-    /// Reading or writing a cached/simulated artifact failed.
-    CacheIo(String),
 }
 
 impl RatError {
@@ -54,11 +52,6 @@ impl RatError {
     pub fn simulation(msg: impl Into<String>) -> Self {
         RatError::Simulation(msg.into())
     }
-
-    /// A cache or artifact I/O failure.
-    pub fn cache_io(msg: impl Into<String>) -> Self {
-        RatError::CacheIo(msg.into())
-    }
 }
 
 impl fmt::Display for RatError {
@@ -70,7 +63,6 @@ impl fmt::Display for RatError {
             }
             RatError::Infeasible(msg) => write!(f, "infeasible: {msg}"),
             RatError::Simulation(msg) => write!(f, "simulation failed: {msg}"),
-            RatError::CacheIo(msg) => write!(f, "cache I/O failed: {msg}"),
         }
     }
 }
@@ -99,13 +91,18 @@ mod tests {
 
     #[test]
     fn simulator_and_io_classes_are_distinct() {
+        // I/O failures are the CLI's own class (exit 6), never a `RatError`:
+        // the simulator class stays apart from every pipeline class.
         assert_ne!(
             RatError::simulation("diverged"),
-            RatError::cache_io("diverged")
+            RatError::param("diverged")
+        );
+        assert_ne!(
+            RatError::simulation("diverged"),
+            RatError::infeasible("diverged")
         );
         assert!(RatError::simulation("x")
             .to_string()
             .starts_with("simulation"));
-        assert!(RatError::cache_io("x").to_string().starts_with("cache I/O"));
     }
 }

@@ -183,8 +183,8 @@ mod tests {
         let h = 1e-4;
         for param in SCANNED_PARAMS {
             let p0 = param.read(&input);
-            let up = param.apply(&input, p0 * (1.0 + h));
-            let down = param.apply(&input, p0 * (1.0 - h));
+            let up = param.apply(&input, p0 * (1.0 + h)).unwrap();
+            let down = param.apply(&input, p0 * (1.0 - h)).unwrap();
             let s0 = throughput::speedup(&input);
             let expect = ((throughput::speedup(&up) - throughput::speedup(&down)) / s0) / (2.0 * h);
             let got = elasticity(&input, param, h).unwrap();

@@ -27,9 +27,10 @@
 //! ## Error contract
 //!
 //! Invalid points error exactly as the scalar path does: the lowest-indexed
-//! invalid point wins, and its error is produced by running the real
-//! [`RatInput::validate`] on that materialized point, so messages and field
-//! ordering are byte-identical to the per-point pipeline.
+//! invalid point wins, and its error is produced by materializing that point
+//! ([`BatchPoints::materialize`]) and running the real
+//! [`RatInput::validate`] on it, so messages and field ordering are
+//! byte-identical to the per-point pipeline.
 
 use std::borrow::Cow;
 
@@ -121,24 +122,26 @@ impl<'a> BatchPoints<'a> {
 
     /// Materialize point `i` as a standalone input: the base, cloned, with
     /// every column applied in order. This is the reference the kernels must
-    /// match bit for bit.
-    pub fn materialize(&self, i: usize) -> RatInput {
+    /// match bit for bit. Fails where [`SweepParam::apply_into`] does, at
+    /// the first column whose value does not apply.
+    pub fn materialize(&self, i: usize) -> Result<RatInput, RatError> {
         let mut point = self.base.clone();
         for (param, values) in &self.columns {
-            param.apply_into(&mut point, values[i]);
+            param.apply_into(&mut point, values[i])?;
         }
-        point
+        Ok(point)
     }
 
     /// [`BatchPoints::materialize`] into a caller-owned scratch input:
     /// restores the scratch to the base point (reusing its allocations) and
     /// applies every column in order. Bit-identical to `materialize(i)` for
     /// every parameter field; only the `name` string is left as-is.
-    pub fn materialize_into(&self, i: usize, scratch: &mut RatInput) {
+    pub fn materialize_into(&self, i: usize, scratch: &mut RatInput) -> Result<(), RatError> {
         scratch.copy_params_from(self.base);
         for (param, values) in &self.columns {
-            param.apply_into(scratch, values[i]);
+            param.apply_into(scratch, values[i])?;
         }
+        Ok(())
     }
 
     /// Points `lo..hi` as a batch over the same base, borrowing every
@@ -236,7 +239,8 @@ impl BatchStagePlan {
 /// A uniform field is one scalar (one splat register on the AVX2 path), so
 /// no lane broadcasts an untouched field. A varied `f64` field written by
 /// direct-copy columns **borrows** the last such column with no copy; a
-/// count field owns its rounded values ([`sweep::count`]).
+/// count field owns its rounded values ([`sweep::count`]), with 0 standing
+/// for a value past `u64::MAX` so the validity scan flags its point.
 enum Col<'p, T: Clone> {
     Uniform(T),
     Varied(Cow<'p, [T]>),
@@ -339,7 +343,7 @@ fn decode<'p>(points: &'p BatchPoints<'_>) -> Decoded<'p> {
         for (param, col) in &points.columns {
             if *param == want {
                 for (dst, &v) in vals.iter_mut().zip(&col[..]) {
-                    *dst = sweep::count(v);
+                    *dst = sweep::count(v).unwrap_or(0);
                 }
             }
         }
@@ -487,13 +491,15 @@ fn first_error(points: &BatchPoints, d: &Decoded) -> Option<(usize, RatError)> {
         return None;
     }
     // Every point before `first_bad` passes all checks, hence validates.
-    // Walk forward from the flag with the real validate() so the error (and
-    // the winning index) is byte-identical to the scalar path's, reusing one
-    // scratch input across the walk.
+    // Walk forward from the flag, materializing each point and running the
+    // real validate(), so the error (and the winning index) is byte-identical
+    // to the per-point path's, reusing one scratch input across the walk.
     let mut scratch = base.clone();
     for i in first_bad..points.len {
-        points.materialize_into(i, &mut scratch);
-        if let Err(e) = scratch.validate() {
+        if let Err(e) = points
+            .materialize_into(i, &mut scratch)
+            .and_then(|()| scratch.validate())
+        {
             return Some((i, e));
         }
     }
@@ -582,22 +588,22 @@ pub fn solve_batch(points: &BatchPoints) -> Result<Vec<Report>, RatError> {
         Buffering::Single => Buffering::Double,
         Buffering::Double => Buffering::Single,
     };
-    Ok((0..points.len)
-        .map(|i| {
-            let prediction = d.predict(base, i, base.buffering);
-            Report {
-                speedup: prediction.speedup,
-                throughput: prediction,
-                alternate: d.predict(base, i, alternate_buffering),
-                max_speedup: throughput::ceiling(
-                    prediction.t_comm,
-                    d.iterations.at(i),
-                    base.software.t_soft,
-                ),
-                input: points.materialize(i),
-            }
-        })
-        .collect())
+    let mut reports = Vec::with_capacity(points.len);
+    for i in 0..points.len {
+        let prediction = d.predict(base, i, base.buffering);
+        reports.push(Report {
+            speedup: prediction.speedup,
+            throughput: prediction,
+            alternate: d.predict(base, i, alternate_buffering),
+            max_speedup: throughput::ceiling(
+                prediction.t_comm,
+                d.iterations.at(i),
+                base.software.t_soft,
+            ),
+            input: points.materialize(i)?,
+        });
+    }
+    Ok(reports)
 }
 
 /// The two numbers a search ranks a design point by: the speedup and the
@@ -712,7 +718,8 @@ mod tests {
                 points.push_column(param, values);
                 let batch = speedup_batch(&points).expect("all points valid");
                 for (i, &got) in batch.iter().enumerate() {
-                    let want = scalar_speedup(&points.materialize(i)).expect("scalar path agrees");
+                    let want = scalar_speedup(&points.materialize(i).unwrap())
+                        .expect("scalar path agrees");
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
@@ -738,7 +745,7 @@ mod tests {
         );
         let batch = speedup_batch(&points).expect("valid");
         for (i, &got) in batch.iter().enumerate() {
-            let want = scalar_speedup(&points.materialize(i)).expect("valid");
+            let want = scalar_speedup(&points.materialize(i).unwrap()).expect("valid");
             assert_eq!(got.to_bits(), want.to_bits(), "point {i}");
         }
     }
@@ -751,7 +758,8 @@ mod tests {
         points.push_column(SweepParam::AlphaWrite, vec![0.5, 0.6, 1.5, 0.7, -1.0]);
         let (index, err) = speedup_batch_indexed(&points).expect_err("point 2 invalid");
         assert_eq!(index, 2);
-        let scalar_err = scalar_speedup(&points.materialize(2)).expect_err("scalar rejects too");
+        let scalar_err =
+            scalar_speedup(&points.materialize(2).unwrap()).expect_err("scalar rejects too");
         assert_eq!(err.to_string(), scalar_err.to_string());
     }
 
@@ -764,7 +772,7 @@ mod tests {
             points.push_column(SweepParam::Fclock, values);
             let reports = solve_batch(&points).expect("valid");
             for (i, got) in reports.iter().enumerate() {
-                let input = points.materialize(i);
+                let input = points.materialize(i).unwrap();
                 let throughput = ThroughputPrediction::analyze(&input).expect("valid");
                 let other = match buffering {
                     Buffering::Single => Buffering::Double,
@@ -801,8 +809,8 @@ mod tests {
         let mut bad = BatchPoints::new(&base, n);
         bad.push_column(SweepParam::Fclock, &fclock[..]);
         bad.push_column(SweepParam::AlphaRead, bad_alpha);
-        let first = scalar_speedup(&bad.materialize(700)).expect_err("invalid");
-        let later = scalar_speedup(&bad.materialize(900)).expect_err("invalid");
+        let first = scalar_speedup(&bad.materialize(700).unwrap()).expect_err("invalid");
+        let later = scalar_speedup(&bad.materialize(900).unwrap()).expect_err("invalid");
         assert_ne!(first.to_string(), later.to_string());
 
         for jobs in [1, 2, 8] {
@@ -882,8 +890,8 @@ mod tests {
         points.push_column(SweepParam::AlphaBoth, vec![0.4, 0.5, 0.6, 0.7]);
         let mut scratch = base.clone();
         for i in 0..4 {
-            points.materialize_into(i, &mut scratch);
-            assert_eq!(scratch, points.materialize(i), "point {i}");
+            points.materialize_into(i, &mut scratch).unwrap();
+            assert_eq!(scratch, points.materialize(i).unwrap(), "point {i}");
         }
     }
 

@@ -32,7 +32,8 @@ pub enum SweepParam {
     /// Operations per element.
     OpsPerElement,
     /// Elements per input block (values round to the nearest count; one
-    /// that is not finite or rounds below 1 fails validation).
+    /// that is not finite or rounds below 1 fails validation, and one that
+    /// rounds past `u64::MAX` fails to apply).
     ElementsIn,
     /// Number of iterations (rounded like `ElementsIn`; the total dataset
     /// `elements_in * iterations` changes accordingly).
@@ -42,13 +43,15 @@ pub enum SweepParam {
 /// The count a swept or sampled value stands for, in both
 /// [`SweepParam::apply_into`] and the batch decoder: the nearest integer, or
 /// 0 (which [`RatInput::validate`] rejects) for a value that is not finite
-/// or rounds below 1. `as` saturates at `u64::MAX` and takes negatives to 0.
-pub(crate) fn count(value: f64) -> u64 {
-    if value.is_finite() {
-        value.round() as u64
-    } else {
-        0
+/// or rounds below 1 (`as` takes negatives to 0). `None` for a finite value
+/// that rounds to 2^64 or more, where `as` would saturate at `u64::MAX`.
+pub(crate) fn count(value: f64) -> Option<u64> {
+    const PAST_U64_MAX: f64 = 18_446_744_073_709_551_616.0;
+    if !value.is_finite() {
+        return Some(0);
     }
+    let rounded = value.round();
+    (rounded < PAST_U64_MAX).then_some(rounded as u64)
 }
 
 impl SweepParam {
@@ -66,11 +69,12 @@ impl SweepParam {
         }
     }
 
-    /// A copy of `input` with this parameter set to `value`.
-    pub fn apply(self, input: &RatInput, value: f64) -> RatInput {
+    /// A copy of `input` with this parameter set to `value`; fails as
+    /// [`SweepParam::apply_into`] does.
+    pub fn apply(self, input: &RatInput, value: f64) -> Result<RatInput, RatError> {
         let mut next = input.clone();
-        self.apply_into(&mut next, value);
-        next
+        self.apply_into(&mut next, value)?;
+        Ok(next)
     }
 
     /// Set this parameter to `value` in place — [`SweepParam::apply`] without
@@ -79,8 +83,11 @@ impl SweepParam {
     /// here, so a sweep point or Monte-Carlo sample allocates nothing.
     ///
     /// `AlphaBoth` reads the *current* `alpha_write` as the scaling
-    /// reference, exactly as chained `apply` calls would.
-    pub fn apply_into(self, input: &mut RatInput, value: f64) {
+    /// reference, exactly as chained `apply` calls would. The one failure is
+    /// a count whose value rounds past `u64::MAX`: an invalid parameter
+    /// naming the field and the value as given. Every other out-of-range
+    /// value is set as is, for [`RatInput::validate`] to reject.
+    pub fn apply_into(self, input: &mut RatInput, value: f64) -> Result<(), RatError> {
         match self {
             SweepParam::Fclock => input.comp.fclock = Freq::from_hz(value),
             SweepParam::AlphaWrite => input.comm.alpha_write = value,
@@ -92,9 +99,21 @@ impl SweepParam {
             }
             SweepParam::ThroughputProc => input.comp.throughput_proc = value,
             SweepParam::OpsPerElement => input.comp.ops_per_element = value,
-            SweepParam::ElementsIn => input.dataset.elements_in = count(value),
-            SweepParam::Iterations => input.software.iterations = count(value),
+            SweepParam::ElementsIn => input.dataset.elements_in = self.count(value)?,
+            SweepParam::Iterations => input.software.iterations = self.count(value)?,
         }
+        Ok(())
+    }
+
+    /// [`count`] of `value` for this count parameter, or the error naming
+    /// the field and the value as given.
+    fn count(self, value: f64) -> Result<u64, RatError> {
+        count(value).ok_or_else(|| {
+            RatError::param(format!(
+                "{} = {value:e} does not fit a u64 count",
+                self.label()
+            ))
+        })
     }
 
     /// Read this parameter's current value from `input`.
@@ -253,7 +272,7 @@ mod tests {
             SweepParam::Iterations,
         ] {
             let old = param.read(&input);
-            let modified = param.apply(&input, old * 0.5);
+            let modified = param.apply(&input, old * 0.5).unwrap();
             let got = param.read(&modified);
             assert!(
                 (got - old * 0.5).abs() / (old * 0.5) < 0.01,
@@ -279,16 +298,20 @@ mod tests {
         ];
         for param in all {
             let value = param.read(&base) * 0.75;
-            let cloned = param.apply(&base, value);
+            let cloned = param.apply(&base, value).unwrap();
             scratch.copy_params_from(&base);
-            param.apply_into(&mut scratch, value);
+            param.apply_into(&mut scratch, value).unwrap();
             assert_eq!(scratch, cloned, "{param:?}");
         }
         // Chained applications agree too (AlphaBoth reads mutated state).
-        let chained = SweepParam::AlphaBoth.apply(&SweepParam::AlphaWrite.apply(&base, 0.42), 0.6);
+        let chained = SweepParam::AlphaBoth
+            .apply(&SweepParam::AlphaWrite.apply(&base, 0.42).unwrap(), 0.6)
+            .unwrap();
         scratch.copy_params_from(&base);
-        SweepParam::AlphaWrite.apply_into(&mut scratch, 0.42);
-        SweepParam::AlphaBoth.apply_into(&mut scratch, 0.6);
+        SweepParam::AlphaWrite
+            .apply_into(&mut scratch, 0.42)
+            .unwrap();
+        SweepParam::AlphaBoth.apply_into(&mut scratch, 0.6).unwrap();
         assert_eq!(scratch, chained);
     }
 

@@ -124,7 +124,7 @@ proptest! {
         batch.push_column(param, values.clone());
         let batched = speedup_batch(&batch).unwrap();
         for (i, &v) in values.iter().enumerate() {
-            let scalar = scalar_speedup(&param.apply(&input, v)).unwrap();
+            let scalar = scalar_speedup(&param.apply(&input, v).unwrap()).unwrap();
             prop_assert_eq!(
                 batched[i].to_bits(), scalar.to_bits(),
                 "{:?} at value {} (index {})", param, v, i
@@ -148,7 +148,7 @@ proptest! {
             .iter()
             .enumerate()
             .map(|(i, &v)| {
-                pb.read(&pa.apply(&input, v)) * (0.6 + 0.3 * (i as f64 / va.len() as f64))
+                pb.read(&pa.apply(&input, v).unwrap()) * (0.6 + 0.3 * (i as f64 / va.len() as f64))
             })
             .collect();
         let mut batch = BatchPoints::new(&input, va.len());
@@ -156,7 +156,7 @@ proptest! {
         batch.push_column(pb, vb.clone());
         let batched = speedup_batch(&batch).unwrap();
         for i in 0..va.len() {
-            let stepped = pb.apply(&pa.apply(&input, va[i]), vb[i]);
+            let stepped = pb.apply(&pa.apply(&input, va[i]).unwrap(), vb[i]).unwrap();
             let scalar = scalar_speedup(&stepped).unwrap();
             prop_assert_eq!(
                 batched[i].to_bits(), scalar.to_bits(),
@@ -176,7 +176,7 @@ proptest! {
         batch.push_column(param, values.clone());
         let reports = solve_batch(&batch).unwrap();
         for (i, &v) in values.iter().enumerate() {
-            let scalar = Worksheet::new(param.apply(&input, v)).analyze().unwrap();
+            let scalar = Worksheet::new(param.apply(&input, v).unwrap()).analyze().unwrap();
             prop_assert_eq!(&reports[i], &scalar, "{:?} at index {}", param, i);
         }
     }
@@ -196,7 +196,7 @@ proptest! {
         batch.push_column(pa, va.clone());
         if stacked {
             // Shrinks each point's current value, as in the stacked test.
-            let vb: Vec<f64> = va.iter().map(|&v| pb.read(&pa.apply(&input, v)) * 0.75).collect();
+            let vb: Vec<f64> = va.iter().map(|&v| pb.read(&pa.apply(&input, v).unwrap()) * 0.75).collect();
             batch.push_column(pb, vb);
         }
         let predictions = predict_batch(&batch).unwrap();
@@ -223,6 +223,7 @@ proptest! {
         let got = speedup_batch(&batch).unwrap_err();
         let want = SweepParam::AlphaWrite
             .apply(&input, bad_alpha)
+            .unwrap()
             .validate()
             .unwrap_err();
         prop_assert_eq!(got.to_string(), want.to_string());
@@ -287,7 +288,8 @@ fn sweep_is_bitwise_stable_across_chunk_seams_and_threads() {
         assert_eq!(baseline.points.len(), n);
         // Scalar ground truth at the seam indices and a mid point.
         for &i in &[0, n / 2, n - 1] {
-            let scalar = scalar_speedup(&SweepParam::Fclock.apply(&input, values[i])).unwrap();
+            let scalar =
+                scalar_speedup(&SweepParam::Fclock.apply(&input, values[i]).unwrap()).unwrap();
             assert_eq!(
                 baseline.points[i].report.speedup.to_bits(),
                 scalar.to_bits(),
@@ -357,11 +359,12 @@ fn predictions_are_bitwise_stable_across_chunk_seams_and_threads() {
 }
 
 /// The batch's verdict on `batch` against the per-input chain's: the first
-/// point whose materialized input fails `validate()`, with its text, or
-/// every point's speedup bits.
+/// point that fails to materialize or whose input fails `validate()`, with
+/// its text, or every point's speedup bits.
 fn assert_batch_matches_per_point(batch: &BatchPoints, ctx: &str) {
+    let per_point = |i| batch.materialize(i).and_then(|p| scalar_speedup(&p));
     let want = (0..batch.len())
-        .map(|i| scalar_speedup(&batch.materialize(i)).map_err(|e| (i, e.to_string())))
+        .map(|i| per_point(i).map_err(|e| (i, e.to_string())))
         .collect::<Result<Vec<f64>, _>>();
     match (speedup_batch_indexed(batch), want) {
         (Ok(got), Ok(want)) => {
@@ -436,15 +439,16 @@ fn a_byte_count_past_u64_max_errs_at_its_point_with_the_validate_text() {
     let below = ((1u64 << 32) - 1) as f64;
     for k in [0usize, 1, 3, 4, 5, 64, 69] {
         let mut values = vec![below; 70];
-        values[k] = (1u64 << 32) as f64;
-        // A later point that overflows too must not win.
+        // A later point past `u64::MAX` elements must not win.
         values[69] = 1.0e30;
+        values[k] = (1u64 << 32) as f64;
         let mut batch = BatchPoints::new(&input, values.len());
         batch.push_column(SweepParam::ElementsIn, values);
         let (index, err) = speedup_batch_indexed(&batch).expect_err("the byte count overflows");
         assert_eq!(index, k);
         let want = batch
             .materialize(k)
+            .unwrap()
             .validate()
             .expect_err("validate rejects it");
         assert_eq!(err.to_string(), want.to_string());
@@ -481,4 +485,70 @@ fn a_byte_count_past_u64_max_errs_at_its_point_with_the_validate_text() {
     batch.push_column(SweepParam::ElementsIn, vec![below; 9]);
     assert!(speedup_batch(&batch).is_ok());
     assert_batch_matches_per_point(&batch, "base replaced");
+}
+
+/// A count column whose value rounds to 2^64 or more at index k errs at k
+/// with the per-point text, which names the field and the value as given;
+/// the largest f64 below 2^64 still fits and evaluates. At one point, a
+/// count that does not fit wins over any other column's invalid value.
+#[test]
+fn a_count_past_u64_max_errs_at_its_point_with_the_per_point_text() {
+    const BELOW_2_64: f64 = 18_446_744_073_709_549_568.0;
+    let input = pdf1d();
+    for param in [SweepParam::ElementsIn, SweepParam::Iterations] {
+        for past in [18_446_744_073_709_551_616.0, 1.0e30, f64::MAX] {
+            for n in [1usize, 4, 7, 70] {
+                for k in [0, n / 2, n - 1] {
+                    let mut values = vec![100.0; n];
+                    values[k] = past;
+                    if k + 1 < n {
+                        values[n - 1] = 1.0e30; // also past, but later
+                    }
+                    let mut batch = BatchPoints::new(&input, n);
+                    batch.push_column(param, values);
+                    let ctx = format!("{param:?} {past:e} at {k} of {n}");
+                    let (index, err) = speedup_batch_indexed(&batch).expect_err(&ctx);
+                    assert_eq!(index, k, "{ctx}");
+                    assert_eq!(
+                        err.to_string(),
+                        format!(
+                            "invalid RAT parameter: {} = {past:e} does not fit a u64 count",
+                            param.label()
+                        ),
+                        "{ctx}"
+                    );
+                    assert_batch_matches_per_point(&batch, &ctx);
+                }
+            }
+        }
+        // Stacked over a clock column that is invalid at the same point
+        // and at an earlier one.
+        for (bad_clock, want) in [(3, 3), (4, 4), (5, 4)] {
+            let mut fclock = vec![1.0e8; 8];
+            fclock[bad_clock] = -1.0;
+            let mut counts = vec![100.0; 8];
+            counts[4] = 1.0e30;
+            let mut batch = BatchPoints::new(&input, 8);
+            batch.push_column(SweepParam::Fclock, fclock);
+            batch.push_column(param, counts);
+            let ctx = format!("{param:?} stacked, bad clock at {bad_clock}");
+            let (index, _) = speedup_batch_indexed(&batch).expect_err(&ctx);
+            assert_eq!(index, want, "{ctx}");
+            assert_batch_matches_per_point(&batch, &ctx);
+        }
+    }
+    // The largest f64 below 2^64 is a count: as iterations it evaluates,
+    // and as elements it evaluates once the byte count fits.
+    let mut one_byte = input.clone();
+    one_byte.dataset.bytes_per_element = 1;
+    for (base, param) in [
+        (&input, SweepParam::Iterations),
+        (&one_byte, SweepParam::ElementsIn),
+    ] {
+        let mut batch = BatchPoints::new(base, 3);
+        batch.push_column(param, vec![100.0, BELOW_2_64, 100.0]);
+        let reports = solve_batch(&batch).expect("a count below 2^64 fits");
+        assert_eq!(param.read(&reports[1].input), BELOW_2_64, "{param:?}");
+        assert_batch_matches_per_point(&batch, &format!("{param:?} below 2^64"));
+    }
 }

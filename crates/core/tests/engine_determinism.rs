@@ -115,8 +115,8 @@ proptest! {
         // In comm-dominated double-buffered regimes the speedup is flat in
         // fclock, so every sample (and thus every seed) legitimately yields
         // the same mean; only responsive worksheets can distinguish seeds.
-        let s_lo = rat_core::throughput::speedup(&SweepParam::Fclock.apply(&input, lo));
-        let s_hi = rat_core::throughput::speedup(&SweepParam::Fclock.apply(&input, hi));
+        let s_lo = rat_core::throughput::speedup(&SweepParam::Fclock.apply(&input, lo).unwrap());
+        let s_hi = rat_core::throughput::speedup(&SweepParam::Fclock.apply(&input, hi).unwrap());
         prop_assume!(s_lo.to_bits() != s_hi.to_bits());
         let ranges = [ParamRange::new(SweepParam::Fclock, lo, hi)];
         let engine = Engine::new(EngineConfig::default().with_jobs(4));

@@ -164,12 +164,12 @@ proptest! {
             SweepParam::OpsPerElement,
         ] {
             let target = param.read(&input) * scale;
-            let applied = param.apply(&input, target);
+            let applied = param.apply(&input, target).unwrap();
             prop_assert!((param.read(&applied) - target).abs() / target < 1e-12);
         }
         for param in [SweepParam::ElementsIn, SweepParam::Iterations] {
             let target = (param.read(&input) * scale).max(1.0);
-            let applied = param.apply(&input, target);
+            let applied = param.apply(&input, target).unwrap();
             prop_assert!((param.read(&applied) - target).abs() <= 0.5 + 1e-9);
         }
     }

@@ -182,7 +182,7 @@ proptest! {
         batch.push_column(SweepParam::Fclock, fclocks.as_slice());
         let reports = solve_batch(&batch).unwrap();
         for (i, &f) in fclocks.iter().enumerate() {
-            let scalar = monolithic(&SweepParam::Fclock.apply(&input, f)).unwrap();
+            let scalar = monolithic(&SweepParam::Fclock.apply(&input, f).unwrap()).unwrap();
             prop_assert_eq!(&reports[i], &scalar, "fclock {} (index {})", f, i);
         }
     }
@@ -198,7 +198,7 @@ proptest! {
         batch.push_column(SweepParam::AlphaWrite, alphas.as_slice());
         let reports = solve_batch(&batch).unwrap();
         for (i, &a) in alphas.iter().enumerate() {
-            let scalar = monolithic(&SweepParam::AlphaWrite.apply(&input, a)).unwrap();
+            let scalar = monolithic(&SweepParam::AlphaWrite.apply(&input, a).unwrap()).unwrap();
             prop_assert_eq!(&reports[i], &scalar, "alpha_write {} (index {})", a, i);
         }
     }
@@ -252,7 +252,8 @@ fn staged_sweep_matches_monolithic_across_seams_and_threads() {
             let swept = sweep_with(&engine, &input, SweepParam::Fclock, &values).unwrap();
             assert_eq!(swept.points.len(), n);
             for (i, p) in swept.points.iter().enumerate() {
-                let scalar = monolithic(&SweepParam::Fclock.apply(&input, values[i])).unwrap();
+                let scalar =
+                    monolithic(&SweepParam::Fclock.apply(&input, values[i]).unwrap()).unwrap();
                 assert_eq!(
                     p.report,
                     scalar,

@@ -17,20 +17,13 @@
 //! stream of new points stops growing the cache once it is full, and
 //! [`CacheStats::shard_contention`] counts the try-locks that collided.
 //!
-//! By default the cache lives in memory only, so tests stay hermetic and a
-//! simulator change can never be masked by stale results on disk. The CLI
-//! opts into persistence with [`SimCache::persist_at`] (or the
-//! `RAT_SIM_CACHE` environment variable). Persistence is write-behind: a
-//! dirty counter batches inserts and snapshots the resident set to a TSV
-//! file every [`FLUSH_INTERVAL`] inserts, on [`SimCache::flush`], and on
-//! drop — always via an atomic temp-file rename, so a concurrent reader
-//! never sees a torn file.
+//! The cache lives in memory only and dies with its process, so a simulator
+//! change can never be masked by a stale result.
 
 use crate::platform::Measurement;
 use crate::time::SimTime;
 use rat_core::clock::Clock;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
 /// The scalar results of one platform execution — [`Measurement`] minus the
@@ -121,10 +114,6 @@ pub const SHARD_COUNT: usize = 16;
 /// `reproduce all` looks up, and 2.8 MiB of heap once full (DESIGN.md §13).
 pub const SHARD_CAP: usize = 512;
 
-/// Inserts between write-behind snapshots of a persistent cache: n inserts
-/// rewrite the TSV about `n / FLUSH_INTERVAL` times, not n.
-pub const FLUSH_INTERVAL: u64 = 64;
-
 /// The shard a key belongs to: low bits of the 128-bit digest, which are
 /// uniformly distributed by construction.
 fn shard_of(key: u128) -> usize {
@@ -138,17 +127,10 @@ pub struct SimCache {
     hits: AtomicU64,
     misses: AtomicU64,
     shard_contention: AtomicU64,
-    /// Inserts not yet reflected in the on-disk snapshot; only a persistent
-    /// cache counts them.
-    dirty: AtomicU64,
-    enabled: AtomicBool,
-    /// The snapshot path, set once by [`SimCache::persist_at`]; its mutex
-    /// serializes flushers.
-    disk: OnceLock<Mutex<PathBuf>>,
 }
 
 impl SimCache {
-    /// An empty, enabled, in-memory cache.
+    /// An empty cache.
     pub fn new() -> Self {
         SimCache {
             // Every summary weighs 1, so a shard's budget is its entry cap.
@@ -156,50 +138,13 @@ impl SimCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             shard_contention: AtomicU64::new(0),
-            dirty: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
-            disk: OnceLock::new(),
         }
     }
 
     /// The process-wide cache.
-    ///
-    /// Honors `RAT_SIM_CACHE` on first access: `off`/`0` disables the cache,
-    /// any other non-empty value is a path to persist it at.
     pub fn global() -> &'static SimCache {
         static GLOBAL: OnceLock<SimCache> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let cache = SimCache::new();
-            match std::env::var("RAT_SIM_CACHE") {
-                Ok(v) if v == "off" || v == "0" => cache.set_enabled(false),
-                Ok(v) if !v.is_empty() => cache.persist_at(PathBuf::from(v)),
-                _ => {}
-            }
-            cache
-        })
-    }
-
-    /// Turn lookups and inserts on or off. Disabling does not drop stored
-    /// entries; re-enabling sees them again.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the cache currently answers lookups.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Persist the cache at `path`, the first path it is given: load what a
-    /// previous process left there (CLOCK keeps at most the cap), and
-    /// snapshot the resident set back every [`FLUSH_INTERVAL`] inserts and
-    /// on [`flush`](Self::flush)/drop. Unreadable or malformed files are
-    /// ignored — the cache is an accelerator, never a correctness dependency.
-    pub fn persist_at(&self, path: PathBuf) {
-        for (k, v) in read_tsv(&path).unwrap_or_default() {
-            self.shard(k).put(k, v);
-        }
-        let _ = self.disk.set(Mutex::new(path));
+        GLOBAL.get_or_init(SimCache::new)
     }
 
     /// Lock a key's shard, counting a contended try-lock.
@@ -215,12 +160,8 @@ impl SimCache {
         }
     }
 
-    /// Look up a run key, counting the outcome. Disabled caches miss silently
-    /// without counting.
+    /// Look up a run key, counting the outcome.
     pub fn lookup(&self, key: u128) -> Option<SimSummary> {
-        if !self.is_enabled() {
-            return None;
-        }
         let found = self.shard(key).get(key).copied();
         match found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -229,42 +170,9 @@ impl SimCache {
         found
     }
 
-    /// Store a result. No-op when disabled. Persistent caches batch the disk
-    /// write: the snapshot happens every [`FLUSH_INTERVAL`] inserts, not per
-    /// insert.
+    /// Store a result.
     pub fn insert(&self, key: u128, summary: SimSummary) {
-        if !self.is_enabled() {
-            return;
-        }
         self.shard(key).put(key, summary);
-        // One increment per insert; the flusher swaps the counter back to
-        // zero, so racing inserts at most flush once each past the threshold.
-        if self.disk.get().is_some()
-            && self.dirty.fetch_add(1, Ordering::Relaxed) + 1 >= FLUSH_INTERVAL
-        {
-            self.flush();
-        }
-    }
-
-    /// Write any batched inserts of a persistent cache to disk now. A no-op
-    /// for in-memory caches or when nothing is dirty. Failure to write is a
-    /// lost optimization, not an error.
-    pub fn flush(&self) {
-        let Some(disk) = self.disk.get() else {
-            return;
-        };
-        // The disk mutex serializes concurrent flushers; dirty is swapped to
-        // zero under it so each batch is written exactly once.
-        let path = disk.lock().expect("cache mutex poisoned");
-        if self.dirty.swap(0, Ordering::Relaxed) == 0 {
-            return;
-        }
-        let mut rows: Vec<(u128, SimSummary)> = Vec::new();
-        for shard in &self.shards {
-            let clock = shard.lock().expect("cache shard poisoned");
-            rows.extend(clock.iter().map(|(k, v)| (k, *v)));
-        }
-        let _ = write_tsv(&path, &rows);
     }
 
     /// Current counters.
@@ -295,57 +203,6 @@ impl Default for SimCache {
     fn default() -> Self {
         Self::new()
     }
-}
-
-impl Drop for SimCache {
-    /// Flush batched inserts so a persistent cache never loses the tail of a
-    /// run. The process-global cache is never dropped — the CLI flushes it
-    /// explicitly before exit.
-    fn drop(&mut self) {
-        self.flush();
-    }
-}
-
-// Disk format: one `key_hex \t total \t comm \t streamed \t comp \t host \t
-// iters` row per entry, all times in integer picoseconds. Human-greppable and
-// trivially versioned by the schema salt already folded into every key.
-fn write_tsv(path: &Path, rows: &[(u128, SimSummary)]) -> std::io::Result<()> {
-    let mut body = String::with_capacity(rows.len() * 64);
-    for (k, s) in rows {
-        body.push_str(&format!(
-            "{:032x}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            k,
-            s.total.as_ps(),
-            s.comm_busy.as_ps(),
-            s.streamed_comm.as_ps(),
-            s.compute_busy.as_ps(),
-            s.host_overhead.as_ps(),
-            s.iterations,
-        ));
-    }
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, body)?;
-    std::fs::rename(&tmp, path)
-}
-
-fn read_tsv(path: &Path) -> Option<Vec<(u128, SimSummary)>> {
-    let body = std::fs::read_to_string(path).ok()?;
-    let mut rows = Vec::new();
-    for line in body.lines() {
-        let mut f = line.split('\t');
-        let key = u128::from_str_radix(f.next()?, 16).ok()?;
-        let mut ps = || f.next()?.parse::<u64>().ok();
-        let summary = SimSummary {
-            total: SimTime::from_ps(ps()?),
-            comm_busy: SimTime::from_ps(ps()?),
-            streamed_comm: SimTime::from_ps(ps()?),
-            compute_busy: SimTime::from_ps(ps()?),
-            host_overhead: SimTime::from_ps(ps()?),
-            iterations: ps()?,
-        };
-        rows.push((key, summary));
-    }
-    Some(rows)
 }
 
 #[cfg(test)]
@@ -416,20 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_neither_hits_nor_counts() {
-        let cache = SimCache::new();
-        cache.insert(1, sample_summary(10));
-        cache.set_enabled(false);
-        assert_eq!(cache.lookup(1), None);
-        cache.insert(2, sample_summary(20));
-        assert_eq!(cache.stats().hits + cache.stats().misses, 0);
-        // Entries survive a disable/enable cycle.
-        cache.set_enabled(true);
-        assert_eq!(cache.lookup(1), Some(sample_summary(10)));
-        assert_eq!(cache.lookup(2), None);
-    }
-
-    #[test]
     fn cached_summary_matches_direct_execution() {
         let platform = Platform::new(catalog::nallatech_h101());
         let kernel = TabulatedKernel::uniform("k", 20_000, 8);
@@ -447,80 +290,6 @@ mod tests {
         assert_eq!(warm, direct);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn persistence_round_trips_through_tsv() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        let first = SimCache::new();
-        first.persist_at(path.clone());
-        first.insert(0xABCD, sample_summary(777));
-        first.insert(0x1234, sample_summary(888));
-        // Writes are batched now: nothing reaches disk until a flush.
-        assert!(!path.exists(), "write-behind must not write per insert");
-        first.flush();
-
-        let second = SimCache::new();
-        second.persist_at(path.clone());
-        assert_eq!(second.lookup(0xABCD), Some(sample_summary(777)));
-        assert_eq!(second.lookup(0x1234), Some(sample_summary(888)));
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn drop_flushes_pending_inserts() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-drop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        {
-            let cache = SimCache::new();
-            cache.persist_at(path.clone());
-            cache.insert(0xFEED, sample_summary(111));
-            assert!(!path.exists());
-        } // drop flushes
-
-        let reader = SimCache::new();
-        reader.persist_at(path.clone());
-        assert_eq!(reader.lookup(0xFEED), Some(sample_summary(111)));
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
-    fn interval_flush_bounds_write_amplification() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-amp-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let _ = std::fs::remove_file(&path);
-
-        let cache = SimCache::new();
-        cache.persist_at(path.clone());
-        for k in 0..FLUSH_INTERVAL - 1 {
-            cache.insert(u128::from(k), sample_summary(k + 1));
-        }
-        assert!(!path.exists(), "below the interval nothing is written");
-        cache.insert(
-            u128::from(FLUSH_INTERVAL - 1),
-            sample_summary(FLUSH_INTERVAL),
-        );
-        assert!(
-            path.exists(),
-            "the interval-th insert triggers the snapshot"
-        );
-        let rows = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(rows.lines().count() as u64, FLUSH_INTERVAL);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
@@ -566,21 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn malformed_cache_file_is_ignored() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-bad-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        std::fs::write(&path, "not\ta\tcache\n").unwrap();
-
-        let cache = SimCache::new();
-        cache.persist_at(path.clone());
-        assert_eq!(cache.stats().entries, 0);
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
-    }
-
-    #[test]
     fn summary_helpers_match_measurement_semantics() {
         let s = SimSummary {
             total: SimTime::from_ns(450),
@@ -607,18 +361,6 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries), (0, 0, 1));
     }
 
-    #[test]
-    fn in_memory_inserts_never_head_for_the_disk() {
-        // An in-memory cache has no snapshot to batch toward: were inserts
-        // counted, every one past the interval would take the flush path.
-        let cache = SimCache::new();
-        for k in 0..200u64 {
-            cache.insert(u128::from(k), sample_summary(k + 1));
-        }
-        assert_eq!(cache.dirty.load(Ordering::Relaxed), 0);
-        assert_eq!(cache.stats().entries, 200);
-    }
-
     const CAP: u64 = (SHARD_COUNT * SHARD_CAP) as u64;
 
     #[test]
@@ -642,32 +384,5 @@ mod tests {
         }
         // Low bits spread the 4 x CAP keys evenly, so every shard filled.
         assert_eq!(cache.stats().entries, CAP);
-    }
-
-    #[test]
-    fn an_oversized_tsv_loads_and_flushes_at_most_the_cap() {
-        let dir = std::env::temp_dir().join(format!("rat-sim-cache-cap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cache.tsv");
-        let rows: Vec<(u128, SimSummary)> = (0..2 * CAP)
-            .map(|k| (u128::from(k), sample_summary(k + 1)))
-            .collect();
-        write_tsv(&path, &rows).unwrap();
-
-        let cache = SimCache::new();
-        cache.persist_at(path.clone());
-        assert_eq!(cache.stats().entries, CAP);
-        cache.insert(u128::from(2 * CAP), sample_summary(1));
-        cache.flush();
-        let flushed = read_tsv(&path).unwrap();
-        assert_eq!(flushed.len() as u64, CAP);
-        // The snapshot is the resident set, the newest insert included.
-        for (k, v) in flushed {
-            assert_eq!(cache.lookup(k), Some(v));
-        }
-        assert_eq!(cache.lookup(u128::from(2 * CAP)), Some(sample_summary(1)));
-
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

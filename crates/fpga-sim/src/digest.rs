@@ -20,8 +20,10 @@ use crate::platform::{AppRun, BufferMode, PlatformSpec};
 use crate::time::SimTime;
 use rat_core::quantity::Freq;
 
-/// Version tag folded into every run key. Bump when the simulator's semantics
-/// change in a way that invalidates previously cached measurements.
+/// Version tag that seeds every digest. Nothing keyed by it outlives the
+/// process (the [`crate::SimCache`] lives in memory), so a simulator change
+/// needs no bump; changing it would move every digest, the response cache's
+/// keys and their shard spread included.
 const SCHEMA: &str = "fpga-sim-run-v1";
 
 const FNV_OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -114,7 +116,7 @@ impl Digestible for Interconnect {
     fn digest_into(&self, d: &mut SpecDigest) {
         d.write_str(&self.name);
         // Digested as the raw bytes/second bit pattern — the same bits the
-        // pre-typed field held, so existing persisted cache keys stay valid.
+        // pre-typed field held, so every digest stayed where it was.
         d.write_f64(self.ideal_bw.bytes_per_sec());
         self.setup_write.digest_into(d);
         self.setup_read.digest_into(d);

@@ -24,7 +24,6 @@
 //! | invalid parameter, quantity, or TOML | 3 | 400 |
 //! | infeasible | 4 | 422 |
 //! | simulation failure | 5 | 500 |
-//! | cache I/O failure | 6 | 507 |
 //!
 //! plus the protocol-level codes an HTTP surface needs: 404 unknown route,
 //! 405 wrong method, 408 request timeout, 413 oversized body, 503 queue
@@ -110,14 +109,13 @@ impl std::error::Error for ModeError {
 }
 
 /// The HTTP status for a [`RatError`] class — the same partition the CLI
-/// maps onto exit codes 3/4/5/6 (usage errors, exit 2, are requests that
+/// maps onto exit codes 3/4/5 (usage errors, exit 2, are requests that
 /// never reach the pipeline and map to 400 at the protocol layer).
 pub fn http_status(e: &RatError) -> u16 {
     match e {
         RatError::InvalidParameter(_) | RatError::InvalidQuantity { .. } => 400,
         RatError::Infeasible(_) => 422,
         RatError::Simulation(_) => 500,
-        RatError::CacheIo(_) => 507,
     }
 }
 
@@ -990,12 +988,11 @@ mod tests {
 
     #[test]
     fn status_table_mirrors_cli_exit_codes() {
-        // exit 3 → 400, exit 4 → 422, exit 5 → 500, exit 6 → 507.
+        // exit 3 → 400, exit 4 → 422, exit 5 → 500.
         assert_eq!(http_status(&RatError::InvalidParameter("x".into())), 400);
         assert_eq!(http_status(&RatError::quantity("comp.fclock", "bad")), 400);
         assert_eq!(http_status(&RatError::Infeasible("wall".into())), 422);
         assert_eq!(http_status(&RatError::simulation("diverged")), 500);
-        assert_eq!(http_status(&RatError::cache_io("disk")), 507);
         // exit 2 (usage) → 400 at the protocol layer.
         assert_eq!(ApiError::bad_request("x", "y").status(), 400);
     }

@@ -1,7 +1,7 @@
 //! Content-addressed cache keys for rendered responses.
 //!
 //! Two tiers, both 128-bit FNV-1a digests via [`fpga_sim::SpecDigest`] (the
-//! same framed scheme the simulation cache trusts for its on-disk keys):
+//! same framed scheme the simulation cache keys its runs by):
 //!
 //! - [`raw_key`]: digest of the route plus the *byte-exact* request body.
 //!   Cheap enough to compute before any parsing, so a repeated identical

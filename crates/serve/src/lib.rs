@@ -36,9 +36,8 @@
 //!   connection queue (backpressure → `503`), N worker threads each owning
 //!   a warm [`rat_core::engine::Engine`] and looping requests on kept-alive
 //!   connections, graceful drain on `POST /shutdown` or SIGINT/SIGTERM
-//!   (in-flight requests complete, the write-behind simulator cache is
-//!   flushed to disk), and a plaintext `GET /metrics` endpoint with
-//!   per-request latency histograms.
+//!   (in-flight requests complete), and a plaintext `GET /metrics`
+//!   endpoint with per-request latency histograms.
 //! * [`loadgen`] — the `rat bench --serve` load generator: fires mixed
 //!   keep-alive load (with duplicate phases) at an in-process server plus a
 //!   close-per-request baseline, records RPS, tail latency, connection

@@ -17,7 +17,7 @@ use fpga_sim::CacheStats;
 use rat_core::telemetry::{Metric, Profile};
 
 /// The status codes the server can emit, in rendering order.
-pub const STATUSES: [u16; 10] = [200, 400, 404, 405, 408, 413, 422, 500, 503, 507];
+pub const STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 422, 500, 503];
 
 /// Latency histogram with power-of-two microsecond buckets: bucket `i`
 /// counts requests in `[2^i, 2^(i+1))` µs, with the last bucket open-ended.

@@ -27,9 +27,8 @@
 //! acceptor with a loopback connection; the acceptor stops accepting and
 //! closes the queue; workers finish every connection already queued (their
 //! final responses advertise `Connection: close`) and exit;
-//! [`ServerHandle::join`] then flushes the write-behind simulator cache to
-//! disk and returns a [`ServeSummary`]. No thread is detached, so a joined
-//! server has provably leaked nothing.
+//! [`ServerHandle::join`] then returns a [`ServeSummary`]. No thread is
+//! detached, so a joined server has provably leaked nothing.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -184,9 +183,8 @@ impl ServerHandle {
     }
 
     /// Block until the server has fully drained (after `POST /shutdown`, a
-    /// signal, or [`StopTrigger::trigger`]), then flush the write-behind
-    /// simulator cache and return the final accounting. Joins every thread
-    /// the server started.
+    /// signal, or [`StopTrigger::trigger`]), then return the final
+    /// accounting. Joins every thread the server started.
     pub fn join(self) -> ServeSummary {
         self.acceptor.join().expect("acceptor thread panicked");
         // No more pushes are possible; close so workers drain and exit.
@@ -198,8 +196,6 @@ impl ServerHandle {
         self.shared
             .metrics
             .merge_profile(&telemetry::global().drain());
-        // Durable shutdown: push the write-behind cache to disk.
-        SimCache::global().flush();
         let m = &self.shared.metrics;
         let ok = m.status_count(200);
         let total: u64 = crate::metrics::STATUSES

@@ -130,7 +130,6 @@ fn a_daemon_fed_new_clocks_stops_growing_once_its_caches_are_full() {
     let mut daemon = Daemon(
         Command::new(rat_binary())
             .args(["--jobs", "1", "serve", "--port", "0", "--workers", "1"])
-            .env_remove("RAT_SIM_CACHE")
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())

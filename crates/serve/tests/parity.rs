@@ -338,7 +338,7 @@ fn a_name_past_the_bmp_sent_in_ascii_escapes_answers_as_the_cli_does() {
 }
 
 /// DESIGN.md §14: the HTTP status for each CLI exit code.
-const EXIT_TO_STATUS: [(i32, u16); 5] = [(2, 400), (3, 400), (4, 422), (5, 500), (6, 507)];
+const EXIT_TO_STATUS: [(i32, u16); 4] = [(2, 400), (3, 400), (4, 422), (5, 500)];
 
 #[test]
 fn failing_requests_fail_alike_through_the_cli_and_the_server() {

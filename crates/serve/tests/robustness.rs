@@ -422,6 +422,36 @@ fn overflowing_byte_counts_and_counts_below_one_answer_400_naming_the_field() {
 }
 
 #[test]
+fn counts_past_u64_max_answer_400_naming_the_field() {
+    let handle = start();
+    let addr = handle.addr();
+    let ws = escape_json(&toml::to_string(&rat_apps::pdf::pdf1d::rat_input(150.0e6)).unwrap());
+    for (path, rest, rule) in [
+        (
+            "/v1/sweep",
+            "\"param\": \"iterations\", \"values\": [1e30]",
+            "iterations = 1e30 does not fit a u64 count",
+        ),
+        (
+            "/v1/uncertainty",
+            "\"ranges\": [{\"param\": \"iterations\", \"lo\": 1e19, \"hi\": 1e30}]",
+            "does not fit a u64 count",
+        ),
+    ] {
+        let (status, body) = post(
+            addr,
+            path,
+            &format!("{{\"worksheet_toml\": \"{ws}\", {rest}}}"),
+        );
+        assert_eq!(status, 400, "{path}: {body}");
+        assert!(body.contains(rule), "{path}: {body}");
+        assert!(body.contains("iterations = "), "{path}: {body}");
+        still_alive(&handle, &format!("{path} past u64::MAX"));
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn full_queue_answers_503_busy_and_recovers() {
     // One worker, one queue slot, short request timeout: occupy the worker
     // with a connection that sends nothing, fill the single slot with a
