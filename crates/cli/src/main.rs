@@ -163,7 +163,7 @@ fn main() -> ExitCode {
             .unwrap_or_else(|| "help".to_string());
         let _run_span = telemetry::span_args(
             "rat.run",
-            vec![("command", telemetry::ArgValue::Str(command))],
+            vec![("command", telemetry::ArgValue::Str(command.into()))],
         );
         dispatch(&engine, &flags.rest)
     }

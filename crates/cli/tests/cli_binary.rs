@@ -366,3 +366,55 @@ fn trace_mhz_override_is_reflected_in_output() {
     assert_eq!(code, 0);
     assert!(stdout.contains("simulated at 100 MHz"), "{stdout}");
 }
+
+#[test]
+fn searches_past_the_size_caps_are_usage_errors_not_aborts() {
+    // Each of these once panicked ("capacity overflow", exit 101) or
+    // aborted on an allocation failure (exit 134): the caps the daemon
+    // answers 400 with were checked only in its JSON parser.
+    let ws = worksheet("pdf1d");
+    let clocks = vec!["1e8"; 30_000].join(",");
+    let throughputs = vec!["1"; 60_000].join(",");
+    let cases: [(Vec<&str>, &str); 3] = [
+        (
+            vec![
+                "optimize",
+                &ws,
+                "--generations",
+                "1",
+                "--population",
+                "1152921504606846976",
+            ],
+            "generations x population is 1152921504606846976 evaluations; at most 1000000",
+        ),
+        (
+            vec![
+                "optimize",
+                &ws,
+                "--generations",
+                "1",
+                "--population",
+                "1000000000000",
+            ],
+            "generations x population is 1000000000000 evaluations; at most 1000000",
+        ),
+        (
+            vec![
+                "explore",
+                &ws,
+                "2",
+                "--fclocks",
+                &clocks,
+                "--throughput-procs",
+                &throughputs,
+            ],
+            "design space has 3600000000 corners; at most 1000000",
+        ),
+    ];
+    for (args, cause) in cases {
+        let (stdout, stderr, code) = run_rat_env(&args, &[]);
+        assert_eq!(code, 2, "{}: stderr: {stderr}", args[0]);
+        assert!(stderr.contains(cause), "{}: {stderr}", args[0]);
+        assert!(stdout.is_empty(), "{}: {stdout}", args[0]);
+    }
+}

@@ -29,6 +29,7 @@ pub use stream::{job_rng, job_rng_first_draws, FIRST_BLOCK_DRAWS};
 use crate::telemetry::{self, ArgValue, Metric};
 use pool::WorkerPool;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Upper bound on resident worker threads, whatever `jobs` says: beyond this
@@ -61,6 +62,10 @@ pub enum PointCost {
     /// One Monte-Carlo sample on the batched uncertainty path: a handful of
     /// RNG draws plus one lane of the speedup kernel (~tens of ns).
     McSample,
+    /// One scored search candidate: one lane of the prediction kernel,
+    /// speedup and utilization only (~20 ns; a traced 2-D PDF search spent
+    /// 808 µs of `engine.job` time on 34,321 points, spans included).
+    Prediction,
     /// One full solve/report materialization on the sweep and break-even
     /// paths: validation, both bufferings, report assembly (~hundreds of ns).
     FullReport,
@@ -70,6 +75,7 @@ impl PointCost {
     fn nanos(self) -> u64 {
         match self {
             PointCost::McSample => 50,
+            PointCost::Prediction => 20,
             PointCost::FullReport => 300,
         }
     }
@@ -163,44 +169,48 @@ impl Engine {
         // recorded. The job kind is the phase that spawned the batch (sweep,
         // uncertainty, ...): the innermost span open before the batch span.
         // `engine.job` spans recorded on pool threads nest under the batch
-        // span instead of floating at top level.
-        let (kind, parent, batch_span) = if collect {
+        // span instead of floating at top level. Every job's span shares the
+        // one kind, and the submitting thread is noted so a job can tell
+        // whether it runs on a pool thread.
+        let (jobs_ctx, batch_span) = if collect {
             let prefix = telemetry::global().current_path_prefix();
-            let kind = prefix
+            let kind: Arc<str> = prefix
                 .trim_end_matches('/')
                 .rsplit('/')
                 .next()
                 .filter(|s| !s.is_empty())
                 .unwrap_or("adhoc")
-                .to_string();
+                .into();
             let span =
                 telemetry::span_args("engine.batch", vec![("jobs", ArgValue::U64(n as u64))]);
-            (kind, prefix + "engine.batch/", Some(span))
+            let submitter = std::thread::current().id();
+            (
+                Some((kind, prefix + "engine.batch/", submitter)),
+                Some(span),
+            )
         } else {
-            (String::new(), String::new(), None)
+            (None, None)
         };
         let timed = |i: usize| {
             let job_started = Instant::now();
-            // Re-root only on detached pool threads: when a job runs inline
-            // on the spawning thread (jobs = 1), its span already nests
-            // under the batch span via that thread's local stack, and
-            // installing the prefix would double the path.
-            let _prefix = if collect && telemetry::global().current_path_prefix().is_empty() {
-                Some(telemetry::global().scoped_prefix(&parent))
-            } else {
-                None
-            };
-            let _span = if collect {
-                Some(telemetry::span_args(
+            // Re-root only on pool threads, whose span stack is empty. A job
+            // on the submitting thread (jobs = 1, the submitter's own claims,
+            // a batch nested in a job) already nests under the batch span
+            // via that thread's stack, and installing the prefix would double
+            // the path.
+            let _prefix = jobs_ctx
+                .as_ref()
+                .filter(|(_, _, submitter)| std::thread::current().id() != *submitter)
+                .map(|(_, parent, _)| telemetry::global().scoped_prefix(parent));
+            let _span = jobs_ctx.as_ref().map(|(kind, _, _)| {
+                telemetry::span_args(
                     "engine.job",
                     vec![
                         ("job", ArgValue::U64(i as u64)),
-                        ("kind", ArgValue::Str(kind.clone())),
+                        ("kind", ArgValue::Str(Arc::clone(kind))),
                     ],
-                ))
-            } else {
-                None
-            };
+                )
+            });
             let out = f(i);
             counters.record_job(job_started.elapsed());
             out
@@ -352,6 +362,7 @@ mod tests {
         assert!(mc <= MAX_CHUNK_POINTS);
         // Costlier points justify smaller chunks.
         assert!(par.chunk_len(10_000, PointCost::FullReport) <= mc);
+        assert!(par.chunk_len(10_000, PointCost::Prediction) >= mc);
         // Degenerate totals stay well-formed.
         assert_eq!(par.chunk_len(0, PointCost::McSample), 1);
         assert_eq!(par.chunk_len(3, PointCost::McSample), 3);
@@ -364,15 +375,32 @@ mod tests {
     fn chunk_len_floors_chunks_at_the_dispatch_quantum() {
         let par = Engine::new(EngineConfig::default().with_jobs(8));
 
-        // Cost-class floors: 25 µs buys 500 MC samples (50 ns each) but
-        // only 83 full reports (300 ns each).
+        // Cost-class floors: 25 µs buys 1,250 search predictions (20 ns
+        // each), 500 MC samples (50 ns each) but only 83 full reports (300
+        // ns each).
+        assert_eq!(
+            (MIN_JOB_NANOS / PointCost::Prediction.nanos()) as usize,
+            1250
+        );
         assert_eq!((MIN_JOB_NANOS / PointCost::McSample.nanos()) as usize, 500);
         assert_eq!((MIN_JOB_NANOS / PointCost::FullReport.nanos()) as usize, 83);
 
         // 10 000 points on 8 threads: the raw target ceil(10000/32) = 313
-        // is below the MC floor (500) but above the full-report floor (83).
+        // is below the prediction (1,250) and MC (500) floors but above the
+        // full-report floor (83).
+        assert_eq!(par.chunk_len(10_000, PointCost::Prediction), 1250);
         assert_eq!(par.chunk_len(10_000, PointCost::McSample), 500);
         assert_eq!(par.chunk_len(10_000, PointCost::FullReport), 313);
+
+        // A search generation's buffering partition (up to its whole
+        // 1,024-candidate population) is under one prediction quantum, so
+        // it is one job, which the pool runs inline on the caller.
+        for partition in [12, 512, 1024] {
+            assert_eq!(par.chunk_len(partition, PointCost::Prediction), partition);
+        }
+        // At the Monte-Carlo class the same partition would be a 500-point
+        // job plus a 12-point one, waking the pool every generation.
+        assert_eq!(par.chunk_len(512, PointCost::McSample), 500);
 
         // Enough points that the raw target clears the floor untouched...
         assert_eq!(par.chunk_len(100_000, PointCost::McSample), 3125);
@@ -400,7 +428,11 @@ mod tests {
             Engine::new(EngineConfig::default().with_jobs(2)),
             Engine::new(EngineConfig::default().with_jobs(8)),
         ] {
-            for cost in [PointCost::McSample, PointCost::FullReport] {
+            for cost in [
+                PointCost::Prediction,
+                PointCost::McSample,
+                PointCost::FullReport,
+            ] {
                 assert_eq!(engine.chunk_len(1, cost), 1);
             }
         }

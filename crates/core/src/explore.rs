@@ -14,6 +14,8 @@
 //! and the cheapest, get a full named [`Report`], so a million-corner space
 //! costs one kernel pass plus at most eleven reports.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::fmt::Write;
 
 use crate::error::RatError;
@@ -92,38 +94,31 @@ impl DesignSpace {
             * self.bufferings.len().max(1)
     }
 
+    /// The resolved axes (clocks, throughputs, bufferings): an empty axis
+    /// holds the base design's value alone. Corner `(k * bufferings + b)`
+    /// sits at clock `k / throughputs`, throughput `k % throughputs` and
+    /// buffering `b`: clock outermost, buffering innermost.
+    fn axes(&self) -> Axes<'_> {
+        fn or_base<T: Clone>(axis: &[T], base: T) -> Cow<'_, [T]> {
+            if axis.is_empty() {
+                Cow::Owned(vec![base])
+            } else {
+                Cow::Borrowed(axis)
+            }
+        }
+        Axes {
+            fclocks: or_base(&self.fclocks, self.base.comp.fclock.hz()),
+            throughput_procs: or_base(&self.throughput_procs, self.base.comp.throughput_proc),
+            bufferings: or_base(&self.bufferings, self.base.buffering),
+        }
+    }
+
     /// Enumerate every corner's raw coordinates, in deterministic axis order
     /// (clock outermost, buffering innermost). This is the cheap enumeration:
     /// no input clones, no name formatting — a corner is three scalars.
     pub fn corner_coords(&self) -> Vec<Corner> {
-        let fclocks: Vec<f64> = if self.fclocks.is_empty() {
-            vec![self.base.comp.fclock.hz()]
-        } else {
-            self.fclocks.clone()
-        };
-        let tps: Vec<f64> = if self.throughput_procs.is_empty() {
-            vec![self.base.comp.throughput_proc]
-        } else {
-            self.throughput_procs.clone()
-        };
-        let bufs: Vec<Buffering> = if self.bufferings.is_empty() {
-            vec![self.base.buffering]
-        } else {
-            self.bufferings.clone()
-        };
-        let mut out = Vec::with_capacity(self.size());
-        for &f in &fclocks {
-            for &tp in &tps {
-                for &b in &bufs {
-                    out.push(Corner {
-                        fclock_hz: f,
-                        throughput_proc: tp,
-                        buffering: b,
-                    });
-                }
-            }
-        }
-        out
+        let axes = self.axes();
+        (0..axes.len()).map(|c| axes.corner(c)).collect()
     }
 
     /// Enumerate every corner as a concrete, named worksheet input. This is
@@ -140,6 +135,45 @@ impl DesignSpace {
                 c
             })
             .collect()
+    }
+}
+
+/// A design space's resolved axes (see [`DesignSpace::axes`]).
+struct Axes<'a> {
+    fclocks: Cow<'a, [f64]>,
+    throughput_procs: Cow<'a, [f64]>,
+    bufferings: Cow<'a, [Buffering]>,
+}
+
+impl Axes<'_> {
+    /// Number of corners.
+    fn len(&self) -> usize {
+        self.grid_len() * self.bufferings.len()
+    }
+
+    /// Number of (clock, throughput) grid points.
+    fn grid_len(&self) -> usize {
+        self.fclocks.len() * self.throughput_procs.len()
+    }
+
+    /// Clock of grid point `k`.
+    fn fclock(&self, k: usize) -> f64 {
+        self.fclocks[k / self.throughput_procs.len()]
+    }
+
+    /// Throughput of grid point `k`.
+    fn throughput_proc(&self, k: usize) -> f64 {
+        self.throughput_procs[k % self.throughput_procs.len()]
+    }
+
+    /// Corner `c`'s coordinates.
+    fn corner(&self, c: usize) -> Corner {
+        let k = c / self.bufferings.len();
+        Corner {
+            fclock_hz: self.fclock(k),
+            throughput_proc: self.throughput_proc(k),
+            buffering: self.bufferings[c % self.bufferings.len()],
+        }
     }
 }
 
@@ -202,17 +236,19 @@ impl Exploration {
 
 /// Explore `space` against `min_speedup`.
 ///
-/// The whole space is gated through the batched SoA kernel: corners
-/// partition by buffering discipline (a base-level property of a batch),
-/// and each partition is one [`solve::batch::speedup_batch_indexed`] call
-/// with `f_clock` and `throughput_proc` columns. The passing corners are
-/// ranked by those speedups, which are bit-identical to the ones a full
-/// [`Report`] would carry: the [`TOP`] best are selected in linear time and
-/// only they are sorted, and the cheapest is picked from the coordinates.
-/// Only the [`TOP`] ranked corners and the cheapest get a full named
-/// report, so the cost past the gate does not grow with the space. On
-/// an invalid corner, the lowest-indexed corner in enumeration order wins
-/// error reporting.
+/// The whole space is gated through the batched SoA kernel. The clock and
+/// throughput columns are built once, over the (clock, throughput) grid,
+/// and each buffering discipline on the axis is one
+/// [`solve::batch::speedup_batch`] call over that grid, so a corner's
+/// speedup is its grid point's under its discipline: bit-identical to the
+/// one a full [`Report`] would carry. One pass over the corners, in
+/// enumeration order, then counts the passing ones, keeps the [`TOP`] best
+/// in rank order (speedup descending, then enumeration order) and picks the
+/// cheapest from the coordinates. Only those get a full named report, so
+/// the cost past the gate does not grow with the space. On an invalid
+/// corner, the lowest-indexed corner in enumeration order wins error
+/// reporting: its grid point is the grid's lowest invalid one under every
+/// discipline, since validity does not depend on the buffering.
 pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, RatError> {
     let _span = crate::telemetry::span("explore");
     if !(min_speedup.is_finite() && min_speedup > 0.0) {
@@ -220,85 +256,90 @@ pub fn explore(space: &DesignSpace, min_speedup: f64) -> Result<Exploration, Rat
             "min_speedup must be positive, got {min_speedup}"
         )));
     }
-    let corners = space.corner_coords();
-    let mut speedups = vec![0.0_f64; corners.len()];
-    let mut first_err: Option<(usize, RatError)> = None;
-    for buffering in [Buffering::Single, Buffering::Double] {
-        let idx: Vec<usize> = (0..corners.len())
-            .filter(|&i| corners[i].buffering == buffering)
-            .collect();
-        if idx.is_empty() {
+    let axes = space.axes();
+    let grid = axes.grid_len();
+    let fcol: Vec<f64> = (0..grid).map(|k| axes.fclock(k)).collect();
+    let tcol: Vec<f64> = (0..grid).map(|k| axes.throughput_proc(k)).collect();
+    let mut speedups: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for (slot, buffering) in [Buffering::Single, Buffering::Double]
+        .into_iter()
+        .enumerate()
+    {
+        if !axes.bufferings.contains(&buffering) {
             continue;
         }
         let base = space.base.with_buffering(buffering);
-        let mut batch = BatchPoints::new(&base, idx.len());
-        batch.push_column(
-            SweepParam::Fclock,
-            idx.iter()
-                .map(|&i| corners[i].fclock_hz)
-                .collect::<Vec<f64>>(),
-        );
-        batch.push_column(
-            SweepParam::ThroughputProc,
-            idx.iter()
-                .map(|&i| corners[i].throughput_proc)
-                .collect::<Vec<f64>>(),
-        );
-        match solve::batch::speedup_batch_indexed(&batch) {
-            Ok(s) => {
-                for (k, &i) in idx.iter().enumerate() {
-                    speedups[i] = s[k];
-                }
+        let mut batch = BatchPoints::new(&base, grid);
+        batch.push_column(SweepParam::Fclock, &fcol[..]);
+        batch.push_column(SweepParam::ThroughputProc, &tcol[..]);
+        // Validity does not depend on the discipline, so the lowest failing
+        // corner sits at the grid's lowest failing point, whose error reads
+        // the same under either discipline.
+        speedups[slot] = solve::batch::speedup_batch(&batch)?;
+    }
+    let columns: Vec<&[f64]> = axes
+        .bufferings
+        .iter()
+        .map(|b| match b {
+            Buffering::Single => &speedups[0][..],
+            Buffering::Double => &speedups[1][..],
+        })
+        .collect();
+    let mut passing = 0;
+    // The best passing corners so far as (speedup, corner), in rank order.
+    let mut top: Vec<(f64, usize)> = Vec::with_capacity(TOP + 1);
+    let mut cheapest: Option<(f64, usize)> = None;
+    // Cost order: lowest throughput_proc, then lowest clock.
+    let cost = |c: usize| {
+        let k = c / columns.len();
+        (axes.throughput_proc(k), axes.fclock(k))
+    };
+    for k in 0..grid {
+        let passes = (columns.iter().enumerate())
+            .map(|(pos, column)| (column[k], k * columns.len() + pos))
+            .filter(|&(s, _)| s >= min_speedup);
+        for (s, corner) in passes {
+            passing += 1;
+            // Corners arrive in enumeration order, so a new corner ranks
+            // after every kept one of equal speedup.
+            if top.len() < TOP || s.total_cmp(&top[TOP - 1].0) == Ordering::Greater {
+                let at = top.partition_point(|(t, _)| t.total_cmp(&s) != Ordering::Less);
+                top.insert(at, (s, corner));
+                top.truncate(TOP);
             }
-            // `idx` ascends, so the kernel's lowest in-partition failure maps
-            // to the partition's lowest corner; the min across partitions is
-            // the globally lowest failing corner.
-            Err((k, e)) => {
-                let global = idx[k];
-                if first_err.as_ref().is_none_or(|(j, _)| global < *j) {
-                    first_err = Some((global, e));
+            // Equal costs go to the better-ranked corner: the earlier one,
+            // unless this one is faster.
+            let cheaper = cheapest.is_none_or(|(cs, c)| {
+                match cost(corner)
+                    .partial_cmp(&cost(c))
+                    .expect("finite by validation")
+                {
+                    Ordering::Less => true,
+                    Ordering::Equal => s.total_cmp(&cs) == Ordering::Greater,
+                    Ordering::Greater => false,
                 }
+            });
+            if cheaper {
+                cheapest = Some((s, corner));
             }
         }
     }
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    // Rank order: speedup descending, then enumeration order. Only the
-    // `TOP` best passing corners are sorted; the rest are only counted.
-    let rank = |&a: &usize, &b: &usize| speedups[b].total_cmp(&speedups[a]).then(a.cmp(&b));
-    let mut ranked: Vec<usize> = (0..corners.len())
-        .filter(|&i| speedups[i] >= min_speedup)
-        .collect();
-    let passing = ranked.len();
-    // Equal costs go to the better-ranked corner.
-    let cheapest = ranked.iter().copied().min_by(|a, b| {
-        let key = |i: usize| (corners[i].throughput_proc, corners[i].fclock_hz);
-        key(*a)
-            .partial_cmp(&key(*b))
-            .expect("finite by validation")
-            .then_with(|| rank(a, b))
-    });
-    if ranked.len() > TOP {
-        ranked.select_nth_unstable_by(TOP - 1, rank);
-        ranked.truncate(TOP);
-    }
-    ranked.sort_unstable_by(rank);
-    let report = |i: usize| {
+    let report = |c: usize| {
+        let corner = axes.corner(c);
         let mut named = space.base.clone();
-        corners[i].apply_into(&mut named);
-        named.name = corners[i].display_name(&space.base.name);
+        corner.apply_into(&mut named);
+        named.name = corner.display_name(&space.base.name);
         Worksheet::new(named).analyze()
     };
     Ok(Exploration {
         min_speedup,
         passing,
-        top: ranked
+        top: top
             .iter()
-            .map(|&i| report(i))
+            .map(|&(_, c)| report(c))
             .collect::<Result<_, _>>()?,
-        failing: corners.len() - passing,
-        cheapest: cheapest.map(report).transpose()?,
+        failing: axes.len() - passing,
+        cheapest: cheapest.map(|(_, c)| report(c)).transpose()?,
     })
 }
 
@@ -479,6 +520,136 @@ mod tests {
                 assert_eq!(
                     explore(&s, min_speedup).unwrap(),
                     rank_reference(&reports, min_speedup),
+                    "seed {seed}, target {min_speedup}"
+                );
+            }
+        }
+    }
+
+    /// The explore before the streaming pass: enumerate every corner,
+    /// gate each buffering's corners as one batch, collect the passing
+    /// corners, pick the cheapest, then select and sort the top ten.
+    fn enumerate_rank_select(
+        space: &DesignSpace,
+        min_speedup: f64,
+    ) -> Result<Exploration, RatError> {
+        let corners = space.corner_coords();
+        let mut speedups = vec![0.0_f64; corners.len()];
+        let mut first_err: Option<(usize, RatError)> = None;
+        for buffering in [Buffering::Single, Buffering::Double] {
+            let idx: Vec<usize> = (0..corners.len())
+                .filter(|&i| corners[i].buffering == buffering)
+                .collect();
+            if idx.is_empty() {
+                continue;
+            }
+            let base = space.base.with_buffering(buffering);
+            let mut batch = BatchPoints::new(&base, idx.len());
+            let column = |f: fn(&Corner) -> f64| -> Vec<f64> {
+                idx.iter().map(|&i| f(&corners[i])).collect()
+            };
+            batch.push_column(SweepParam::Fclock, column(|c| c.fclock_hz));
+            batch.push_column(SweepParam::ThroughputProc, column(|c| c.throughput_proc));
+            match solve::batch::speedup_batch_indexed(&batch) {
+                Ok(s) => {
+                    for (k, &i) in idx.iter().enumerate() {
+                        speedups[i] = s[k];
+                    }
+                }
+                Err((k, e)) => {
+                    if first_err.as_ref().is_none_or(|(j, _)| idx[k] < *j) {
+                        first_err = Some((idx[k], e));
+                    }
+                }
+            }
+        }
+        if let Some((_, e)) = first_err {
+            return Err(e);
+        }
+        let rank = |&a: &usize, &b: &usize| speedups[b].total_cmp(&speedups[a]).then(a.cmp(&b));
+        let mut ranked: Vec<usize> = (0..corners.len())
+            .filter(|&i| speedups[i] >= min_speedup)
+            .collect();
+        let passing = ranked.len();
+        let cheapest = ranked.iter().copied().min_by(|a, b| {
+            let key = |i: usize| (corners[i].throughput_proc, corners[i].fclock_hz);
+            key(*a)
+                .partial_cmp(&key(*b))
+                .unwrap()
+                .then_with(|| rank(a, b))
+        });
+        if ranked.len() > TOP {
+            ranked.select_nth_unstable_by(TOP - 1, rank);
+            ranked.truncate(TOP);
+        }
+        ranked.sort_unstable_by(rank);
+        let report = |i: usize| {
+            let mut named = space.base.clone();
+            corners[i].apply_into(&mut named);
+            named.name = corners[i].display_name(&space.base.name);
+            Worksheet::new(named).analyze()
+        };
+        Ok(Exploration {
+            min_speedup,
+            passing,
+            top: ranked
+                .iter()
+                .map(|&i| report(i))
+                .collect::<Result<_, _>>()?,
+            failing: corners.len() - passing,
+            cheapest: cheapest.map(report).transpose()?,
+        })
+    }
+
+    #[test]
+    fn streaming_explore_matches_enumerate_rank_select() {
+        use rand::{Rng, SeedableRng};
+        // Few values per axis, drawn with repeats, so corners tie on
+        // speedup and on cost; throughputs up to 120 ops/cycle make
+        // double-buffered corners communication-bound, where distinct
+        // corners tie too. Some axes carry an invalid value.
+        let clocks = [50.0e6, 100.0e6, 150.0e6, 1.0e9, 1.5e9];
+        let tps = [4.0, 10.0, 20.0, 24.0, 80.0, 120.0];
+        let bad = [-1.0e8, 0.0, f64::NAN, f64::INFINITY];
+        let orders = [
+            vec![Buffering::Single, Buffering::Double],
+            vec![Buffering::Double, Buffering::Single],
+            vec![Buffering::Double, Buffering::Single, Buffering::Double],
+            vec![Buffering::Double],
+            vec![Buffering::Single, Buffering::Single],
+            Vec::new(),
+        ];
+        for seed in 0..192u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut draw = |axis: &[f64], max: usize| -> Vec<f64> {
+                let n = rng.gen_range(0..=max);
+                let mut v: Vec<f64> = (0..n).map(|_| axis[rng.gen_range(0..axis.len())]).collect();
+                if seed % 4 == 3 && n > 0 {
+                    let at = rng.gen_range(0..n);
+                    v[at] = bad[rng.gen_range(0..bad.len())];
+                }
+                v
+            };
+            let s = DesignSpace {
+                base: pdf1d_example(),
+                fclocks: draw(&clocks, 9),
+                throughput_procs: draw(&tps, 9),
+                bufferings: orders[seed as usize % orders.len()].clone(),
+            };
+            if let Err(want) = enumerate_rank_select(&s, 1.0) {
+                let got = explore(&s, 1.0).unwrap_err();
+                assert_eq!(got.to_string(), want.to_string(), "seed {seed}");
+                continue;
+            }
+            // Thresholds at the 10th and 11th best speedups, where a tie
+            // can straddle the cut, plus all and none passing.
+            let mut speedups: Vec<f64> = corner_reports(&s).iter().map(|r| r.speedup).collect();
+            speedups.sort_by(|a, b| b.total_cmp(a));
+            let nth = |n: usize| speedups[n.min(speedups.len() - 1)];
+            for min_speedup in [1.0e-9, nth(TOP - 2), nth(TOP - 1), nth(TOP), nth(0), 1.0e6] {
+                assert_eq!(
+                    explore(&s, min_speedup).unwrap(),
+                    enumerate_rank_select(&s, min_speedup).unwrap(),
                     "seed {seed}, target {min_speedup}"
                 );
             }

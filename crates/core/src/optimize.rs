@@ -21,12 +21,13 @@
 //!
 //! The search computes only what the front needs. A generation reads its
 //! draws in bulk, scores each candidate with the two numbers the search
-//! ranks by, and keeps each feasible point's objectives. A sort-and-sweep
-//! skyline (`pareto_front`) then runs over that generation's points alone,
-//! and only its members keep their coordinates. After the last generation
-//! one more skyline over those survivors gives the front, and only its
-//! members are solved again, through [`solve_batch`], for the full reports
-//! a [`FrontPoint`] carries.
+//! ranks by, and keeps each feasible point's objectives. A skyline
+//! (`pareto_front`: three pivots prune, then a sort-and-sweep) runs over
+//! that generation's points alone, and only its members keep their
+//! coordinates. After the last generation one more skyline over those
+//! survivors gives the front. A [`FrontPoint`] holds its coordinates,
+//! estimate and objectives; its full report and resource verdict are
+//! derived when a caller asks for them.
 //!
 //! ## Determinism contract
 //!
@@ -36,34 +37,35 @@
 //! 1. All random draws happen on the coordinating thread from per-generation
 //!    streams [`job_rng`]`(seed, generation)` — never from a stream consumed
 //!    in scheduling order.
-//! 2. Candidate evaluation is dispatched as [`predict_batch`] chunks (and
-//!    the front's reports as [`solve_batch`] chunks) sized by
-//!    [`Engine::chunk_len`]; the batch kernels are bit-identical across chunk
-//!    seams and to the scalar [`Worksheet::analyze`] path (pinned by the
-//!    differential suites), so results cannot depend on the job count or
-//!    the vector ISA.
+//! 2. Candidate evaluation is dispatched as [`predict_batch`] chunks sized
+//!    by [`Engine::chunk_len`]; the batch kernels are bit-identical across
+//!    chunk seams and to the scalar [`Worksheet::analyze`] path (pinned by
+//!    the differential suites), so results cannot depend on the job count
+//!    or the vector ISA.
 //! 3. Every ranking orders floats with `total_cmp` and breaks ties by
 //!    candidate index, in generation order.
 //!
 //! [`Worksheet::analyze`]: crate::worksheet::Worksheet::analyze
 //! [`predict_batch`]: crate::solve::batch::predict_batch
-//! [`solve_batch`]: crate::solve::batch::solve_batch
 
 use crate::engine::{job_rng, Engine};
 use crate::error::RatError;
 use crate::params::{Buffering, RatInput};
+use crate::quantity::Freq;
 use crate::report::Report;
 use crate::resources::device::{all_devices, FpgaDevice, LogicKind};
 use crate::resources::estimate::{
     brams_for_buffer, dsps_for_multiplier, ResourceEstimate, ALTERA_M4K_BYTES, XILINX_BRAM18_BYTES,
 };
 use crate::resources::{utilization, ResourceReport};
-use crate::solve::batch::{predict_batch_with, solve_batch_with, BatchPoints};
+use crate::solve::batch::{predict_batch_with, BatchPoints, Score};
 use crate::sweep::SweepParam;
 use crate::table::{pct, TextTable};
 use crate::telemetry::{self, Metric};
+use crate::worksheet::Worksheet;
 use fixedpoint::QFormat;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// Slices/ALUTs of datapath logic per lane-bit of the candidate's number
 /// format: registers, routing, and the adder tree around each dedicated
@@ -282,20 +284,35 @@ impl Objectives {
     }
 }
 
+/// What every member of one search's front shares: the base design and the
+/// resolved candidate devices.
+#[derive(Debug, PartialEq)]
+struct SearchAxes {
+    base: RatInput,
+    devices: Vec<FpgaDevice>,
+}
+
 /// One non-dominated design point of the final front.
+///
+/// A member holds its coordinates, estimate and objectives. Its full report
+/// ([`FrontPoint::report`]) and resource verdict ([`FrontPoint::resources`])
+/// are derived when called, so a search pays for the members a caller
+/// reads (`render` reads ten), not for the whole front.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontPoint {
-    /// The full throughput report at this point. Bit-identical to running
-    /// [`crate::worksheet::Worksheet::analyze`] on `report.input` directly —
-    /// pinned by the differential suite.
-    pub report: Report,
-    /// The candidate device.
-    pub device: FpgaDevice,
+    axes: Arc<SearchAxes>,
+    /// Clock frequency at this point (Hz).
+    pub fclock_hz: f64,
+    /// `throughput_proc` at this point (ops/cycle).
+    pub throughput_proc: f64,
+    /// Buffering discipline at this point.
+    pub buffering: Buffering,
+    /// Index of the candidate device in the search's resolved device list.
+    dev: usize,
     /// The candidate number format.
     pub precision: QFormat,
-    /// The Eq. (9)–(11) resource verdict (always `fits`; infeasible points
-    /// never enter the front).
-    pub resources: ResourceReport,
+    /// The point's Eq. (9)–(11) resource demand on its device.
+    pub estimate: ResourceEstimate,
     /// The point's Pareto objectives.
     pub objectives: Objectives,
     /// The generation that first evaluated this point.
@@ -303,15 +320,46 @@ pub struct FrontPoint {
 }
 
 impl FrontPoint {
+    /// The design point as a worksheet input: the base design with this
+    /// point's clock, parallelism and buffering.
+    pub fn input(&self) -> RatInput {
+        let mut input = self.axes.base.with_buffering(self.buffering);
+        input.comp.fclock = Freq::from_hz(self.fclock_hz);
+        input.comp.throughput_proc = self.throughput_proc;
+        input
+    }
+
+    /// The full throughput report at this point: [`Worksheet::analyze`] of
+    /// [`FrontPoint::input`], bit-identical to [`solve_batch`] over the
+    /// members (pinned by the differential suite).
+    ///
+    /// [`solve_batch`]: crate::solve::batch::solve_batch
+    pub fn report(&self) -> Report {
+        Worksheet::new(self.input())
+            .analyze()
+            .expect("a front member's input passed validation when it was scored")
+    }
+
+    /// The candidate device.
+    pub fn device(&self) -> &FpgaDevice {
+        &self.axes.devices[self.dev]
+    }
+
+    /// The Eq. (9)–(11) resource verdict (always `fits`; infeasible points
+    /// never enter the front).
+    pub fn resources(&self) -> ResourceReport {
+        ResourceReport::analyze(self.device().clone(), self.estimate)
+    }
+
     /// Display name for the point: base design plus its axis coordinates.
     pub fn display_name(&self) -> String {
         format!(
             "{} [{:.1} MHz, {:.3} ops/cyc, {:?}, {}, {}]",
-            self.report.input.name,
-            self.report.input.comp.fclock.hz() / 1e6,
-            self.report.input.comp.throughput_proc,
-            self.report.input.buffering,
-            self.device.name,
+            self.axes.base.name,
+            self.fclock_hz / 1e6,
+            self.throughput_proc,
+            self.buffering,
+            self.device().name,
             self.precision,
         )
     }
@@ -376,13 +424,14 @@ impl OptimizeOutcome {
             ));
         }
         let b = self.best();
+        let device = b.device();
         s.push_str(&format!(
             "best speedup: {} ({:.2}x, {} of {} {})\n",
             b.display_name(),
             b.objectives.speedup,
-            b.resources.estimate.dsp,
-            b.device.dsp_blocks,
-            b.device.dsp_name,
+            b.estimate.dsp,
+            device.dsp_blocks,
+            device.dsp_name,
         ));
         s
     }
@@ -540,12 +589,11 @@ fn pick(word: u64, weights: &[f64], total: f64) -> usize {
 ///
 /// Each generation draws `config.population` candidates from the adapted
 /// distribution (per-generation stream [`job_rng`]`(seed, generation)`),
-/// scores them through [`predict_batch_with`] on `engine`'s warm pool,
-/// gates them through the Eq. (9)–(11) resource test, records the feasible
-/// ones' objectives, keeps the members of their own front, and adapts
-/// toward the highest-speedup feasible elite. After the last generation,
-/// `pareto_front` picks the non-dominated points among those members, and
-/// only those get full reports.
+/// scores them through [`predict_batch_with`] on `engine`, gates them
+/// through the Eq. (9)–(11) resource test, records the feasible ones'
+/// objectives, keeps the members of their own front, and adapts toward the
+/// highest-speedup feasible elite. After the last generation,
+/// `pareto_front` picks the non-dominated points among those members.
 ///
 /// Errors: invalid axes/knobs report the offending field; a space where *no*
 /// evaluated candidate passes the resource test is [`RatError::Infeasible`]
@@ -559,7 +607,11 @@ pub fn optimize(
     space.validate()?;
     config.validate()?;
     let bufs = space.resolved_bufferings();
-    let devs = space.resolved_devices();
+    let axes = Arc::new(SearchAxes {
+        base: space.base.clone(),
+        devices: space.resolved_devices(),
+    });
+    let devs = &axes.devices;
     let precs = space.resolved_precisions();
     if devs.is_empty() {
         return Err(RatError::quantity(
@@ -611,7 +663,7 @@ pub fn optimize(
                     .map(|c| state.sample(c, &totals)),
             );
         }
-        let scores = evaluate(engine, &space.base, &bufs, &candidates, predict_batch_with)?;
+        let scores = evaluate(engine, &space.base, &bufs, &candidates)?;
         evals += candidates.len() as u64;
         telemetry::add(Metric::OptimizeGenerations, 1);
         telemetry::add(Metric::OptimizeEvals, candidates.len() as u64);
@@ -658,28 +710,21 @@ pub fn optimize(
     }
 
     let survivor_objectives: Vec<Objectives> = survivors.iter().map(|s| visited[s.0]).collect();
-    let members: Vec<(usize, u32, Candidate)> = pareto_front(&survivor_objectives)
+    let front: Vec<FrontPoint> = pareto_front(&survivor_objectives)
         .into_iter()
-        .map(|m| survivors[m])
-        .collect();
-    let member_candidates: Vec<Candidate> = members.iter().map(|m| m.2).collect();
-    let reports = evaluate(
-        engine,
-        &space.base,
-        &bufs,
-        &member_candidates,
-        solve_batch_with,
-    )?;
-    let front: Vec<FrontPoint> = members
-        .iter()
-        .zip(reports)
-        .map(|(&(v, generation, cand), report)| FrontPoint {
-            report,
-            device: devs[cand.dev].clone(),
-            precision: precs[cand.prec],
-            resources: ResourceReport::analyze(devs[cand.dev].clone(), estimate(&cand)),
-            objectives: visited[v],
-            generation,
+        .map(|m| {
+            let (v, generation, cand) = survivors[m];
+            FrontPoint {
+                axes: Arc::clone(&axes),
+                fclock_hz: cand.fclock_hz,
+                throughput_proc: cand.throughput_proc,
+                buffering: bufs[cand.buf],
+                dev: cand.dev,
+                precision: precs[cand.prec],
+                estimate: estimate(&cand),
+                objectives: visited[v],
+                generation,
+            }
         })
         .collect();
     telemetry::add(Metric::OptimizeFrontSize, front.len() as u64);
@@ -699,28 +744,66 @@ pub fn optimize(
 /// ascending. Of several points that tie exactly on all three objectives,
 /// only the first visited is a member.
 ///
-/// One sort and one sweep (Kung, Luccio & Preparata's three-objective
-/// skyline). The sort key is (speedup desc, util_comp desc, resource_frac
-/// asc, index asc) in `total_cmp` order, which puts every point after all
-/// the points that dominate it, same-speedup dominators included, and puts
-/// exact ties next to each other with the first visited in front. The sweep
-/// drops a point when some kept point matches or beats it on both
-/// util_comp and resource_frac: that point's speedup is already at least as
-/// high, so it dominates or ties the dropped one. The kept points'
-/// (util_comp, resource_frac) pairs are held as a staircase, util_comp
-/// non-decreasing and resource_frac strictly ascending, so each test is one
-/// binary search.
+/// Say a point *beats* another when it dominates it, or ties it and was
+/// visited first. The relation is transitive, and the front is the points
+/// nothing beats. Three pivots prune first, dropping every point one of
+/// them beats: the first point in (speedup desc, util_comp desc,
+/// resource_frac asc, index) order, the first in (util_comp, speedup,
+/// resource_frac, index) order and the first in (resource_frac, speedup,
+/// util_comp, index) order. Each is first in an order that ranks every
+/// point that would beat it ahead of it, so each is a front member, the
+/// best point on its own objective; a generation's runs of exact speedup
+/// ties (candidates clamped at an axis bound) mostly fall to them. The
+/// prune is exact: a point a pivot beats is off the front, and whatever
+/// beats a kept point is itself kept (else a pivot would beat it, and by
+/// transitivity the kept point too), so the front of the kept points is the
+/// front of all.
+///
+/// The kept points then take one sort and one sweep (Kung, Luccio &
+/// Preparata's three-objective skyline). The sort key is (speedup desc,
+/// util_comp desc, resource_frac asc, index asc) in `total_cmp` order, which
+/// puts every point after all the points that dominate it, same-speedup
+/// dominators included, and puts exact ties next to each other with the
+/// first visited in front. The sweep drops a point when some kept point
+/// matches or beats it on both util_comp and resource_frac: that point's
+/// speedup is already at least as high, so it dominates or ties the dropped
+/// one. The kept points' (util_comp, resource_frac) pairs are held as a
+/// staircase, util_comp non-decreasing and resource_frac strictly
+/// ascending, so each test is one binary search.
 pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
-    let mut order: Vec<(i64, i64, i64, usize)> = visited
-        .iter()
-        .enumerate()
-        .map(|(i, o)| {
-            (
-                !total_key(o.speedup),
-                !total_key(o.util_comp),
-                total_key(o.resource_frac),
-                i,
-            )
+    let key = |i: usize| -> Key {
+        let o = &visited[i];
+        (
+            total_key(o.speedup),
+            total_key(o.util_comp),
+            total_key(o.resource_frac),
+        )
+    };
+    // Each pivot's order as an ascending key; one pass finds all three.
+    let orders: [fn(Key) -> Key; 3] = [
+        |(s, u, r)| (!s, !u, r),
+        |(s, u, r)| (!u, !s, r),
+        |(s, u, r)| (r, !s, !u),
+    ];
+    let mut pivots: [Option<(Key, usize)>; 3] = [None; 3];
+    for i in 0..visited.len() {
+        let k = key(i);
+        for (pivot, order) in pivots.iter_mut().zip(orders) {
+            // Only a strictly earlier key replaces a pivot, so of equal
+            // keys the first visited stays.
+            if pivot.is_none_or(|(p, _)| order(k) < order(p)) {
+                *pivot = Some((k, i));
+            }
+        }
+    }
+    let beats = |((ps, pu, pr), pi): (Key, usize), (s, u, r): Key, i| {
+        ps >= s && pu >= u && pr <= r && (ps > s || pu > u || pr < r || pi < i)
+    };
+    let mut order: Vec<(i64, i64, i64, usize)> = (0..visited.len())
+        .filter_map(|i| {
+            let k = key(i);
+            let beaten = pivots.iter().flatten().any(|&p| beats(p, k, i));
+            (!beaten).then_some((!k.0, !k.1, k.2, i))
         })
         .collect();
     // The index makes every key distinct, so an unstable sort is exact.
@@ -749,13 +832,11 @@ pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
 ///
 /// Run on each generation's points as they arrive, this is an exact
 /// prefilter: the front of the survivors, kept in visit order, is the front
-/// of all of `visited`. Say a point beats another when it dominates it, or
-/// ties it and was visited first; the relation is transitive, and the
-/// front is the points nothing beats. A point dropped here is beaten within
-/// its generation, so it is off the front. And whatever beats a survivor is
-/// a survivor or beaten by one (of its own generation), which then beats
-/// that survivor too, so the survivors' front drops only what the whole
-/// front drops.
+/// of all of `visited`. A point dropped here is beaten within its
+/// generation (see [`pareto_front`]), so it is off the front. And whatever
+/// beats a survivor is a survivor or beaten by one (of its own generation),
+/// which then beats that survivor too, so the survivors' front drops only
+/// what the whole front drops.
 fn generation_front(visited: &[Objectives], first: usize) -> Vec<usize> {
     let mut members = pareto_front(&visited[first..]);
     members.sort_unstable();
@@ -763,26 +844,31 @@ fn generation_front(visited: &[Objectives], first: usize) -> Vec<usize> {
     members
 }
 
+/// A point's (speedup, util_comp, resource_frac), each as a [`total_key`].
+type Key = (i64, i64, i64);
+
 /// `x` as an integer with the ordering of [`f64::total_cmp`].
 fn total_key(x: f64) -> i64 {
     let bits = x.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Evaluate `candidates` with a chunked batch kernel (`predict_batch_with`
-/// or `solve_batch_with`): candidates partition by buffering discipline (a
-/// base-level property of a batch — same shape as
-/// [`crate::explore::explore`]), and each partition is one `run` call on
-/// the engine with `f_clock` and `throughput_proc` columns. Results come
-/// back indexed by candidate.
-fn evaluate<T: Send>(
+/// Score `candidates` through [`predict_batch_with`]: candidates partition
+/// by buffering discipline (a base-level property of a batch — same shape
+/// as [`crate::explore::explore`]), and each partition is one batch on the
+/// engine with `f_clock` and `throughput_proc` columns. Scores come back
+/// indexed by candidate.
+fn evaluate(
     engine: &Engine,
     base: &RatInput,
     bufs: &[Buffering],
     candidates: &[Candidate],
-    run: fn(&Engine, &BatchPoints) -> Result<Vec<T>, RatError>,
-) -> Result<Vec<T>, RatError> {
-    let mut out: Vec<Option<T>> = candidates.iter().map(|_| None).collect();
+) -> Result<Vec<Score>, RatError> {
+    let unscored = Score {
+        speedup: 0.0,
+        util_comp: 0.0,
+    };
+    let mut out = vec![unscored; candidates.len()];
     for buffering in [Buffering::Single, Buffering::Double] {
         let idx: Vec<usize> = (0..candidates.len())
             .filter(|&i| bufs[candidates[i].buf] == buffering)
@@ -796,15 +882,13 @@ fn evaluate<T: Send>(
         let mut batch = BatchPoints::new(&b, idx.len());
         batch.push_column(SweepParam::Fclock, fcol);
         batch.push_column(SweepParam::ThroughputProc, tcol);
-        for (&i, result) in idx.iter().zip(run(engine, &batch)?) {
-            out[i] = Some(result);
+        // Every candidate's buffering is one of the two, so every slot is
+        // written.
+        for (&i, score) in idx.iter().zip(predict_batch_with(engine, &batch)?) {
+            out[i] = score;
         }
     }
-    // Every candidate belongs to exactly one partition, so every slot is
-    // filled; collect defensively all the same.
-    out.into_iter()
-        .collect::<Option<Vec<T>>>()
-        .ok_or_else(|| RatError::quantity("candidates", "evaluation dropped a point".to_string()))
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -833,7 +917,10 @@ mod tests {
         assert_eq!(out.evals, 8 * 64);
         assert!(out.feasible_evals > 0);
         for p in &out.front {
-            assert!(p.resources.fits, "front member must pass the resource test");
+            assert!(
+                p.resources().fits,
+                "front member must pass the resource test"
+            );
             assert!(p.objectives.speedup > 0.0);
         }
         // Ranked by speedup, best first.
@@ -852,10 +939,79 @@ mod tests {
         let space = OptimizeSpace::around(pdf1d_example());
         let out = optimize(&engine, &space, &quick_config()).unwrap();
         for p in &out.front {
-            let scalar = Worksheet::new(p.report.input.clone()).analyze().unwrap();
+            let scalar = Worksheet::new(p.input()).analyze().unwrap();
             assert_eq!(
-                scalar, p.report,
+                scalar,
+                p.report(),
                 "front member diverged from scalar analyze"
+            );
+        }
+    }
+
+    /// The reports and resource verdicts the members derive are the ones
+    /// the front once stored: `solve_batch_with` over the members of each
+    /// buffering (as `evaluate` partitioned them) and `ResourceReport::analyze`
+    /// of each member's device and estimate, bit for bit.
+    #[test]
+    fn derived_reports_match_batch_solved_members_under_both_bufferings() {
+        use crate::engine::EngineConfig;
+        use crate::solve::batch::solve_batch_with;
+        let pdf2d: RatInput =
+            toml::from_str(include_str!("../../../worksheets/pdf2d.toml")).unwrap();
+        for base in [pdf1d_example(), pdf2d] {
+            let space = OptimizeSpace::around(base.clone());
+            let out = optimize(&Engine::sequential(), &space, &quick_config()).unwrap();
+            let mut seen = [false; 2];
+            for (k, buffering) in [Buffering::Single, Buffering::Double]
+                .into_iter()
+                .enumerate()
+            {
+                let members: Vec<&FrontPoint> = out
+                    .front
+                    .iter()
+                    .filter(|p| p.buffering == buffering)
+                    .collect();
+                seen[k] = !members.is_empty();
+                let b = base.with_buffering(buffering);
+                let mut batch = BatchPoints::new(&b, members.len());
+                batch.push_column(
+                    SweepParam::Fclock,
+                    members.iter().map(|p| p.fclock_hz).collect::<Vec<f64>>(),
+                );
+                batch.push_column(
+                    SweepParam::ThroughputProc,
+                    members
+                        .iter()
+                        .map(|p| p.throughput_proc)
+                        .collect::<Vec<f64>>(),
+                );
+                for jobs in [1, 2, 8] {
+                    let engine = Engine::new(EngineConfig::default().with_jobs(jobs));
+                    let solved = solve_batch_with(&engine, &batch).unwrap();
+                    for (p, want) in members.iter().zip(&solved) {
+                        assert_eq!(&p.report(), want, "{}: {jobs} jobs", p.display_name());
+                        assert_eq!(p.report().speedup.to_bits(), want.speedup.to_bits());
+                    }
+                }
+                for p in &members {
+                    let estimate = estimate_candidate(
+                        &base,
+                        p.throughput_proc,
+                        p.buffering,
+                        p.precision,
+                        p.device(),
+                    );
+                    assert_eq!(estimate, p.estimate);
+                    let want = ResourceReport::analyze(p.device().clone(), estimate);
+                    assert_eq!(p.resources(), want, "{}", p.display_name());
+                    assert_eq!(p.objectives.speedup.to_bits(), p.report().speedup.to_bits());
+                }
+            }
+            assert_eq!(
+                seen,
+                [true, true],
+                "{}: both bufferings on the front",
+                base.name
             );
         }
     }
@@ -928,7 +1084,8 @@ mod tests {
             1,
             "single-candidate space has a 1-point front"
         );
-        assert_eq!(out.front[0].report.input.comp.throughput_proc, 20.0);
+        assert_eq!(out.front[0].throughput_proc, 20.0);
+        assert_eq!(out.front[0].report().input.comp.throughput_proc, 20.0);
     }
 
     #[test]
@@ -1034,26 +1191,78 @@ mod tests {
         front
     }
 
+    /// The skyline before the pivot prune: every point sorted by the
+    /// 4-tuple key, then the staircase sweep.
+    fn sort_and_sweep(visited: &[Objectives]) -> Vec<usize> {
+        let mut order: Vec<(i64, i64, i64, usize)> = visited
+            .iter()
+            .enumerate()
+            .map(|(i, o)| {
+                (
+                    !total_key(o.speedup),
+                    !total_key(o.util_comp),
+                    total_key(o.resource_frac),
+                    i,
+                )
+            })
+            .collect();
+        order.sort_unstable();
+        let mut front = Vec::new();
+        let mut stair: Vec<(i64, i64)> = Vec::new();
+        for &(_, nu, r, i) in &order {
+            let u = !nu;
+            let at = stair.partition_point(|&(su, _)| su < u);
+            if stair.get(at).is_some_and(|&(_, sr)| sr <= r) {
+                continue;
+            }
+            let lo = stair[..at].partition_point(|&(_, sr)| sr < r);
+            stair.splice(lo..at, [(u, r)]);
+            front.push(i);
+        }
+        front
+    }
+
     #[test]
     fn skyline_front_matches_the_running_fold() {
         use rand::SeedableRng;
-        // Few distinct values per objective, ±0.0 among them, so exact
-        // ties, equal speedups and same-speedup dominance are all common.
-        let speedups = [-0.0, 0.0, 1.0, 2.5, 7.0];
-        let utils = [-0.0, 0.0, 0.25, 0.5, 1.0];
-        let fracs = [-0.0, 0.0, 0.3, 0.6, 0.9, 1.0];
-        for seed in 0..200u64 {
+        // Few distinct values per objective, ±0.0 and both NaN signs among
+        // them, so exact ties, equal speedups, same-speedup dominance and
+        // keys at either end of the `total_cmp` order are all common.
+        let nan = f64::NAN;
+        let speedups = [-nan, -0.0, 0.0, 1.0, 2.5, 7.0, nan];
+        let utils = [-nan, -0.0, 0.0, 0.25, 0.5, 1.0, nan];
+        let fracs = [-nan, -0.0, 0.0, 0.3, 0.6, 0.9, 1.0, nan];
+        for seed in 0..300u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let n = rng.gen_range(0..=(seed as usize % 7 + 1) * 40);
-            let mut one_of = |vals: &[f64]| vals[rng.gen_range(0..vals.len())];
-            let visited: Vec<Objectives> = (0..n)
-                .map(|_| Objectives {
-                    speedup: one_of(&speedups),
-                    util_comp: one_of(&utils),
-                    resource_frac: one_of(&fracs),
-                })
-                .collect();
+            let mut visited: Vec<Objectives> = Vec::with_capacity(n);
+            let one_of = |rng: &mut ChaCha8Rng, vals: &[f64]| vals[rng.gen_range(0..vals.len())];
+            while visited.len() < n {
+                let o = Objectives {
+                    speedup: one_of(&mut rng, &speedups),
+                    util_comp: one_of(&mut rng, &utils),
+                    resource_frac: one_of(&mut rng, &fracs),
+                };
+                // Every third seed adds runs of one speedup, as candidates
+                // clamped at an axis bound give: exact duplicates and
+                // points that differ only in utilization or pressure.
+                let run = if seed % 3 == 0 {
+                    rng.gen_range(1..=60)
+                } else {
+                    1
+                };
+                for _ in 0..run.min(n - visited.len()) {
+                    let mut p = o;
+                    match rng.gen_range(0..3) {
+                        0 => {}
+                        1 => p.util_comp = one_of(&mut rng, &utils),
+                        _ => p.resource_frac = one_of(&mut rng, &fracs),
+                    }
+                    visited.push(p);
+                }
+            }
             let fold = fold_reference(&visited);
+            assert_eq!(sort_and_sweep(&visited), fold, "seed {seed}, {n} points");
             assert_eq!(pareto_front(&visited), fold, "seed {seed}, {n} points");
 
             // The same points in random generations, as `optimize` sees

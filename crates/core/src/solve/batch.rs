@@ -647,11 +647,12 @@ pub fn solve_batch_with(engine: &Engine, points: &BatchPoints) -> Result<Vec<Rep
 }
 
 /// [`predict_batch`] chunked on `engine`, with the same ordering and error
-/// contract as [`solve_batch_with`]. A point costs about as much as a
-/// Monte-Carlo sample, so a generation of a thousand points stays one or two
-/// jobs while a million-point batch still spreads across the pool.
+/// contract as [`solve_batch_with`]. A point costs ~20 ns
+/// ([`PointCost::Prediction`]), so a batch under 1,250 points, such as a
+/// search generation's buffering partition, is one job the caller runs
+/// inline, while a million-point batch still spreads across the pool.
 pub fn predict_batch_with(engine: &Engine, points: &BatchPoints) -> Result<Vec<Score>, RatError> {
-    chunked(engine, points, PointCost::McSample, predict_batch)
+    chunked(engine, points, PointCost::Prediction, predict_batch)
 }
 
 /// Run `kernel` over `points` in [`Engine::chunk_len`]-sized chunks, one job

@@ -106,7 +106,7 @@ pub fn render_profile(profile: &Profile) -> String {
     let events: Vec<ChromeEvent> = spans
         .iter()
         .map(|s| {
-            let mut args = vec![("path".to_string(), ArgValue::Str(s.path.clone()))];
+            let mut args = vec![("path".to_string(), ArgValue::Str(s.path.as_str().into()))];
             for (k, v) in &s.args {
                 args.push(((*k).to_string(), v.clone()));
             }
@@ -146,7 +146,7 @@ mod tests {
             tid: 0,
             ts_us: 0.0,
             dur_us: 1.0,
-            args: vec![(special.to_string(), ArgValue::Str(special.to_string()))],
+            args: vec![(special.to_string(), ArgValue::Str(special.into()))],
         };
         let trace = render_events(&[event], &[(special, 3)]);
         let escaped = "a\\\"b\\\\c\\nd\\u0001";

@@ -54,8 +54,9 @@ pub enum ArgValue {
     U64(u64),
     /// A floating-point argument (rates, factors).
     F64(f64),
-    /// A string argument (kinds, names).
-    Str(String),
+    /// A string argument (kinds, names), shared so that every job span of
+    /// a batch can carry the batch's kind without copying it.
+    Str(Arc<str>),
 }
 
 /// One completed span, recorded at exit.

@@ -86,14 +86,14 @@ fn smooth_landscape_converges_to_the_feasible_corner() {
     // Convergence within the budget: the corner is hit exactly (the
     // sampler clamps to the bounds, and the categorical weights must have
     // learned Double buffering).
-    assert_eq!(best.report.input.comp.fclock.hz(), 150.0e6);
-    assert_eq!(best.report.input.comp.throughput_proc, 20.0);
-    assert_eq!(best.report.input.buffering, Buffering::Double);
+    assert_eq!(best.fclock_hz, 150.0e6);
+    assert_eq!(best.throughput_proc, 20.0);
+    assert_eq!(best.buffering, Buffering::Double);
     assert_eq!(best.objectives.speedup, optimum);
     // And no reported point pretends to beat the closed-form optimum.
     for p in &out.front {
         assert!(p.objectives.speedup <= optimum);
-        assert!(p.resources.fits);
+        assert!(p.resources().fits);
     }
     // The oversized device makes the whole space feasible.
     assert_eq!(out.feasible_evals, out.evals);
@@ -123,13 +123,13 @@ fn infeasible_ridge_converges_to_the_boundary_without_crossing_it() {
     );
     // ...and never reported anything beyond it.
     for p in &out.front {
-        assert!(p.resources.fits, "infeasible point on the front");
+        assert!(p.resources().fits, "infeasible point on the front");
         assert!(
-            p.report.input.comp.throughput_proc <= 24.0,
+            p.throughput_proc <= 24.0,
             "front member crossed the DSP ridge: tp = {}",
-            p.report.input.comp.throughput_proc
+            p.throughput_proc
         );
-        assert!(p.resources.estimate.dsp <= 48);
+        assert!(p.estimate.dsp <= 48);
     }
     // Convergence: within 1% of the closed-form boundary optimum at
     // (150 MHz, 24 lanes, double buffering), without ever exceeding it.

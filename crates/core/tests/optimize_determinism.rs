@@ -10,9 +10,9 @@
 //!   whole suite twice — default SIMD dispatch and `RAT_FORCE_SCALAR=1` —
 //!   which extends the same byte-identity across the kernel axis (dispatch
 //!   is resolved once per process, so the axis needs two processes).
-//! * **Differential** — every front member's stored report is bit-identical
-//!   to a scalar `Worksheet::analyze` of the same design point, and carries
-//!   a passing Eq. (9)–(11) resource verdict.
+//! * **Differential** — every front member's derived report is
+//!   bit-identical to a scalar `Worksheet::analyze` of the same design point,
+//!   and its derived Eq. (9)–(11) resource verdict passes.
 //! * **Dominance** — the front is mutually non-dominated and covers every
 //!   feasible point the search visited.
 //! * **Golden fronts** — the rendered Pareto front for the paper's 1-D PDF,
@@ -142,13 +142,14 @@ proptest! {
             return Ok(()); // all-infeasible space: nothing to replay
         };
         for p in &out.front {
-            let scalar = Worksheet::new(p.report.input.clone()).analyze().unwrap();
+            let report = p.report();
+            let scalar = Worksheet::new(p.input()).analyze().unwrap();
             prop_assert_eq!(
-                &scalar, &p.report,
+                &scalar, &report,
                 "front member diverged from scalar analyze"
             );
-            prop_assert!(p.resources.fits, "infeasible point on the front");
-            prop_assert_eq!(p.objectives.speedup, p.report.speedup);
+            prop_assert!(p.resources().fits, "infeasible point on the front");
+            prop_assert_eq!(p.objectives.speedup, report.speedup);
         }
     }
 

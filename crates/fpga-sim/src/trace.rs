@@ -195,7 +195,7 @@ impl Trace {
                         dur_us: s.duration().as_ps() as f64 / 1e6,
                         args: vec![(
                             "resource".to_string(),
-                            ArgValue::Str(s.resource.row_label().to_string()),
+                            ArgValue::Str(s.resource.row_label().into()),
                         )],
                     },
                 )

@@ -11,8 +11,9 @@
 //!
 //! Each validation rule lives in one place. The front ends check syntax
 //! only (a JSON field's type, an argv flag's value); [`ApiRequest::check_shape`]
-//! checks the rules both surfaces share; the core checks every value; and
-//! the daemon-only size caps (`MAX_*` below) stay in [`parse_mode_request`].
+//! checks the rules both surfaces share, the explore and optimize size caps
+//! included; the core checks every value; and the daemon-only size caps
+//! (the sweep and Monte-Carlo `MAX_*` below) stay in [`parse_mode_request`].
 //!
 //! The error side mirrors the CLI the same way. [`RatError`] classes map
 //! onto HTTP status codes exactly as they map onto CLI exit codes
@@ -53,11 +54,12 @@ pub const MAX_MC_SAMPLES: usize = 1_000_000;
 /// Upper bound on sweep values per request.
 pub const MAX_SWEEP_VALUES: usize = 100_000;
 
-/// Upper bound on design-space corners per explore request.
+/// Upper bound on design-space corners per explore request, from the CLI
+/// or the daemon.
 pub const MAX_EXPLORE_CORNERS: usize = 1_000_000;
 
 /// Upper bound on guided-search evaluations (generations × population) per
-/// optimize request.
+/// optimize request, from the CLI or the daemon.
 pub const MAX_OPTIMIZE_EVALS: u64 = 1_000_000;
 
 /// A model-pipeline failure plus the context line describing what the
@@ -619,19 +621,49 @@ impl ApiRequest {
     }
 
     /// The shape rules both surfaces share, checked by [`handle`] before it
-    /// runs anything: a sweep needs a value and an uncertainty run a range.
-    /// A violation is a malformed request (CLI exit 2, HTTP 400).
+    /// runs anything: a sweep needs a value and an uncertainty run a range,
+    /// an explore has at most [`MAX_EXPLORE_CORNERS`] corners and a search
+    /// at most [`MAX_OPTIMIZE_EVALS`] evaluations. A violation is a
+    /// malformed request (CLI exit 2, HTTP 400).
     pub fn check_shape(&self) -> Result<(), ApiError> {
-        let missing = match self {
+        let cause = match self {
             ApiRequest::Sweep { values, .. } if values.is_empty() => {
-                "sweep needs at least one value"
+                "sweep needs at least one value".to_string()
             }
             ApiRequest::Uncertainty { ranges, .. } if ranges.is_empty() => {
-                "uncertainty needs at least one (param, lo, hi) range"
+                "uncertainty needs at least one (param, lo, hi) range".to_string()
+            }
+            ApiRequest::Explore {
+                fclocks,
+                throughput_procs,
+                bufferings,
+                ..
+            } => {
+                let corners = fclocks
+                    .as_ref()
+                    .map_or(1, Vec::len)
+                    .saturating_mul(throughput_procs.as_ref().map_or(1, Vec::len))
+                    .saturating_mul(bufferings.as_ref().map_or(2, Vec::len));
+                if corners <= MAX_EXPLORE_CORNERS {
+                    return Ok(());
+                }
+                format!("design space has {corners} corners; at most {MAX_EXPLORE_CORNERS}")
+            }
+            ApiRequest::Optimize { spec, .. } => {
+                let defaults = OptimizeConfig::default();
+                let evals = u64::from(spec.generations.unwrap_or(defaults.generations))
+                    .saturating_mul(spec.population.unwrap_or(defaults.population) as u64);
+                if evals <= MAX_OPTIMIZE_EVALS {
+                    return Ok(());
+                }
+                format!(
+                    "generations x population is {evals} evaluations; \
+                     at most {MAX_OPTIMIZE_EVALS}"
+                )
             }
             _ => return Ok(()),
         };
-        Err(bad_body(missing))
+        Err(bad_body(cause))
     }
 }
 
@@ -756,8 +788,8 @@ fn parse_buffering_list(doc: &Json<'_>) -> Result<Option<Vec<Buffering>>, ApiErr
 }
 
 /// Parse the JSON body of `POST /v1/<mode>` into a runnable request. This
-/// checks each field's JSON type and the daemon's per-request size caps
-/// (`MAX_*`), which protect a shared worker pool; [`handle`] and the core
+/// checks each field's JSON type and the daemon's sweep and Monte-Carlo
+/// size caps, which protect a shared worker pool; [`handle`] and the core
 /// check everything else.
 pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError> {
     let doc =
@@ -823,14 +855,6 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
             let fclocks = optional_f64_list(&doc, "fclocks")?;
             let throughput_procs = optional_f64_list(&doc, "throughput_procs")?;
             let bufferings = parse_buffering_list(&doc)?;
-            let corners = fclocks.as_ref().map_or(1, Vec::len)
-                * throughput_procs.as_ref().map_or(1, Vec::len)
-                * bufferings.as_ref().map_or(2, Vec::len);
-            if corners > MAX_EXPLORE_CORNERS {
-                return Err(bad_body(format!(
-                    "design space has {corners} corners; at most {MAX_EXPLORE_CORNERS}"
-                )));
-            }
             Ok(ApiRequest::Explore {
                 input,
                 min_speedup,
@@ -844,15 +868,6 @@ pub fn parse_mode_request(mode: &str, body: &str) -> Result<ApiRequest, ApiError
             let seed = optional_int(&doc, "seed")?;
             let generations = optional_int(&doc, "generations")?;
             let population = optional_int(&doc, "population")?;
-            let defaults = OptimizeConfig::default();
-            let evals = u64::from(generations.unwrap_or(defaults.generations))
-                .saturating_mul(population.unwrap_or(defaults.population) as u64);
-            if evals > MAX_OPTIMIZE_EVALS {
-                return Err(bad_body(format!(
-                    "generations x population is {evals} evaluations; \
-                     at most {MAX_OPTIMIZE_EVALS}"
-                )));
-            }
             let pair = |key: &str| -> Result<Option<(f64, f64)>, ApiError> {
                 match optional_f64_list(&doc, key)? {
                     None => Ok(None),
@@ -1201,6 +1216,55 @@ mod tests {
                     assert!(cause.contains("needs at least one"), "{cause}")
                 }
                 other => panic!("{} with nothing to vary: {other:?}", req.mode()),
+            }
+        }
+    }
+
+    #[test]
+    fn size_caps_are_bad_requests_from_handle_for_both_surfaces() {
+        let input = rat_apps::pdf::pdf1d::rat_input(150.0e6);
+        let explore =
+            |clocks: usize, tps: usize, bufferings: Option<Vec<Buffering>>| ApiRequest::Explore {
+                input: input.clone(),
+                min_speedup: 1.0,
+                fclocks: Some(vec![1.0e8; clocks]),
+                throughput_procs: Some(vec![1.0; tps]),
+                bufferings,
+            };
+        let optimize = |generations: u32, population: usize| ApiRequest::Optimize {
+            input: input.clone(),
+            spec: OptimizeSpec {
+                generations: Some(generations),
+                population: Some(population),
+                ..OptimizeSpec::default()
+            },
+        };
+        // At the caps: 1,000 × 500 × both bufferings, and 1,000 × 1,000.
+        for req in [
+            explore(1000, 500, None),
+            explore(1000, 1000, Some(vec![Buffering::Double])),
+            optimize(1000, 1000),
+        ] {
+            assert!(req.check_shape().is_ok(), "{}", req.mode());
+        }
+        let engine = Engine::sequential();
+        for (req, want) in [
+            (
+                explore(1000, 501, None),
+                "design space has 1002000 corners; at most 1000000",
+            ),
+            (
+                optimize(1, 1 << 60),
+                "generations x population is 1152921504606846976 evaluations; at most 1000000",
+            ),
+            (
+                optimize(1100, 1000),
+                "generations x population is 1100000 evaluations; at most 1000000",
+            ),
+        ] {
+            match handle(&engine, &req, None) {
+                Err(ApiError::BadRequest { cause, .. }) => assert_eq!(cause, want),
+                other => panic!("{}: {other:?}", req.mode()),
             }
         }
     }

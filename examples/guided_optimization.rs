@@ -52,14 +52,20 @@ fn main() {
         ..OptimizeSpace::around(base)
     };
     let outcome = optimize(&engine, &constrained, &config).expect("LX100 fits the 1-D PDF");
+    //    A front member derives its full report and resource verdict on
+    //    demand, so only the points you look at cost anything.
     let best = outcome.best();
+    let report = best.report();
+    let resources = best.resources();
     println!("On the paper's own hardware: {}", best.display_name());
     println!(
-        "  speedup {:.2}x, {} of {} DSPs, fits: {}\n",
-        best.objectives.speedup,
-        best.resources.estimate.dsp,
-        best.resources.device.dsp_blocks,
-        best.resources.fits
+        "  speedup {:.2}x (t_comm {:.3e} s, t_comp {:.3e} s), {} of {} DSPs, fits: {}\n",
+        report.speedup,
+        report.throughput.t_comm.seconds(),
+        report.throughput.t_comp.seconds(),
+        resources.estimate.dsp,
+        resources.device.dsp_blocks,
+        resources.fits
     );
 
     // 3. Not every design has a feasible point: molecular dynamics buffers
