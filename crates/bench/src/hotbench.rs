@@ -539,11 +539,12 @@ pub fn run(quick: bool) -> BenchReport {
     });
 
     // Scenario family 2b: the observability layer's cost on the same summary
-    // run — identical work with the collector enabled (spans and counters
-    // recorded) next to `execute_summary_fast_forward`, whose path is the
-    // disabled one (a single relaxed atomic load per run). The *disabled*
-    // path's overhead vs pre-instrumentation builds is tracked across the
-    // checked-in BENCH_*.json files on that same scenario; see DESIGN.md §12.
+    // run — identical work with span recording enabled next to
+    // `execute_summary_fast_forward`, whose path records no spans (one
+    // relaxed atomic load per run, plus one relaxed atomic per counter
+    // call, which both paths pay). The *disabled* path's overhead vs
+    // pre-instrumentation builds is tracked across the checked-in
+    // BENCH_*.json files on that same scenario; see DESIGN.md §12.
     let tel = rat_core::telemetry::global();
     let was_enabled = tel.is_enabled();
     if !was_enabled {

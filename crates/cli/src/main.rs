@@ -264,7 +264,7 @@ struct GlobalFlags {
 
 /// Strip the global `--jobs N` / `--jobs=N` / `--metrics` /
 /// `--profile <path.json>` flags from the argument list, returning them plus
-/// the remaining (command) arguments.
+/// the remaining (command) arguments. `rat serve` rejects the last two.
 fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
     let mut flags = GlobalFlags {
         config: EngineConfig::default(),
@@ -290,6 +290,15 @@ fn parse_global_flags(args: &[String]) -> Result<GlobalFlags, CliError> {
         } else {
             flags.rest.push(a.clone());
         }
+    }
+    // A daemon exports its counters at GET /metrics; these flags would
+    // record its spans for its whole lifetime and drain them only at exit.
+    if (flags.metrics || flags.profile.is_some())
+        && flags.rest.first().is_some_and(|c| c == "serve")
+    {
+        return Err(CliError::usage(
+            "`rat serve` takes no --metrics or --profile: read its counters at GET /metrics",
+        ));
     }
     Ok(flags)
 }

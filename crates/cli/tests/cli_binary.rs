@@ -361,6 +361,37 @@ fn the_removed_cache_flag_is_a_usage_error() {
 }
 
 #[test]
+fn serve_rejects_the_telemetry_flags_before_binding() {
+    // A daemon records no spans and exports its counters at GET /metrics,
+    // so `--metrics` and `--profile` would only trace it until exit. The
+    // address is a documentation-range IP no interface holds, so a serve
+    // that got past the flags would fail to bind and exit 6.
+    let profile = std::env::temp_dir().join(format!("rat-serve-{}.json", std::process::id()));
+    let profile = profile.to_str().expect("utf-8 temp path");
+    let with_eq = format!("--profile={profile}");
+    let serve = ["serve", "--addr", "192.0.2.1", "--port", "0"];
+    for flags in [
+        vec!["--metrics"],
+        vec!["--profile", profile],
+        vec![with_eq.as_str()],
+    ] {
+        for before in [true, false] {
+            let args: Vec<&str> = if before {
+                flags.iter().chain(&serve).copied().collect()
+            } else {
+                serve.iter().chain(&flags).copied().collect()
+            };
+            let (stdout, stderr, code) = run_rat_env(&args, &[]);
+            assert_eq!(code, 2, "{args:?}: {stderr}");
+            assert!(stderr.contains("GET /metrics"), "{args:?}: {stderr}");
+            assert!(!stderr.contains("binding"), "{args:?}: {stderr}");
+            assert!(stdout.is_empty(), "{args:?}: {stdout}");
+        }
+    }
+    assert!(!std::path::Path::new(profile).exists(), "{profile} written");
+}
+
+#[test]
 fn trace_mhz_override_is_reflected_in_output() {
     let (stdout, _, code) = run_rat_env(&["trace", "pdf1d", "--mhz", "100"], &[]);
     assert_eq!(code, 0);

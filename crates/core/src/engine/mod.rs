@@ -164,7 +164,6 @@ impl Engine {
     {
         let started = Instant::now();
         let counters = &self.counters;
-        let collect = telemetry::enabled();
         // Read the caller's span path once, and only when spans are
         // recorded. The job kind is the phase that spawned the batch (sweep,
         // uncertainty, ...): the innermost span open before the batch span.
@@ -172,7 +171,7 @@ impl Engine {
         // span instead of floating at top level. Every job's span shares the
         // one kind, and the submitting thread is noted so a job can tell
         // whether it runs on a pool thread.
-        let (jobs_ctx, batch_span) = if collect {
+        let (jobs_ctx, batch_span) = if telemetry::enabled() {
             let prefix = telemetry::global().current_path_prefix();
             let kind: Arc<str> = prefix
                 .trim_end_matches('/')
@@ -216,10 +215,8 @@ impl Engine {
             out
         };
         let results = self.pool.run_indexed(n, timed);
-        if collect {
-            telemetry::add(Metric::EngineJobs, n as u64);
-            telemetry::add(Metric::EngineBatches, 1);
-        }
+        telemetry::add(Metric::EngineJobs, n as u64);
+        telemetry::add(Metric::EngineBatches, 1);
         drop(batch_span);
         self.counters.record_batch(started.elapsed());
         results

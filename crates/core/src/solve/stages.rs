@@ -168,12 +168,8 @@ impl BatchStagePlan {
     }
 }
 
-/// Record one batch's structural stage counters into telemetry (when
-/// enabled).
+/// Record one batch's structural stage counters into telemetry.
 pub fn record_batch(plan: &BatchStagePlan, n: u64) {
-    if !telemetry::enabled() {
-        return;
-    }
     let c = plan.counters(n);
     telemetry::add(Metric::StageHits, c.total_hits());
     telemetry::add(Metric::StageMisses, c.total_misses());

@@ -13,6 +13,7 @@
 //!   events processed, fast-forward periods skipped, response-cache
 //!   hits/misses, Monte-Carlo samples, queue high-water marks — backed by
 //!   one atomic each, so recording never allocates and never locks.
+//!   Counters count whether or not spans are being recorded.
 //! - **Two exporters**: a human-readable tree summary
 //!   ([`Profile::render_tree`], deterministic in content ordering so snapshot
 //!   tests are stable modulo timestamps) and Chrome `trace_event` JSON
@@ -20,8 +21,12 @@
 //!
 //! ## Cost model
 //!
-//! Collection is **off by default** and effectively free when disabled: every
-//! recording entry point starts with one relaxed atomic load and returns
+//! A counter call is one relaxed atomic, always: counters are cumulative
+//! until [`Telemetry::drain`] resets them, and [`Telemetry::counter`] reads
+//! one without resetting it (`rat serve` renders `/metrics` that way).
+//!
+//! Span recording is **off by default** and effectively free when disabled:
+//! every span entry point starts with one relaxed atomic load and returns
 //! before touching thread-local state — the same shape as the simulator's
 //! `TraceSink` no-op sink (DESIGN.md §11), except the decision is a runtime
 //! branch rather than a monomorphized constant because the CLI flips it per
@@ -29,15 +34,15 @@
 //! sample loop) capture the enabled flag **once per run** into a local and
 //! never re-check it per event.
 //!
-//! When enabled, each thread records into its own buffer (`ThreadBuf`,
+//! When enabled, each thread records spans into its own buffer (`ThreadBuf`,
 //! registered on first use); buffers are only merged — and sorted into a
 //! deterministic order — at [`Telemetry::drain`]. The per-thread buffer is
 //! behind a `Mutex` solely so `drain` can read it from another thread; the
 //! owning thread's accesses are uncontended.
 //!
 //! Tests that need isolation construct their own [`Telemetry`] instance; the
-//! instrumented library code records against [`global`], which the CLI enables
-//! for `--metrics` / `--profile <path.json>`.
+//! instrumented library code records against [`global`], whose spans the CLI
+//! enables for `--metrics` / `--profile <path.json>`.
 
 pub mod chrome;
 pub mod json;
@@ -158,7 +163,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Every metric, in rendering order.
+    /// Every metric, in rendering order, which is declaration order.
     pub const ALL: [Metric; 27] = [
         Metric::EngineJobs,
         Metric::EngineBatches,
@@ -227,11 +232,10 @@ impl Metric {
         matches!(self, Metric::QueueHighWater)
     }
 
+    /// This metric's position in [`Metric::ALL`], which lists the variants
+    /// in declaration order.
     fn index(self) -> usize {
-        Metric::ALL
-            .iter()
-            .position(|m| *m == self)
-            .expect("metric present in ALL")
+        self as usize
     }
 }
 
@@ -261,8 +265,8 @@ thread_local! {
 
 static NEXT_COLLECTOR_ID: AtomicU64 = AtomicU64::new(1);
 
-/// A span/metric collector. Disabled on construction; recording calls are a
-/// single relaxed atomic load while disabled.
+/// A span/metric collector. Span recording is disabled on construction, and
+/// a span call is then a single relaxed atomic load; counters always count.
 pub struct Telemetry {
     id: u64,
     enabled: AtomicBool,
@@ -285,18 +289,18 @@ impl Telemetry {
         }
     }
 
-    /// Start collecting.
+    /// Start recording spans.
     pub fn enable(&self) {
         self.enabled.store(true, Ordering::Relaxed);
     }
 
-    /// Stop collecting. Already-open spans still record at exit.
+    /// Stop recording spans. Already-open spans still record at exit.
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::Relaxed);
     }
 
-    /// Whether recording is currently on. Hot loops should read this once per
-    /// run into a local rather than per event.
+    /// Whether span recording is currently on. Hot loops should read this
+    /// once per run into a local rather than per event.
     pub fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -401,18 +405,20 @@ impl Telemetry {
         }
     }
 
-    /// Add `n` to a counter. One atomic load + one atomic add when enabled.
+    /// Add `n` to a counter: one relaxed atomic add.
     pub fn add(&self, metric: Metric, n: u64) {
-        if self.is_enabled() {
-            self.counters[metric.index()].fetch_add(n, Ordering::Relaxed);
-        }
+        self.counters[metric.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Raise a gauge to at least `v` (high-water semantics).
     pub fn gauge_max(&self, metric: Metric, v: u64) {
-        if self.is_enabled() {
-            self.counters[metric.index()].fetch_max(v, Ordering::Relaxed);
-        }
+        self.counters[metric.index()].fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// A metric's value since the last [`drain`](Telemetry::drain), without
+    /// resetting it.
+    pub fn counter(&self, metric: Metric) -> u64 {
+        self.counters[metric.index()].load(Ordering::Relaxed)
     }
 
     /// Merge every thread's buffer into one deterministic [`Profile`] and
@@ -535,11 +541,7 @@ pub struct Profile {
 impl Profile {
     /// This profile's value for `metric`.
     pub fn metric(&self, metric: Metric) -> u64 {
-        self.metrics
-            .iter()
-            .find(|(m, _)| *m == metric)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        self.metrics.get(metric.index()).map_or(0, |&(_, v)| v)
     }
 
     /// Monte-Carlo sampling rate, derived from [`Metric::McSamples`] and the
@@ -642,7 +644,7 @@ pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(Telemetry::new)
 }
 
-/// Whether the global collector is recording.
+/// Whether the global collector is recording spans.
 pub fn enabled() -> bool {
     global().is_enabled()
 }
@@ -672,7 +674,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_collector_records_nothing() {
+    fn disabled_collector_records_no_spans() {
         let t = Telemetry::new();
         {
             let _a = t.span("a");
@@ -680,10 +682,23 @@ mod tests {
         }
         t.add(Metric::EngineJobs, 5);
         t.gauge_max(Metric::QueueHighWater, 9);
+        // Counters count with span recording off, and reading one does not
+        // reset it.
+        assert_eq!(t.counter(Metric::EngineJobs), 5);
+        assert_eq!(t.counter(Metric::EngineJobs), 5);
         let p = t.drain();
         assert!(p.spans.is_empty());
-        assert_eq!(p.metric(Metric::EngineJobs), 0);
+        assert_eq!(p.metric(Metric::EngineJobs), 5);
+        assert_eq!(p.metric(Metric::QueueHighWater), 9);
         assert_eq!(p.open_spans, 0);
+        assert_eq!(t.counter(Metric::EngineJobs), 0);
+    }
+
+    #[test]
+    fn a_metric_indexes_its_own_slot() {
+        for (i, m) in Metric::ALL.iter().enumerate() {
+            assert_eq!(*m as usize, i, "{}", m.name());
+        }
     }
 
     #[test]

@@ -402,10 +402,11 @@ impl Platform {
         if run.parallel_kernels == 0 {
             return Err(ExecError::NoKernels);
         }
-        // The enabled flag is read once per run, then monomorphized away:
+        // The span switch is read once per run, then monomorphized away:
         // with `TEL = false` every span guard below constant-folds to `None`,
         // so the disabled path carries no drop glue or landing pads in the
-        // hot loop — measurably free, not just branch-predicted free.
+        // hot loop — measurably free, not just branch-predicted free. Both
+        // paths count events and the queue's high-water mark.
         if telemetry::enabled() {
             self.execute_phases::<K, S, true>(kernel, run, fclock, sink)
         } else {
@@ -413,8 +414,9 @@ impl Platform {
         }
     }
 
-    /// The simulation body shared by the instrumented (`TEL = true`) and
-    /// bare (`TEL = false`) paths; results are bit-identical between the two.
+    /// The simulation body shared by the span-recording (`TEL = true`) and
+    /// bare (`TEL = false`) paths; results and counters are identical
+    /// between the two.
     fn execute_phases<K: HardwareKernel + ?Sized, S: TraceSink, const TEL: bool>(
         &self,
         kernel: &K,
@@ -451,9 +453,7 @@ impl Platform {
         let mut queue_high_water = 0usize;
         while let Some((_, ev)) = sim.q.pop() {
             events += 1;
-            if TEL {
-                queue_high_water = queue_high_water.max(sim.q.len());
-            }
+            queue_high_water = queue_high_water.max(sim.q.len());
             // Sync completions are the periodicity anchor: every schedule has
             // exactly one per iteration, so probing there sees each candidate
             // period exactly once.
@@ -479,11 +479,9 @@ impl Platform {
         };
         let (summary, sink) = sim.finish();
         drop(teardown_span);
-        if TEL {
-            telemetry::add(Metric::SimRuns, 1);
-            telemetry::add(Metric::SimEvents, events);
-            telemetry::gauge_max(Metric::QueueHighWater, queue_high_water as u64);
-        }
+        telemetry::add(Metric::SimRuns, 1);
+        telemetry::add(Metric::SimEvents, events);
+        telemetry::gauge_max(Metric::QueueHighWater, queue_high_water as u64);
         drop(run_span);
         Ok((summary, sink, events))
     }

@@ -2,19 +2,17 @@
 //! histogram, and the plaintext `GET /metrics` rendering.
 //!
 //! The pipeline's own counters (engine jobs, simulator events, cache hits)
-//! come from `rat_core::telemetry`; since [`Telemetry::drain`] resets the
-//! collector, workers periodically drain into the cumulative totals held
-//! here, so `/metrics` is monotonic across the server's lifetime while the
-//! per-thread span buffers stay bounded.
-//!
-//! [`Telemetry::drain`]: rat_core::telemetry::Telemetry::drain
+//! live in a `rat_core::telemetry` collector, which counts with span
+//! recording off; [`ServerMetrics::render`] reads them from it with
+//! [`Telemetry::counter`]. Nothing in a daemon drains that collector, so
+//! each `pipeline_*` line is cumulative over the process's lifetime.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
 use fpga_sim::CacheStats;
-use rat_core::telemetry::{Metric, Profile};
+use rat_core::telemetry::{Metric, Telemetry};
 
 /// The status codes the server can emit, in rendering order.
 pub const STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 422, 500, 503];
@@ -128,8 +126,6 @@ pub struct ServerMetrics {
     status_counts: [AtomicU64; STATUSES.len()],
     /// Latency histogram over all served requests.
     latency: Mutex<Histogram>,
-    /// Cumulative pipeline counters, merged from periodic telemetry drains.
-    pipeline: Mutex<[u64; Metric::ALL.len()]>,
 }
 
 impl ServerMetrics {
@@ -156,36 +152,13 @@ impl ServerMetrics {
             .unwrap_or(0)
     }
 
-    /// Merge one drained telemetry [`Profile`] into the cumulative pipeline
-    /// totals (sum for counters, max for gauges).
-    pub fn merge_profile(&self, profile: &Profile) {
-        let mut totals = self.pipeline.lock().expect("pipeline lock");
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            let v = profile.metric(*m);
-            if m.is_gauge() {
-                totals[i] = totals[i].max(v);
-            } else {
-                totals[i] = totals[i].saturating_add(v);
-            }
-        }
-    }
-
-    /// Cumulative value of one pipeline metric.
-    pub fn pipeline_metric(&self, metric: Metric) -> u64 {
-        let totals = self.pipeline.lock().expect("pipeline lock");
-        Metric::ALL
-            .iter()
-            .position(|m| *m == metric)
-            .map(|i| totals[i])
-            .unwrap_or(0)
-    }
-
     /// Render the plaintext `/metrics` body: serve-layer counters, the
-    /// latency histogram, cumulative pipeline counters, the live
-    /// simulator-cache statistics, and (when the response cache is on) the
+    /// latency histogram, `pipeline`'s counters, the live simulator-cache
+    /// statistics, and (when the response cache is on) the
     /// rendered-response cache occupancy.
     pub fn render(
         &self,
+        pipeline: &Telemetry,
         cache: &CacheStats,
         queue_depth: usize,
         queue_high_water: usize,
@@ -213,15 +186,12 @@ impl ServerMetrics {
             }
         }
         self.latency.lock().expect("latency lock").render(&mut out);
-        {
-            let totals = self.pipeline.lock().expect("pipeline lock");
-            for (i, m) in Metric::ALL.iter().enumerate() {
-                out.push_str(&format!(
-                    "pipeline_{} {}\n",
-                    m.name().replace('.', "_"),
-                    totals[i]
-                ));
-            }
+        for m in Metric::ALL {
+            out.push_str(&format!(
+                "pipeline_{} {}\n",
+                m.name().replace('.', "_"),
+                pipeline.counter(m)
+            ));
         }
         out.push_str(&format!("cache_hits {}\n", cache.hits));
         out.push_str(&format!("cache_misses {}\n", cache.misses));
@@ -285,7 +255,15 @@ mod tests {
             entries: 2,
             shard_contention: 1,
         };
+        // A private collector with span recording off: its counters still
+        // count, and rendering reads them without resetting them.
+        let pipeline = Telemetry::new();
+        pipeline.add(Metric::ResponseCacheHits, 5);
+        pipeline.add(Metric::SimEvents, 40);
+        pipeline.gauge_max(Metric::QueueHighWater, 6);
+        pipeline.gauge_max(Metric::QueueHighWater, 2);
         let text = m.render(
+            &pipeline,
             &stats,
             4,
             9,
@@ -314,6 +292,9 @@ mod tests {
         for gone in ["hits", "misses", "shard_contention"] {
             assert!(!text.contains(&format!("pipeline_cache_{gone}")), "{text}");
         }
+        assert!(text.contains("pipeline_sim_events 40\n"), "{text}");
+        assert!(text.contains("pipeline_sim_queue_high_water 6\n"), "{text}");
+        assert_eq!(pipeline.counter(Metric::SimEvents), 40);
         assert!(text.contains("pipeline_mc_samples 0"), "{text}");
         // The stage-graph counters are part of the schema even when idle:
         // dashboards scrape them unconditionally.
@@ -324,7 +305,7 @@ mod tests {
         assert!(!text.contains("pipeline_stage_resource"), "{text}");
         // The serving-layer counters added with the response cache and the
         // solve coalescer are likewise always present.
-        assert!(text.contains("pipeline_cache_response_hits 0"), "{text}");
+        assert!(text.contains("pipeline_cache_response_hits 5\n"), "{text}");
         assert!(text.contains("pipeline_cache_response_misses 0"), "{text}");
         assert!(
             text.contains("pipeline_cache_response_inflight_waits 0"),
@@ -334,21 +315,5 @@ mod tests {
         assert!(text.contains("pipeline_coalesce_requests 0"), "{text}");
         assert!(text.contains("response_cache_entries 3"), "{text}");
         assert!(text.contains("response_cache_bytes 1234"), "{text}");
-    }
-
-    #[test]
-    fn profiles_merge_cumulatively() {
-        use rat_core::telemetry::Telemetry;
-        let m = ServerMetrics::new();
-        let t = Telemetry::new();
-        t.enable();
-        t.add(Metric::McSamples, 10);
-        t.gauge_max(Metric::QueueHighWater, 5);
-        m.merge_profile(&t.drain());
-        t.add(Metric::McSamples, 7);
-        t.gauge_max(Metric::QueueHighWater, 3);
-        m.merge_profile(&t.drain());
-        assert_eq!(m.pipeline_metric(Metric::McSamples), 17);
-        assert_eq!(m.pipeline_metric(Metric::QueueHighWater), 5);
     }
 }

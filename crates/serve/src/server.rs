@@ -22,6 +22,11 @@
 //!   into cross-request batches (see [`crate::coalesce`]) whose per-request
 //!   answers are bit-identical to the solo path.
 //!
+//! The daemon never turns span recording on. `GET /metrics` reads the
+//! pipeline counters live from the process-global telemetry collector,
+//! which counts whether or not spans are recorded, and nothing here drains
+//! it.
+//!
 //! Shutdown is a drain, not an abort: `POST /shutdown` (or SIGINT/SIGTERM
 //! via [`install_signal_shutdown`]) sets the stop flag and wakes the
 //! acceptor with a loopback connection; the acceptor stops accepting and
@@ -47,10 +52,6 @@ use crate::keys;
 use crate::metrics::ServerMetrics;
 use crate::queue::BoundedQueue;
 use crate::respcache::{Lookup, ResponseCache};
-
-/// Worker threads drain the global telemetry collector into the cumulative
-/// `/metrics` totals every this-many requests, bounding span-buffer growth.
-const TELEMETRY_DRAIN_INTERVAL: u64 = 64;
 
 /// Server configuration, all fields defaulted for tests (`port: 0` binds an
 /// ephemeral port).
@@ -192,10 +193,6 @@ impl ServerHandle {
         for w in self.workers {
             w.join().expect("worker thread panicked");
         }
-        // Final telemetry drain (workers drain periodically, not at exit).
-        self.shared
-            .metrics
-            .merge_profile(&telemetry::global().drain());
         let m = &self.shared.metrics;
         let ok = m.status_count(200);
         let total: u64 = crate::metrics::STATUSES
@@ -232,9 +229,6 @@ impl Server {
         } else {
             config.workers
         };
-        // Pipeline counters for /metrics come from the global telemetry
-        // collector; a resident service keeps it on for its lifetime.
-        telemetry::global().enable();
         let respcache = if config.response_cache_bytes > 0 {
             Some(ResponseCache::new(config.response_cache_bytes))
         } else {
@@ -312,27 +306,16 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 
 fn worker_loop(shared: &Shared) {
     let engine = Engine::new(EngineConfig::default().with_jobs(shared.config.engine_jobs));
-    let mut served = 0u64;
     while let Some((stream, queued_at)) = shared.queue.pop() {
-        served += serve_connection(shared, &engine, stream, queued_at);
-        if served >= TELEMETRY_DRAIN_INTERVAL {
-            shared.metrics.merge_profile(&telemetry::global().drain());
-            served = 0;
-        }
+        serve_connection(shared, &engine, stream, queued_at);
     }
 }
 
 /// Handle one connection end to end — possibly many requests under
-/// keep-alive — and return how many requests were answered. Never panics on
-/// client input: every failure maps to a status + JSON error body, and a
-/// client that vanished mid-write is simply logged as the status we tried
-/// to send.
-fn serve_connection(
-    shared: &Shared,
-    engine: &Engine,
-    stream: TcpStream,
-    queued_at: Instant,
-) -> u64 {
+/// keep-alive. Never panics on client input: every failure maps to a
+/// status + JSON error body, and a client that vanished mid-write is simply
+/// logged as the status we tried to send.
+fn serve_connection(shared: &Shared, engine: &Engine, stream: TcpStream, queued_at: Instant) {
     let _ = stream.set_write_timeout(Some(shared.config.request_timeout));
     let mut conn = Connection::new(stream);
     let mut served = 0u64;
@@ -365,7 +348,6 @@ fn serve_connection(
                     queued_at
                 };
                 shared.metrics.observe(e.status(), start.elapsed());
-                served += 1;
                 break;
             }
         };
@@ -405,7 +387,6 @@ fn serve_connection(
             break;
         }
     }
-    served
 }
 
 enum Response {
@@ -416,18 +397,14 @@ enum Response {
 fn route(shared: &Shared, engine: &Engine, req: &Request) -> Result<Response, ApiError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::Text("ok\n".into())),
-        ("GET", "/metrics") => {
-            // Pull whatever the workers have recorded since the last
-            // periodic drain, so counters are current at read time.
-            shared.metrics.merge_profile(&telemetry::global().drain());
-            Ok(Response::Text(shared.metrics.render(
-                &SimCache::global().stats(),
-                shared.queue.len(),
-                shared.queue.high_water(),
-                shared.config.workers,
-                shared.respcache.as_deref().map(|c| c.stats()),
-            )))
-        }
+        ("GET", "/metrics") => Ok(Response::Text(shared.metrics.render(
+            telemetry::global(),
+            &SimCache::global().stats(),
+            shared.queue.len(),
+            shared.queue.high_water(),
+            shared.config.workers,
+            shared.respcache.as_deref().map(|c| c.stats()),
+        ))),
         ("POST", "/shutdown") => {
             shared.request_stop();
             Ok(Response::Json(Arc::new(

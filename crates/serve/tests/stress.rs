@@ -6,9 +6,10 @@
 //! in-flight requests complete. A second test keeps a small response cache
 //! evicting on every insert and checks every body it serves.
 //!
-//! Its tests run one at a time: every in-process server drains the
-//! process-global telemetry collector, so a concurrent server could absorb
-//! the hit counts the first test asserts.
+//! Its tests run one at a time: every in-process server shares the
+//! process-global telemetry collector's counters and the global `SimCache`,
+//! so a concurrent server's requests would move the counts the first test
+//! reads.
 
 mod common;
 
