@@ -24,6 +24,7 @@ mod stream;
 
 pub use config::EngineConfig;
 pub use counters::{EngineCounters, EngineStats};
+pub(crate) use stream::mix;
 pub use stream::{job_rng, job_rng_first_draws, FIRST_BLOCK_DRAWS};
 
 use crate::telemetry::{self, ArgValue, Metric};

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// splitmix64's finalizer: a bijective avalanche mix over `u64`.
-fn mix(mut z: u64) -> u64 {
+pub(crate) fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

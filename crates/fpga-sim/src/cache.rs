@@ -11,8 +11,8 @@
 //! explicitly asks to see a schedule, which goes through
 //! [`crate::platform::Platform::execute`] uncached.
 //!
-//! The store is sharded [`SHARD_COUNT`] ways by the low bits of the 128-bit
-//! run key, uniform by construction. Each shard is a `Mutex` over a
+//! The store is sharded [`SHARD_COUNT`] ways by the top bits of the run
+//! key's [`rat_core::clock::spread`]. Each shard is a `Mutex` over a
 //! [`rat_core::clock::Clock`] of at most [`SHARD_CAP`] summaries, so a
 //! stream of new points stops growing the cache once it is full, and
 //! [`CacheStats::shard_contention`] counts the try-locks that collided.
@@ -22,7 +22,7 @@
 
 use crate::platform::Measurement;
 use crate::time::SimTime;
-use rat_core::clock::Clock;
+use rat_core::clock::{self, Clock};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 
@@ -107,17 +107,18 @@ impl CacheStats {
 
 /// Number of independently locked shards in a [`SimCache`]: wide enough
 /// that 8 workers rarely collide on one (each collision is transient), and
-/// a power of two so the shard index is a mask of the key's low bits.
+/// a power of two so the shard index is the spread key's top bits.
 pub const SHARD_COUNT: usize = 16;
 
 /// Most summaries one shard holds: 8,192 in a cache, far above the 3 runs
-/// `reproduce all` looks up, and 2.8 MiB of heap once full (DESIGN.md §13).
+/// `reproduce all` looks up, and 640 KiB of heap once full, 80 bytes an
+/// entry, which churn does not grow (DESIGN.md §13).
 pub const SHARD_CAP: usize = 512;
 
-/// The shard a key belongs to: low bits of the 128-bit digest, which are
-/// uniformly distributed by construction.
+/// The shard a key belongs to: the top bits of [`clock::spread`], the
+/// response cache's picker too. The digest's own bits need not spread.
 fn shard_of(key: u128) -> usize {
-    (key as usize) & (SHARD_COUNT - 1)
+    (clock::spread(key) >> (u64::BITS - SHARD_COUNT.ilog2())) as usize
 }
 
 /// A concurrent, content-addressed store of simulation results, sharded
@@ -295,20 +296,19 @@ mod tests {
     #[test]
     fn keys_spread_across_shards_and_uncontended_locks_count_nothing() {
         let cache = SimCache::new();
-        for k in 0..(SHARD_COUNT as u128 * 4) {
+        let keys = SHARD_COUNT as u128 * 64;
+        for k in 0..keys {
             cache.insert(k, sample_summary(1 + k as u64));
             assert_eq!(cache.lookup(k), Some(sample_summary(1 + k as u64)));
         }
         let stats = cache.stats();
-        assert_eq!(stats.entries, SHARD_COUNT as u64 * 4);
+        assert_eq!(stats.entries, keys as u64);
         assert_eq!(stats.shard_contention, 0, "single-thread never contends");
-        // Consecutive digests land in consecutive shards (low-bit mask), so
-        // every shard holds exactly 4 of the 64 keys.
+        // Consecutive digests share all but their low bits, yet every shard
+        // gets about its 64 of the 1,024 keys.
         for s in 0..SHARD_COUNT {
-            let held = (0..SHARD_COUNT as u128 * 4)
-                .filter(|k| super::shard_of(*k) == s)
-                .count();
-            assert_eq!(held, 4);
+            let held = (0..keys).filter(|k| super::shard_of(*k) == s).count();
+            assert!((48..=80).contains(&held), "shard {s} holds {held}");
         }
     }
 
@@ -382,7 +382,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        // Low bits spread the 4 x CAP keys evenly, so every shard filled.
+        // The 4 x CAP keys spread over the shards, so every shard filled.
         assert_eq!(cache.stats().entries, CAP);
     }
 }

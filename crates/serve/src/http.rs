@@ -134,11 +134,14 @@ impl Connection {
         // Phase B: the request is underway; the per-request deadline
         // governs every read from here on.
 
-        // Scan (and grow) the buffer until the blank line ending the headers.
+        // Scan (and grow) the buffer until the blank line ending the headers,
+        // each scan resuming where the last one stopped.
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(end) = find_head_end(&self.buf) {
+            if let Some(end) = find_head_end(&self.buf, scanned) {
                 break end;
             }
+            scanned = self.buf.len();
             if self.buf.len() > MAX_HEAD_BYTES {
                 return Err(ReadError::Protocol(ApiError::TooLarge {
                     limit: MAX_HEAD_BYTES,
@@ -275,9 +278,14 @@ fn is_timeout(e: &std::io::Error) -> bool {
     e.kind() == std::io::ErrorKind::WouldBlock || e.kind() == std::io::ErrorKind::TimedOut
 }
 
-/// Index one past the blank line ending the headers, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    (1..=buf.len()).find(|&end| buf[..end].ends_with(b"\r\n\r\n") || buf[..end].ends_with(b"\n\n"))
+/// Index one past the first blank line ending the headers, if present,
+/// checking only the ends past `scanned`: a caller that found none in
+/// `buf[..scanned]` resumes there once more bytes arrive. Each check looks
+/// back at most four bytes, so a terminator split across two reads is still
+/// found, and a head trickled in a byte at a time costs one pass.
+fn find_head_end(buf: &[u8], scanned: usize) -> Option<usize> {
+    (scanned + 1..=buf.len())
+        .find(|&end| buf[..end].ends_with(b"\r\n\r\n") || buf[..end].ends_with(b"\n\n"))
 }
 
 /// The standard reason phrase for the status codes this server emits.
@@ -495,6 +503,43 @@ mod tests {
         assert_eq!(conn.read_timeout, Some(request));
         assert_ne!(conn.stream.read_timeout().unwrap(), Some(idle));
         client.join().unwrap();
+    }
+
+    #[test]
+    fn a_head_split_at_any_byte_reads_as_the_same_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let wait = Duration::from_secs(5);
+        for raw in [
+            &b"POST /v1/solve HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd"[..],
+            b"POST /a HTTP/1.0\nContent-Length: 4\n\nabcd",
+        ] {
+            let whole = round_trip(raw).unwrap();
+            for split in 1..raw.len() {
+                // The first part is already read and buffered, so the
+                // second read brings the rest: at the terminator's splits,
+                // the blank line spans the two.
+                let rest = raw[split..].to_vec();
+                let client = std::thread::spawn(move || {
+                    let mut s = TcpStream::connect(addr).unwrap();
+                    s.write_all(&rest).unwrap();
+                    s
+                });
+                let (stream, _) = listener.accept().unwrap();
+                let mut conn = Connection::new(stream);
+                conn.buf.extend_from_slice(&raw[..split]);
+                let (req, _) = conn
+                    .read_request(wait, wait, MAX_BODY_BYTES, false)
+                    .unwrap_or_else(|e| panic!("split at {split}: {e:?}"));
+                assert_eq!(
+                    (&req.method, &req.path, &req.body, req.keep_alive),
+                    (&whole.method, &whole.path, &whole.body, whole.keep_alive),
+                    "split at {split}"
+                );
+                assert!(conn.buf.is_empty(), "split at {split}");
+                drop(client.join().unwrap());
+            }
+        }
     }
 
     #[test]

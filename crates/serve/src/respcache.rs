@@ -26,7 +26,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use rat_core::clock::Clock;
+use rat_core::clock::{self, Clock};
 use rat_core::telemetry::{self, Metric};
 
 const SHARD_COUNT: usize = 16;
@@ -100,9 +100,12 @@ impl Drop for FlightGuard {
     }
 }
 
+/// A key's shard: the top bits of [`clock::spread`]. FNV-1a digests of
+/// similar requests can share their top bits (the canonical keys of
+/// `/v1/simulate` clocks on a 1/64 MHz grid share all four), so the digest
+/// is spread first.
 fn shard_of(key: u128) -> usize {
-    // High bits: the FNV mixing concentrates entropy there.
-    (key >> 124) as usize % SHARD_COUNT
+    (clock::spread(key) >> (u64::BITS - SHARD_COUNT.ilog2())) as usize
 }
 
 /// Point-in-time occupancy, for `/metrics` rendering and tests.
@@ -314,32 +317,65 @@ mod tests {
         }
     }
 
+    /// The first three keys that share a shard, so a test can fill one.
+    fn one_shard_keys() -> [u128; 3] {
+        let mut keys = (0..).filter(|&k| shard_of(k) == shard_of(0));
+        std::array::from_fn(|_| keys.next().expect("keys are unbounded"))
+    }
+
     #[test]
     fn lru_evicts_oldest_ready_entries_under_byte_pressure() {
         // Budget of 64 bytes per shard; three 30-byte bodies on one shard
-        // (small keys all land on shard 0) must evict the least recently
-        // used.
+        // must evict the least recently used.
         let cache = ResponseCache::new(64 * SHARD_COUNT);
-        for i in 0..2u128 {
-            match cache.begin(i) {
+        let [a, b, c] = one_shard_keys();
+        for key in [a, b] {
+            match cache.begin(key) {
                 Lookup::Miss(g) => g.complete(body(&"x".repeat(30))),
                 Lookup::Hit(_) => panic!(),
             }
         }
-        // Touch key 0 so key 1 is the LRU victim.
-        assert!(matches!(cache.begin(0), Lookup::Hit(_)));
-        match cache.begin(2) {
+        // Touch `a` so `b` is the LRU victim.
+        assert!(matches!(cache.begin(a), Lookup::Hit(_)));
+        match cache.begin(c) {
             Lookup::Miss(g) => g.complete(body(&"x".repeat(30))),
             Lookup::Hit(_) => panic!(),
         }
         assert!(
-            matches!(cache.begin(0), Lookup::Hit(_)),
+            matches!(cache.begin(a), Lookup::Hit(_)),
             "recently touched entry survives"
         );
         assert!(
-            matches!(cache.begin(1), Lookup::Miss(_)),
+            matches!(cache.begin(b), Lookup::Miss(_)),
             "LRU entry was evicted"
         );
+    }
+
+    #[test]
+    fn grid_clock_simulates_spread_over_every_shard() {
+        // `/v1/simulate` bodies at clocks on a 1/64 MHz grid: their raw
+        // FNV-1a digests share their top bits, and the canonical keys all
+        // fell in one shard when the shard was the digest's top 4 bits.
+        let (seed, jobs) = (
+            rat_core::engine::EngineConfig::default().root_seed,
+            crate::ServeConfig::default().engine_jobs,
+        );
+        let n = 100_000;
+        let mut held = [0usize; SHARD_COUNT];
+        for k in 0..n {
+            let req = crate::api::ApiRequest::Simulate {
+                app: "pdf1d".into(),
+                mhz: 50.0 + k as f64 / 64.0,
+            };
+            held[shard_of(crate::keys::request_key(&req, seed, jobs))] += 1;
+        }
+        for (shard, &count) in held.iter().enumerate() {
+            let share = 100.0 * count as f64 / n as f64;
+            assert!(
+                (share - 100.0 / SHARD_COUNT as f64).abs() <= 1.0,
+                "shard {shard} holds {share:.2}% of the keys: {held:?}"
+            );
+        }
     }
 
     #[test]
@@ -416,18 +452,19 @@ mod tests {
         assert!(matches!(cache.begin(3), Lookup::Miss(_)));
         assert_eq!(cache.stats().bytes, 0);
 
-        // Nor does one evict what the shard already holds, in either tier.
+        // Nor does one evict what its shard already holds, in either tier.
         let cache = ResponseCache::new(64 * SHARD_COUNT);
         let (small, big) = (body(&"s".repeat(30)), body(&"b".repeat(65)));
-        for (key, b) in [(0, &small), (1, &big)] {
+        let [first, second, _] = one_shard_keys();
+        for (key, b) in [(first, &small), (second, &big)] {
             match cache.begin(key) {
                 Lookup::Miss(g) => g.complete(Arc::clone(b)),
                 Lookup::Hit(_) => panic!(),
             }
             cache.alias_raw(key, b);
         }
-        assert!(matches!(cache.begin(0), Lookup::Hit(_)));
-        assert!(cache.lookup_raw(0).is_some());
+        assert!(matches!(cache.begin(first), Lookup::Hit(_)));
+        assert!(cache.lookup_raw(first).is_some());
         assert_eq!(cache.stats().bytes, 2 * small.len());
     }
 }

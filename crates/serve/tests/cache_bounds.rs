@@ -119,10 +119,12 @@ impl Drop for Daemon {
 #[ignore = "release soak of a real daemon; run with --release -- --ignored"]
 fn a_daemon_fed_new_clocks_stops_growing_once_its_caches_are_full() {
     // Margin on the peak RSS over the second half. Past full, the peak
-    // still settles once, by ~2 MiB: each simulator-cache shard's map
-    // doubles under churn (1.4 MiB in all, DESIGN.md §13) and the
-    // allocator takes some slack. An unbounded simulator cache grows ~11
-    // MiB over the same requests, and keeps growing.
+    // still settles once, by 2,160-2,164 KiB on a 2-vCPU x86-64 VM, then
+    // stays flat over three more halves. That is not the caches' heap,
+    // which churn does not grow (`cache_memory.rs` pins it): the same
+    // requests in one process leave the live heap flat, and none holds
+    // 100 KB of transient heap. An unbounded simulator cache grows ~11 MiB
+    // over the same requests, and keeps growing.
     const MARGIN_KIB: u64 = 4 << 10;
     const BATCH: usize = 4096;
 
