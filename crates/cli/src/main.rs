@@ -319,8 +319,15 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
         "help" | "--help" | "-h" => Ok(usage()),
         "analyze" => {
             let input = load_worksheet(args.get(1))?;
+            let mut markdown = false;
+            for a in args.iter().skip(2) {
+                match a.as_str() {
+                    "--markdown" => markdown = true,
+                    other => return Err(unexpected(cmd, other)),
+                }
+            }
             let report = Worksheet::new(input).analyze()?;
-            if args.iter().any(|a| a == "--markdown") {
+            if markdown {
                 Ok(report.render_markdown())
             } else {
                 Ok(report.render())
@@ -348,6 +355,7 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
                 .map(|v| parse_arg("device count", v))
                 .transpose()?
                 .unwrap_or(16);
+            no_more(cmd, args, 3)?;
             let curve = rat_core::multifpga::scaling_curve_with(engine, &input, max)?;
             let sat = rat_core::multifpga::saturating_devices(&input)?;
             Ok(format!(
@@ -366,11 +374,13 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
                     )))
                 }
             };
+            no_more(cmd, args, 3)?;
             let s = rat_core::streaming::analyze(&input, duplex)?;
             Ok(s.render())
         }
         "microbench" => {
             let spec = parse_platform(args.get(1).map(String::as_str).unwrap_or(""))?;
+            no_more(cmd, args, 2)?;
             let table = fpga_sim::microbench::alpha_table(
                 &spec.interconnect,
                 &fpga_sim::microbench::standard_sizes(),
@@ -382,9 +392,19 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             ))
         }
         "reproduce" => {
-            let what = args.get(1).map(String::as_str).unwrap_or("all");
-            let fast = args.iter().any(|a| a == "--fast");
-            if what == "all" || what == "--fast" {
+            let mut what = None;
+            let mut fast = false;
+            for a in args.iter().skip(1) {
+                match a.as_str() {
+                    "--fast" => fast = true,
+                    other if other.starts_with("--") || what.is_some() => {
+                        return Err(unexpected(cmd, other))
+                    }
+                    other => what = Some(other),
+                }
+            }
+            let what = what.unwrap_or("all");
+            if what == "all" {
                 let mut out = String::new();
                 for a in rat_bench::all_artifacts_with(engine, fast) {
                     out.push_str(&format!("==== {} — {} ====\n{}\n", a.id, a.title, a.body));
@@ -407,10 +427,13 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             // out-of-band clock or a simulator rejection exits 5 with
             // context rather than panicking.
             let mut mhz_override = None;
+            let mut csv = false;
             let mut it = args.iter().skip(2);
             while let Some(a) = it.next() {
-                if a == "--mhz" {
-                    mhz_override = Some(flag_value(&mut it, a)?);
+                match a.as_str() {
+                    "--mhz" => mhz_override = Some(flag_value(&mut it, a)?),
+                    "--csv" => csv = true,
+                    other => return Err(unexpected(cmd, other)),
                 }
             }
             let (name, default_mhz, t_soft) = match app {
@@ -440,7 +463,6 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
                 _ => rat_apps::sort::rat::design().try_simulate(fclk),
             }
             .map_err(|e| simulating(e.into()))?;
-            let csv = args.iter().any(|a| a == "--csv");
             if csv {
                 Ok(measurement.trace.to_csv())
             } else {
@@ -454,6 +476,7 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             }
         }
         "devices" => {
+            no_more(cmd, args, 1)?;
             let mut out = String::from("Device catalog:\n");
             for d in rat_core::resources::device::all_devices() {
                 out.push_str(&format!(
@@ -481,6 +504,7 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             let missing = || CliError::usage("breakeven needs <dev-hours> <runs-per-day>");
             let dev_hours: f64 = parse_arg("dev-hours", args.get(2).ok_or_else(missing)?)?;
             let runs_per_day: f64 = parse_arg("runs-per-day", args.get(3).ok_or_else(missing)?)?;
+            no_more(cmd, args, 4)?;
             let cost = rat_core::breakeven::MigrationCost {
                 development_hours: dev_hours,
                 runs_per_day,
@@ -598,7 +622,10 @@ fn dispatch(engine: &Engine, args: &[String]) -> Result<String, CliError> {
             }
             watch(path, poll_ms, max_renders)
         }
-        "example-worksheet" => Ok(example_worksheet()),
+        "example-worksheet" => {
+            no_more(cmd, args, 1)?;
+            Ok(example_worksheet())
+        }
         other => Err(CliError::usage(format!("unknown command '{other}'"))),
     }
 }
@@ -884,6 +911,13 @@ fn mode_request(mode: &str, args: &[String]) -> Result<ApiRequest, CliError> {
         Some(extra) => Err(unexpected(mode, extra)),
         None => Ok(req),
     }
+}
+
+/// Fail with [`unexpected`] on `args[i]`, if there is one: `command`
+/// takes only the arguments before it.
+fn no_more(command: &str, args: &[String], i: usize) -> Result<(), CliError> {
+    args.get(i)
+        .map_or(Ok(()), |arg| Err(unexpected(command, arg)))
 }
 
 /// The error for an argument `command` does not take, naming it.

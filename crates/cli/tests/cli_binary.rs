@@ -449,3 +449,77 @@ fn searches_past_the_size_caps_are_usage_errors_not_aborts() {
         assert!(stdout.is_empty(), "{}: {stdout}", args[0]);
     }
 }
+
+#[test]
+fn arguments_a_command_does_not_take_are_usage_errors() {
+    // Each of these once ran and exited 0, ignoring the argument it did
+    // not take, so a mistyped flag printed the wrong output.
+    let ws = worksheet("pdf1d");
+    let cases: [(&[&str], &str); 9] = [
+        (
+            &["analyze", &ws, "--bogus"],
+            "unknown analyze flag '--bogus'",
+        ),
+        (
+            &["trace", "sort", "--bogus"],
+            "unknown trace flag '--bogus'",
+        ),
+        (
+            &["reproduce", "table1", "--fast", "--bogus"],
+            "unknown reproduce flag '--bogus'",
+        ),
+        (&["devices", "extra"], "unexpected devices argument 'extra'"),
+        (
+            &["microbench", "nallatech", "extra"],
+            "unexpected microbench argument 'extra'",
+        ),
+        (
+            &["breakeven", &ws, "5", "3", "extra"],
+            "unexpected breakeven argument 'extra'",
+        ),
+        (
+            &["multi-fpga", &ws, "4", "extra"],
+            "unexpected multi-fpga argument 'extra'",
+        ),
+        (
+            &["streaming", &ws, "full", "extra"],
+            "unexpected streaming argument 'extra'",
+        ),
+        (
+            &["example-worksheet", "extra"],
+            "unexpected example-worksheet argument 'extra'",
+        ),
+    ];
+    for (args, named) in cases {
+        let (stdout, stderr, code) = run_rat_env(args, &[]);
+        assert_eq!(code, 2, "rat {args:?}: {stderr}");
+        assert!(stderr.contains(named), "rat {args:?}: {stderr}");
+        assert!(stdout.is_empty(), "rat {args:?}: {stdout}");
+        // Without the extra argument the same command succeeds.
+        let (_, stderr, code) = run_rat_env(&args[..args.len() - 1], &[]);
+        assert_eq!(code, 0, "rat {:?}: {stderr}", &args[..args.len() - 1]);
+    }
+}
+
+#[test]
+fn device_counts_outside_one_to_the_cap_exit_3() {
+    // 0 once analyzed one device, and a huge count built a row per device
+    // before printing (10,000,000 peaked at 1.69 GiB).
+    let ws = worksheet("pdf1d");
+    for (count, named) in [
+        ("0", "device count must be at least 1"),
+        ("65537", "device count 65537 exceeds the cap of 65536"),
+        (
+            "4294967295",
+            "device count 4294967295 exceeds the cap of 65536",
+        ),
+    ] {
+        let (stdout, stderr, code) = run_rat_env(&["multi-fpga", &ws, count], &[]);
+        assert_eq!(code, 3, "{count}: {stderr}");
+        assert!(stderr.contains(named), "{count}: {stderr}");
+        assert!(stdout.is_empty(), "{count}: {stdout}");
+    }
+    let (stdout, stderr, code) = run_rat_env(&["multi-fpga", &ws, "65536"], &[]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("65536"), "{} bytes of stdout", stdout.len());
+}

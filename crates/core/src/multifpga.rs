@@ -37,6 +37,10 @@ use crate::quantity::Seconds;
 use crate::table::{sci, TextTable};
 use crate::throughput;
 
+/// The most device counts one scaling curve analyzes. The curve holds one
+/// row per count and is built whole before anything prints.
+pub const MAX_DEVICES: u32 = 65_536;
+
 /// The scaling prediction for a device count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiFpgaPrediction {
@@ -121,6 +125,9 @@ pub fn analyze(input: &RatInput, devices: u32) -> Result<MultiFpgaPrediction, Ra
 }
 
 /// The scaling curve for device counts `1..=max_devices`.
+///
+/// Errors: a `max_devices` of 0 or above [`MAX_DEVICES`] is an invalid
+/// parameter.
 pub fn scaling_curve(input: &RatInput, max_devices: u32) -> Result<ScalingCurve, RatError> {
     scaling_curve_with(&Engine::sequential(), input, max_devices)
 }
@@ -135,7 +142,15 @@ pub fn scaling_curve_with(
     max_devices: u32,
 ) -> Result<ScalingCurve, RatError> {
     let _span = crate::telemetry::span("multi-fpga");
-    let n = max_devices.max(1) as usize;
+    if max_devices == 0 {
+        return Err(RatError::param("device count must be at least 1"));
+    }
+    if max_devices > MAX_DEVICES {
+        return Err(RatError::param(format!(
+            "device count {max_devices} exceeds the cap of {MAX_DEVICES}"
+        )));
+    }
+    let n = max_devices as usize;
     let chunk = engine.chunk_len(n, PointCost::FullReport);
     let per_chunk = engine.try_run(n.div_ceil(chunk), |c| {
         let lo = c * chunk;

@@ -19,15 +19,15 @@
 //! trades these off — the fastest point may saturate the device, the
 //! lightest may idle it — so the front is the honest deliverable.
 //!
-//! The search computes only what the front needs. A generation reads its
-//! draws in bulk, scores each candidate with the two numbers the search
-//! ranks by, and keeps each feasible point's objectives. A skyline
-//! (`pareto_front`: three pivots prune, then a sort-and-sweep) runs over
-//! that generation's points alone, and only its members keep their
-//! coordinates. After the last generation one more skyline over those
-//! survivors gives the front. A [`FrontPoint`] holds its coordinates,
-//! estimate and objectives; its full report and resource verdict are
-//! derived when a caller asks for them.
+//! The search keeps only what it prints. A generation reads its draws in
+//! bulk, scores each candidate with the two numbers the search ranks by,
+//! and gathers its feasible points' objectives in one buffer that the next
+//! generation reuses. A skyline (`pareto_front`: three pivots prune, then a
+//! sort-and-sweep) runs over that buffer alone, and only its members keep
+//! their objectives and coordinates. After the last generation one more
+//! skyline over those survivors gives the front. A [`FrontPoint`] holds its
+//! coordinates, estimate and objectives; its full report and resource
+//! verdict are derived when a caller asks for them.
 //!
 //! ## Determinism contract
 //!
@@ -216,7 +216,8 @@ pub struct OptimizeConfig {
     pub seed: u64,
     /// Generations to run.
     pub generations: u32,
-    /// Candidates per generation (one `solve_batch` dispatch each).
+    /// Candidates per generation, scored by one `predict_batch` per
+    /// buffering discipline.
     pub population: usize,
 }
 
@@ -365,8 +366,8 @@ impl FrontPoint {
     }
 }
 
-/// Outcome of a guided search: the Pareto front plus the audit trail the
-/// property suites replay.
+/// Outcome of a guided search: the Pareto front and the counts
+/// [`OptimizeOutcome::render`] prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OptimizeOutcome {
     /// Seed the run was rooted at.
@@ -379,14 +380,9 @@ pub struct OptimizeOutcome {
     pub feasible_evals: u64,
     /// The non-dominated set, ranked by speedup (descending), ties by
     /// utilization (descending) then resource pressure (ascending). Of
-    /// points tied on all three objectives, only the first visited is a
+    /// points tied on all three objectives, only the first evaluated is a
     /// member.
     pub front: Vec<FrontPoint>,
-    /// Objectives of every *feasible* point the search visited, in
-    /// evaluation order — the audit trail behind the dominance property:
-    /// each entry is dominated by or ties a front member, and no entry
-    /// dominates one.
-    pub visited: Vec<Objectives>,
 }
 
 impl OptimizeOutcome {
@@ -590,10 +586,10 @@ fn pick(word: u64, weights: &[f64], total: f64) -> usize {
 /// Each generation draws `config.population` candidates from the adapted
 /// distribution (per-generation stream [`job_rng`]`(seed, generation)`),
 /// scores them through [`predict_batch_with`] on `engine`, gates them
-/// through the Eq. (9)–(11) resource test, records the feasible ones'
-/// objectives, keeps the members of their own front, and adapts toward the
-/// highest-speedup feasible elite. After the last generation,
-/// `pareto_front` picks the non-dominated points among those members.
+/// through the Eq. (9)–(11) resource test, keeps the members of the
+/// feasible ones' own front, and adapts toward the highest-speedup feasible
+/// elite. After the last generation, `pareto_front` picks the
+/// non-dominated points among those members.
 ///
 /// Errors: invalid axes/knobs report the offending field; a space where *no*
 /// evaluated candidate passes the resource test is [`RatError::Infeasible`]
@@ -636,19 +632,21 @@ pub fn optimize(
         )
     };
     let mut state = SearchState::new(space, bufs.len(), devs.len(), precs.len());
-    let mut visited: Vec<Objectives> = Vec::new();
-    // Each generation's own front members, in visit order: their index in
-    // `visited`, their generation and their coordinates. Every member of
-    // the final front is among them.
-    let mut survivors: Vec<(usize, u32, Candidate)> = Vec::new();
+    // Each generation's own front members, in visit order: their
+    // objectives, generation and coordinates. Every member of the final
+    // front is among them.
+    let mut survivors: Vec<(Objectives, u32, Candidate)> = Vec::new();
     let mut words = vec![0u64; DRAWS_PER_CANDIDATE * config.population.min(SAMPLE_CHUNK)];
     let mut candidates: Vec<Candidate> = Vec::with_capacity(config.population);
-    // A generation's feasible points: candidate index and speedup.
+    // A generation's feasible points: their objectives, and at the same
+    // index their candidate index and speedup.
+    let mut objectives: Vec<Objectives> = Vec::new();
     let mut feasible: Vec<(usize, f64)> = Vec::new();
     let elite_n = (config.population / ELITE_FRACTION).max(1);
     // Highest speedup first, index-tiebroken: a total order.
     let rank = |(ia, sa): &(usize, f64), (ib, sb): &(usize, f64)| sb.total_cmp(sa).then(ia.cmp(ib));
     let mut evals = 0u64;
+    let mut feasible_evals = 0u64;
 
     for generation in 0..config.generations {
         let mut rng = job_rng(config.seed, u64::from(generation));
@@ -668,24 +666,25 @@ pub fn optimize(
         telemetry::add(Metric::OptimizeGenerations, 1);
         telemetry::add(Metric::OptimizeEvals, candidates.len() as u64);
 
-        let first = visited.len();
+        objectives.clear();
         feasible.clear();
         for (i, (cand, score)) in candidates.iter().zip(&scores).enumerate() {
             let ([dsp, bram, logic], fits) = utilization(&devs[cand.dev], &estimate(cand));
             if !fits {
                 continue;
             }
-            visited.push(Objectives {
+            objectives.push(Objectives {
                 speedup: score.speedup,
                 util_comp: score.util_comp,
                 resource_frac: dsp.max(bram).max(logic),
             });
             feasible.push((i, score.speedup));
         }
+        feasible_evals += objectives.len() as u64;
         survivors.extend(
-            generation_front(&visited, first)
+            generation_front(&objectives)
                 .into_iter()
-                .map(|v| (v, generation, candidates[feasible[v - first].0])),
+                .map(|k| (objectives[k], generation, candidates[feasible[k].0])),
         );
 
         // Elite update: select the elite, then rank only it, because
@@ -699,7 +698,7 @@ pub fn optimize(
         state.adapt(&elites);
     }
 
-    if visited.is_empty() {
+    if feasible_evals == 0 {
         return Err(RatError::infeasible(format!(
             "no feasible design point: 0 of {evals} candidates passed the Eq. (9)-(11) resource \
              test on {} candidate device(s) with {} precision candidate(s) — widen `devices`, \
@@ -709,11 +708,11 @@ pub fn optimize(
         )));
     }
 
-    let survivor_objectives: Vec<Objectives> = survivors.iter().map(|s| visited[s.0]).collect();
+    let survivor_objectives: Vec<Objectives> = survivors.iter().map(|s| s.0).collect();
     let front: Vec<FrontPoint> = pareto_front(&survivor_objectives)
         .into_iter()
         .map(|m| {
-            let (v, generation, cand) = survivors[m];
+            let (objectives, generation, cand) = survivors[m];
             FrontPoint {
                 axes: Arc::clone(&axes),
                 fclock_hz: cand.fclock_hz,
@@ -722,7 +721,7 @@ pub fn optimize(
                 dev: cand.dev,
                 precision: precs[cand.prec],
                 estimate: estimate(&cand),
-                objectives: visited[v],
+                objectives,
                 generation,
             }
         })
@@ -733,19 +732,18 @@ pub fn optimize(
         seed: config.seed,
         generations: config.generations,
         evals,
-        feasible_evals: visited.len() as u64,
+        feasible_evals,
         front,
-        visited,
     })
 }
 
-/// The non-dominated points of `visited`, as indices in front order:
+/// The non-dominated points of `points`, as indices in front order:
 /// speedup descending, then utilization descending, then resource pressure
 /// ascending. Of several points that tie exactly on all three objectives,
-/// only the first visited is a member.
+/// only the first (lowest index) is a member.
 ///
-/// Say a point *beats* another when it dominates it, or ties it and was
-/// visited first. The relation is transitive, and the front is the points
+/// Say a point *beats* another when it dominates it, or ties it and comes
+/// first. The relation is transitive, and the front is the points
 /// nothing beats. Three pivots prune first, dropping every point one of
 /// them beats: the first point in (speedup desc, util_comp desc,
 /// resource_frac asc, index) order, the first in (util_comp, speedup,
@@ -764,15 +762,15 @@ pub fn optimize(
 /// util_comp desc, resource_frac asc, index asc) in `total_cmp` order, which
 /// puts every point after all the points that dominate it, same-speedup
 /// dominators included, and puts exact ties next to each other with the
-/// first visited in front. The sweep drops a point when some kept point
+/// first in front. The sweep drops a point when some kept point
 /// matches or beats it on both util_comp and resource_frac: that point's
 /// speedup is already at least as high, so it dominates or ties the dropped
 /// one. The kept points' (util_comp, resource_frac) pairs are held as a
 /// staircase, util_comp non-decreasing and resource_frac strictly
 /// ascending, so each test is one binary search.
-pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
+pub(crate) fn pareto_front(points: &[Objectives]) -> Vec<usize> {
     let key = |i: usize| -> Key {
-        let o = &visited[i];
+        let o = &points[i];
         (
             total_key(o.speedup),
             total_key(o.util_comp),
@@ -786,11 +784,11 @@ pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
         |(s, u, r)| (r, !s, !u),
     ];
     let mut pivots: [Option<(Key, usize)>; 3] = [None; 3];
-    for i in 0..visited.len() {
+    for i in 0..points.len() {
         let k = key(i);
         for (pivot, order) in pivots.iter_mut().zip(orders) {
             // Only a strictly earlier key replaces a pivot, so of equal
-            // keys the first visited stays.
+            // keys the first stays.
             if pivot.is_none_or(|(p, _)| order(k) < order(p)) {
                 *pivot = Some((k, i));
             }
@@ -799,7 +797,7 @@ pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
     let beats = |((ps, pu, pr), pi): (Key, usize), (s, u, r): Key, i| {
         ps >= s && pu >= u && pr <= r && (ps > s || pu > u || pr < r || pi < i)
     };
-    let mut order: Vec<(i64, i64, i64, usize)> = (0..visited.len())
+    let mut order: Vec<(i64, i64, i64, usize)> = (0..points.len())
         .filter_map(|i| {
             let k = key(i);
             let beaten = pivots.iter().flatten().any(|&p| beats(p, k, i));
@@ -827,20 +825,19 @@ pub(crate) fn pareto_front(visited: &[Objectives]) -> Vec<usize> {
     front
 }
 
-/// The members of the front of `visited[first..]` alone, as indices into
-/// `visited`, ascending.
+/// The members of the front of one generation's `points`, as indices into
+/// them, ascending.
 ///
 /// Run on each generation's points as they arrive, this is an exact
 /// prefilter: the front of the survivors, kept in visit order, is the front
-/// of all of `visited`. A point dropped here is beaten within its
-/// generation (see [`pareto_front`]), so it is off the front. And whatever
-/// beats a survivor is a survivor or beaten by one (of its own generation),
-/// which then beats that survivor too, so the survivors' front drops only
-/// what the whole front drops.
-fn generation_front(visited: &[Objectives], first: usize) -> Vec<usize> {
-    let mut members = pareto_front(&visited[first..]);
+/// of every point the search evaluated. A point dropped here is beaten
+/// within its generation (see [`pareto_front`]), so it is off the front.
+/// And whatever beats a survivor is a survivor or beaten by one (of its own
+/// generation), which then beats that survivor too, so the survivors' front
+/// drops only what the whole front drops.
+fn generation_front(points: &[Objectives]) -> Vec<usize> {
+    let mut members = pareto_front(points);
     members.sort_unstable();
-    members.iter_mut().for_each(|m| *m += first);
     members
 }
 
@@ -1017,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn front_is_mutually_non_dominated_and_covers_visited_points() {
+    fn front_is_mutually_non_dominated() {
         let engine = Engine::sequential();
         let space = OptimizeSpace::around(pdf1d_example());
         let out = optimize(&engine, &space, &quick_config()).unwrap();
@@ -1030,18 +1027,6 @@ mod tests {
                     );
                 }
             }
-        }
-        for v in &out.visited {
-            assert!(
-                out.front
-                    .iter()
-                    .any(|f| f.objectives.dominates(v) || f.objectives.ties(v)),
-                "visited point {v:?} not covered by the front"
-            );
-            assert!(
-                !out.front.iter().any(|f| v.dominates(&f.objectives)),
-                "visited point {v:?} dominates a front member"
-            );
         }
     }
 
@@ -1057,8 +1042,9 @@ mod tests {
             ..quick_config()
         };
         let c = optimize(&engine, &space, &other).unwrap();
-        // Different seeds visit different candidate sets.
-        assert_ne!(a.visited, c.visited);
+        // Different seeds visit different candidate sets, so their fronts
+        // differ.
+        assert_ne!(a.front, c.front);
     }
 
     #[test]
@@ -1171,10 +1157,10 @@ mod tests {
     /// The running fold the front was once built with, plus its final sort:
     /// admit a point unless a member dominates or ties it, evict the members
     /// it dominates, then rank.
-    fn fold_reference(visited: &[Objectives]) -> Vec<usize> {
+    fn fold_reference(points: &[Objectives]) -> Vec<usize> {
         let mut front: Vec<usize> = Vec::new();
-        for (i, o) in visited.iter().enumerate() {
-            let v = |f: usize| &visited[f];
+        for (i, o) in points.iter().enumerate() {
+            let v = |f: usize| &points[f];
             if front.iter().any(|&f| v(f).dominates(o) || v(f).ties(o)) {
                 continue;
             }
@@ -1182,7 +1168,7 @@ mod tests {
             front.push(i);
         }
         front.sort_by(|&a, &b| {
-            let (a, b) = (&visited[a], &visited[b]);
+            let (a, b) = (&points[a], &points[b]);
             b.speedup
                 .total_cmp(&a.speedup)
                 .then(b.util_comp.total_cmp(&a.util_comp))
@@ -1193,8 +1179,8 @@ mod tests {
 
     /// The skyline before the pivot prune: every point sorted by the
     /// 4-tuple key, then the staircase sweep.
-    fn sort_and_sweep(visited: &[Objectives]) -> Vec<usize> {
-        let mut order: Vec<(i64, i64, i64, usize)> = visited
+    fn sort_and_sweep(points: &[Objectives]) -> Vec<usize> {
+        let mut order: Vec<(i64, i64, i64, usize)> = points
             .iter()
             .enumerate()
             .map(|(i, o)| {
@@ -1235,9 +1221,9 @@ mod tests {
         for seed in 0..300u64 {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let n = rng.gen_range(0..=(seed as usize % 7 + 1) * 40);
-            let mut visited: Vec<Objectives> = Vec::with_capacity(n);
+            let mut points: Vec<Objectives> = Vec::with_capacity(n);
             let one_of = |rng: &mut ChaCha8Rng, vals: &[f64]| vals[rng.gen_range(0..vals.len())];
-            while visited.len() < n {
+            while points.len() < n {
                 let o = Objectives {
                     speedup: one_of(&mut rng, &speedups),
                     util_comp: one_of(&mut rng, &utils),
@@ -1251,19 +1237,19 @@ mod tests {
                 } else {
                     1
                 };
-                for _ in 0..run.min(n - visited.len()) {
+                for _ in 0..run.min(n - points.len()) {
                     let mut p = o;
                     match rng.gen_range(0..3) {
                         0 => {}
                         1 => p.util_comp = one_of(&mut rng, &utils),
                         _ => p.resource_frac = one_of(&mut rng, &fracs),
                     }
-                    visited.push(p);
+                    points.push(p);
                 }
             }
-            let fold = fold_reference(&visited);
-            assert_eq!(sort_and_sweep(&visited), fold, "seed {seed}, {n} points");
-            assert_eq!(pareto_front(&visited), fold, "seed {seed}, {n} points");
+            let fold = fold_reference(&points);
+            assert_eq!(sort_and_sweep(&points), fold, "seed {seed}, {n} points");
+            assert_eq!(pareto_front(&points), fold, "seed {seed}, {n} points");
 
             // The same points in random generations, as `optimize` sees
             // them: each generation's own front, then the final skyline
@@ -1272,10 +1258,14 @@ mod tests {
             let mut first = 0;
             while first < n {
                 let end = (first + rng.gen_range(1..=60)).min(n);
-                survivors.extend(generation_front(&visited[..end], first));
+                survivors.extend(
+                    generation_front(&points[first..end])
+                        .into_iter()
+                        .map(|k| first + k),
+                );
                 first = end;
             }
-            let objectives: Vec<Objectives> = survivors.iter().map(|&v| visited[v]).collect();
+            let objectives: Vec<Objectives> = survivors.iter().map(|&v| points[v]).collect();
             let front: Vec<usize> = pareto_front(&objectives)
                 .into_iter()
                 .map(|m| survivors[m])

@@ -29,11 +29,10 @@
 //!   an [`platform::AppRun`] under single- or double-buffered scheduling and
 //!   returns a [`platform::Measurement`] with a full [`trace::Trace`].
 //! - [`trace::TraceSink`]: where spans go during execution — a materialized
-//!   [`trace::FullTrace`], a counting [`trace::SummarySink`], or a
-//!   [`trace::NullSink`] for trace-free summary runs, which additionally
-//!   unlock steady-state fast-forward ([`platform::FastForward`]): periodic
-//!   schedules are detected and skipped arithmetically, bit-identically to
-//!   exhaustive simulation.
+//!   [`trace::FullTrace`], or a [`trace::NullSink`] for trace-free summary
+//!   runs, which additionally unlock steady-state fast-forward
+//!   ([`platform::FastForward`]): periodic schedules are detected and
+//!   skipped arithmetically, bit-identically to exhaustive simulation.
 //! - [`microbench`]: derive the "alpha" sustained-fraction parameters the same
 //!   way the paper does — by timing simulated transfers.
 //! - [`catalog`]: the two platforms the paper evaluates, plus a generic PCIe-like
@@ -82,4 +81,4 @@ pub use kernel::{Batch, HardwareKernel, TabulatedKernel};
 pub use pipeline::{PipelineSpec, PipelinedKernel, StallModel};
 pub use platform::{AppRun, BufferMode, FastForward, Measurement, Platform, PlatformSpec};
 pub use time::SimTime;
-pub use trace::{FullTrace, NullSink, SummarySink, Trace, TraceSink};
+pub use trace::{FullTrace, NullSink, Trace, TraceSink};

@@ -1423,7 +1423,7 @@ mod tests {
     }
 
     use crate::cache::SimSummary;
-    use crate::trace::{FullTrace, NullSink, SummarySink};
+    use crate::trace::{FullTrace, NullSink};
 
     /// Fast-forwarded and exhaustive trace-free summaries of the same run.
     fn ff_vs_exhaustive<K: HardwareKernel>(
@@ -1643,29 +1643,6 @@ mod tests {
         let (summary, _) = platform.execute_with(&kernel, &run, GHZ, NullSink).unwrap();
         let m = platform.execute(&kernel, &run, GHZ).unwrap();
         assert_eq!(summary, SimSummary::from(&m));
-    }
-
-    #[test]
-    fn summary_sink_counts_match_the_trace() {
-        let platform = Platform::new(unit_bus());
-        let kernel = TabulatedKernel::uniform("k", 300, 1);
-        let run = AppRun::builder()
-            .iterations(40)
-            .input_bytes_per_iter(100)
-            .output_bytes_per_iter(50)
-            .buffer_mode(BufferMode::Double)
-            .build();
-        let (_, counter) = platform
-            .execute_with(&kernel, &run, GHZ, SummarySink::new())
-            .unwrap();
-        let m = platform.execute(&kernel, &run, GHZ).unwrap();
-        assert_eq!(
-            counter.count(Resource::Comm) as usize,
-            m.trace.spans_on(Resource::Comm).count()
-        );
-        assert_eq!(counter.count(Resource::Comp), 40);
-        assert_eq!(counter.busy(Resource::Comp), m.compute_busy);
-        assert_eq!(counter.total_spans() as usize, m.trace.spans().len());
     }
 
     #[test]

@@ -119,29 +119,6 @@ impl<T> EventQueue<T> {
         Some((ev.time, ev.payload))
     }
 
-    /// Pop every event firing at or before `t`, in pop order (time, then FIFO
-    /// sequence), advancing the clock to the last popped event's fire time.
-    /// The clock does not advance past the last event: if nothing fires by
-    /// `t`, the result is empty and the clock is untouched. Draining a batch
-    /// in one call cuts per-pop heap rebalancing when many simultaneous
-    /// events land (e.g. wide parallel-kernel completion waves).
-    pub fn pop_batch_until(&mut self, t: SimTime) -> Vec<(SimTime, T)> {
-        let mut out = Vec::new();
-        while let Some(head) = self.heap.peek() {
-            if head.time > t {
-                break;
-            }
-            let ev = self.heap.pop().expect("peek proved non-empty");
-            debug_assert!(
-                ev.time >= self.now,
-                "event queue produced a time regression"
-            );
-            self.now = ev.time;
-            out.push((ev.time, ev.payload));
-        }
-        out
-    }
-
     /// Advance the clock by `offset` and shift every pending event by the same
     /// amount, mapping each payload through `f`. Relative fire times and the
     /// FIFO tie-break order are preserved exactly (the shift is uniform and
@@ -232,22 +209,6 @@ mod tests {
         q.schedule(SimTime::from_ns(10), ());
         q.pop();
         q.schedule(SimTime::from_ns(5), ());
-    }
-
-    #[test]
-    fn pop_batch_until_drains_in_order_and_respects_cutoff() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(30), "late");
-        q.schedule(SimTime::from_ns(10), "a");
-        q.schedule(SimTime::from_ns(10), "b");
-        q.schedule(SimTime::from_ns(20), "c");
-        let batch = q.pop_batch_until(SimTime::from_ns(20));
-        let popped: Vec<_> = batch.iter().map(|(_, p)| *p).collect();
-        assert_eq!(popped, vec!["a", "b", "c"]);
-        assert_eq!(q.now(), SimTime::from_ns(20));
-        assert_eq!(q.len(), 1);
-        assert!(q.pop_batch_until(SimTime::from_ns(25)).is_empty());
-        assert_eq!(q.now(), SimTime::from_ns(20));
     }
 
     #[test]

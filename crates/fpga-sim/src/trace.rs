@@ -276,8 +276,7 @@ impl Trace {
 ///
 /// The simulator is generic over its sink so summary runs pay nothing for
 /// trace detail they will discard: [`FullTrace`] materializes every span
-/// (labels included), [`SummarySink`] counts spans and accumulates busy time
-/// without allocating, and [`NullSink`] drops everything.
+/// (labels included), and [`NullSink`] drops everything.
 ///
 /// `label` is a closure, not a string: sinks that keep no labels never invoke
 /// it, so the hot path skips the `format!` entirely.
@@ -347,65 +346,6 @@ impl TraceSink for NullSink {
         _start: SimTime,
         _end: SimTime,
     ) {
-    }
-}
-
-/// A counting [`TraceSink`]: per-resource span counts and busy totals, no
-/// labels, no allocation. Declares `RECORDS = true` because its counts must
-/// cover every span, so runs through it stay exhaustive (no fast-forward) —
-/// use it when exact event counts matter but the trace itself does not.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SummarySink {
-    /// Number of spans recorded per resource, indexed Comm/Comp/Host.
-    counts: [u64; 3],
-    /// Total busy time per resource, indexed Comm/Comp/Host.
-    busy: [SimTime; 3],
-}
-
-impl SummarySink {
-    /// An empty counting sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot(resource: Resource) -> usize {
-        match resource {
-            Resource::Comm => 0,
-            Resource::Comp => 1,
-            Resource::Host => 2,
-        }
-    }
-
-    /// Number of spans recorded on `resource`.
-    pub fn count(&self, resource: Resource) -> u64 {
-        self.counts[Self::slot(resource)]
-    }
-
-    /// Total spans recorded across all resources.
-    pub fn total_spans(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Accumulated busy time on `resource` (spans may overlap for streamed
-    /// output, so this is occupancy, not elapsed time).
-    pub fn busy(&self, resource: Resource) -> SimTime {
-        self.busy[Self::slot(resource)]
-    }
-}
-
-impl TraceSink for SummarySink {
-    const RECORDS: bool = true;
-
-    fn record(
-        &mut self,
-        resource: Resource,
-        _label: impl FnOnce() -> String,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        let slot = Self::slot(resource);
-        self.counts[slot] += 1;
-        self.busy[slot] += end - start;
     }
 }
 
@@ -583,26 +523,6 @@ mod tests {
             us(5),
         );
         const { assert!(!NullSink::RECORDS) };
-    }
-
-    #[test]
-    fn summary_sink_counts_without_labels() {
-        let mut sink = SummarySink::new();
-        sink.record(
-            Resource::Comm,
-            || panic!("SummarySink must not build labels"),
-            us(0),
-            us(5),
-        );
-        sink.record(Resource::Comm, || unreachable!(), us(7), us(9));
-        sink.record(Resource::Comp, || unreachable!(), us(0), us(4));
-        assert_eq!(sink.count(Resource::Comm), 2);
-        assert_eq!(sink.count(Resource::Comp), 1);
-        assert_eq!(sink.count(Resource::Host), 0);
-        assert_eq!(sink.total_spans(), 3);
-        assert_eq!(sink.busy(Resource::Comm), us(7));
-        assert_eq!(sink.busy(Resource::Comp), us(4));
-        const { assert!(SummarySink::RECORDS, "counts must cover every span") };
     }
 
     #[test]

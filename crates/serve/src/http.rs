@@ -20,9 +20,9 @@ use crate::api::ApiError;
 /// Cap on the request line + headers, generous for hand-written clients.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
-/// Default cap on request bodies. Worksheets are a few hundred bytes; a
-/// megabyte leaves room for large sweep-value lists without letting a
-/// client buffer gigabytes into a resident service.
+/// Cap on request bodies (413 beyond it). Worksheets are a few hundred
+/// bytes; a megabyte leaves room for large sweep-value lists without
+/// letting a client buffer gigabytes into a resident service.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed request: method, path, (possibly empty) body, and whether the

@@ -54,7 +54,8 @@ use crate::queue::BoundedQueue;
 use crate::respcache::{Lookup, ResponseCache};
 
 /// Server configuration, all fields defaulted for tests (`port: 0` binds an
-/// ephemeral port).
+/// ephemeral port). Request bodies are capped at [`http::MAX_BODY_BYTES`]
+/// (413 beyond it), a constant.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Address to bind (default loopback).
@@ -72,8 +73,6 @@ pub struct ServeConfig {
     pub engine_jobs: usize,
     /// Per-request read deadline; a client that stalls mid-request gets 408.
     pub request_timeout: Duration,
-    /// Cap on request-body bytes (413 beyond it).
-    pub max_body_bytes: usize,
     /// How long a kept-alive connection may sit idle between requests
     /// before the server closes it silently.
     pub keepalive_idle: Duration,
@@ -95,7 +94,6 @@ impl Default for ServeConfig {
             queue_capacity: 128,
             engine_jobs: 1,
             request_timeout: Duration::from_secs(10),
-            max_body_bytes: http::MAX_BODY_BYTES,
             keepalive_idle: Duration::from_secs(5),
             max_requests_per_conn: 1000,
             response_cache_bytes: 16 * 1024 * 1024,
@@ -333,7 +331,7 @@ fn serve_connection(shared: &Shared, engine: &Engine, stream: TcpStream, queued_
         let (req, first_byte) = match conn.read_request(
             wait,
             shared.config.request_timeout,
-            shared.config.max_body_bytes,
+            http::MAX_BODY_BYTES,
             between_requests,
         ) {
             Ok(ok) => ok,
